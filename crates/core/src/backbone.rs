@@ -7,6 +7,7 @@ use geospan_cds::{
     protocol::{run_cds, run_cds_faulty},
     CdsGraphs, ClusterRank, Role,
 };
+use geospan_geometry::Point;
 use geospan_graph::Graph;
 use geospan_sim::{FaultPlan, FaultReport, MessageStats, QuiescenceTimeout, ReliabilityConfig};
 use geospan_topology::distributed::{run_ldel, run_ldel_faulty};
@@ -123,6 +124,12 @@ pub enum BackboneError {
         /// The offending edge length found.
         edge_length: f64,
     },
+    /// A node position is NaN or infinite, or two nodes share a
+    /// position: the triangulations need distinct finite coordinates.
+    InvalidInput {
+        /// What is wrong, naming the offending nodes.
+        reason: String,
+    },
     /// A distributed phase failed to reach quiescence (protocol bug).
     Protocol(QuiescenceTimeout),
 }
@@ -134,6 +141,7 @@ impl fmt::Display for BackboneError {
                 f,
                 "unit disk graph has an edge of length {edge_length} exceeding the configured radius {radius}"
             ),
+            BackboneError::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
             BackboneError::Protocol(t) => write!(f, "distributed construction failed: {t}"),
         }
     }
@@ -220,6 +228,18 @@ impl Backbone {
         }
     }
 
+    /// Mutable access to the clustering and both planar layers
+    /// (`LDel(ICDS)`, `LDel(ICDS')`), for tests that damage a backbone on
+    /// purpose.
+    #[cfg(test)]
+    pub(crate) fn parts_mut(&mut self) -> (&mut CdsGraphs, &mut Graph, &mut Graph) {
+        (
+            &mut self.cds_graphs,
+            &mut self.ldel_icds.graph,
+            &mut self.ldel_icds_prime,
+        )
+    }
+
     /// Backbone node indices (dominators + connectors).
     pub fn backbone_nodes(&self) -> Vec<usize> {
         self.cds_graphs.backbone_nodes()
@@ -260,11 +280,7 @@ impl Backbone {
     /// # Panics
     /// Panics if `dominators` is empty (the newcomer would be
     /// undominated, which requires a rebuild instead).
-    pub(crate) fn attach_dominatee(
-        &mut self,
-        position: geospan_geometry::Point,
-        dominators: &[usize],
-    ) -> usize {
+    pub(crate) fn attach_dominatee(&mut self, position: Point, dominators: &[usize]) -> usize {
         assert!(
             !dominators.is_empty(),
             "an uncovered newcomer requires a backbone rebuild"
@@ -352,6 +368,30 @@ impl Backbone {
     }
 }
 
+/// Rejects NaN or infinite coordinates and coincident nodes (`-0.0`
+/// and `0.0` coincide), which the triangulations cannot handle. One
+/// `O(n log n)` sort.
+fn validate_positions(points: &[Point]) -> Result<(), BackboneError> {
+    if let Some(v) = points.iter().position(|p| !p.is_finite()) {
+        return Err(BackboneError::InvalidInput {
+            reason: format!("node {v} has non-finite position {:?}", points[v]),
+        });
+    }
+    // Adding 0.0 maps -0.0 to 0.0, so the bit patterns compare positions.
+    let key = |p: &Point| ((p.x + 0.0).to_bits(), (p.y + 0.0).to_bits());
+    let mut keys: Vec<(u64, u64)> = points.iter().map(key).collect();
+    keys.sort_unstable();
+    let Some(dup) = keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0]) else {
+        return Ok(());
+    };
+    let nodes: Vec<usize> = (0..points.len())
+        .filter(|&v| key(&points[v]) == dup)
+        .collect();
+    Err(BackboneError::InvalidInput {
+        reason: format!("nodes {nodes:?} share position {:?}", points[nodes[0]]),
+    })
+}
+
 /// Builds [`Backbone`]s from unit disk graphs.
 #[derive(Debug, Clone)]
 pub struct BackboneBuilder {
@@ -367,11 +407,14 @@ impl BackboneBuilder {
     /// Runs the pipeline on a unit disk graph.
     ///
     /// # Errors
+    /// * [`BackboneError::InvalidInput`] when a node position is NaN or
+    ///   infinite, or two nodes share a position,
     /// * [`BackboneError::InvalidRadius`] when `udg` contains an edge
     ///   longer than the configured radius,
     /// * [`BackboneError::Protocol`] when a distributed phase fails to
     ///   converge (indicates a bug, not an input condition).
     pub fn build(&self, udg: &Graph) -> Result<Backbone, BackboneError> {
+        validate_positions(udg.points())?;
         for (u, v) in udg.edges() {
             let len = udg.edge_length(u, v);
             if len > self.config.radius {
@@ -614,6 +657,24 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, BackboneError::InvalidRadius { .. }));
         assert!(err.to_string().contains("exceeding"));
+    }
+
+    #[test]
+    fn invalid_positions_rejected() {
+        let builder = BackboneBuilder::new(BackboneConfig::new(10.0));
+        let bad = |pts: Vec<Point>| match builder.build(&Graph::new(pts)) {
+            Err(BackboneError::InvalidInput { reason }) => reason,
+            other => panic!("expected InvalidInput, got {other:?}"),
+        };
+        let p = |x, y| Point::new(x, y);
+        assert!(bad(vec![p(0.0, 0.0), p(f64::NAN, 1.0)]).contains("node 1"));
+        assert!(bad(vec![p(f64::INFINITY, 0.0)]).contains("non-finite"));
+        let dup = bad(vec![p(1.0, 2.0), p(3.0, 4.0), p(1.0, 2.0)]);
+        assert!(dup.contains("[0, 2]"), "{dup}");
+        assert!(bad(vec![p(0.0, 5.0), p(-0.0, 5.0)]).contains("share position"));
+        assert!(builder
+            .build(&Graph::new(vec![p(0.0, 0.0), p(0.0, 1.0)]))
+            .is_ok());
     }
 
     #[test]

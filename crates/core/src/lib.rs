@@ -44,4 +44,4 @@ mod verify;
 
 pub use backbone::{Backbone, BackboneBuilder, BackboneConfig, BackboneError, BackboneStats};
 pub use geospan_cds::{ClusterRank, Role};
-pub use verify::{verify, PropertyReport};
+pub use verify::{guarantees_hold, verify, PropertyReport};

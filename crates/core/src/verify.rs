@@ -87,10 +87,95 @@ impl fmt::Display for PropertyReport {
     }
 }
 
+/// Panics unless `udg` and the backbone share the vertex set.
+fn assert_shared_vertex_set(backbone: &Backbone, udg: &Graph) {
+    assert_eq!(
+        udg.node_count(),
+        backbone.roles().len(),
+        "UDG and backbone must share the vertex set"
+    );
+}
+
+/// Lemma 1: every node has at most five adjacent dominators.
+fn lemma1_holds(backbone: &Backbone) -> bool {
+    backbone
+        .cds_graphs()
+        .dominators_of
+        .iter()
+        .all(|d| d.len() <= 5)
+}
+
+/// Property 1: `LDel(ICDS)` is a plane embedding.
+fn backbone_is_planar(backbone: &Backbone) -> bool {
+    is_plane_embedding(backbone.ldel_icds())
+}
+
+/// UDG-connected pairs that `LDel(ICDS')` disconnects, from component
+/// labels: `Σ C(|C|, 2)` over UDG components `C`, minus the same sum
+/// over the groups of nodes sharing both their UDG and their backbone
+/// component. `O(n log n)`.
+fn disconnected_pairs(udg_labels: &[usize], backbone_labels: &[usize]) -> usize {
+    fn same_key_pairs(mut keys: Vec<(usize, usize)>) -> usize {
+        keys.sort_unstable();
+        keys.chunk_by(|a, b| a == b)
+            .map(|g| g.len() * (g.len() - 1) / 2)
+            .sum()
+    }
+    let udg_pairs = same_key_pairs(udg_labels.iter().map(|&c| (c, 0)).collect());
+    let kept_pairs = same_key_pairs(
+        udg_labels
+            .iter()
+            .copied()
+            .zip(backbone_labels.iter().copied())
+            .collect(),
+    );
+    udg_pairs - kept_pairs
+}
+
+/// Property 3c as a yes/no in `O(n + m)`: all UDG-connected pairs stay
+/// connected in `LDel(ICDS')` iff every UDG edge lies inside one
+/// `LDel(ICDS')` component.
+fn spans_udg_components(backbone: &Backbone, udg: &Graph) -> bool {
+    let label = backbone.ldel_icds_prime().component_labels();
+    udg.edges().all(|(u, v)| label[u] == label[v])
+}
+
+/// Whether the paper's guarantees hold: exactly
+/// [`verify`]`(backbone, udg, r).`[`all_ok`](PropertyReport::all_ok)`()`,
+/// for any `r`, without the all-pairs stretch measurement.
+///
+/// Checks Lemma 1 (at most five dominators per node), that
+/// `LDel(ICDS')` keeps every UDG-connected pair connected (every UDG edge
+/// has both endpoints in one `LDel(ICDS')` component), and that
+/// `LDel(ICDS)` is a plane embedding. Costs `O(n + m)` plus the grid
+/// planarity test, so it suits a verdict inside a loop — localized
+/// repair accepts or rejects every candidate with it.
+///
+/// # Panics
+/// Panics if `udg`'s node count differs from the backbone's.
+///
+/// # Example
+/// ```
+/// use geospan_core::{guarantees_hold, BackboneBuilder, BackboneConfig};
+/// use geospan_graph::gen::connected_unit_disk;
+///
+/// let (_pts, udg, _s) = connected_unit_disk(40, 120.0, 45.0, 2);
+/// let b = BackboneBuilder::new(BackboneConfig::new(45.0)).build(&udg).unwrap();
+/// assert!(guarantees_hold(&b, &udg));
+/// ```
+pub fn guarantees_hold(backbone: &Backbone, udg: &Graph) -> bool {
+    assert_shared_vertex_set(backbone, udg);
+    lemma1_holds(backbone) && spans_udg_components(backbone, udg) && backbone_is_planar(backbone)
+}
+
 /// Verifies a backbone against the unit disk graph it was built from.
 ///
 /// `radius` is used as the pair-separation threshold for the length
 /// stretch, matching the paper's measurement convention.
+///
+/// The stretch measurement is all pairs — one BFS and one Dijkstra per
+/// node on both graphs, `O(n · m log n)`. Callers that only need the
+/// verdict ([`PropertyReport::all_ok`]) should call [`guarantees_hold`].
 ///
 /// # Panics
 /// Panics if `udg`'s node count differs from the backbone's.
@@ -106,12 +191,8 @@ impl fmt::Display for PropertyReport {
 /// assert!(report.all_ok());
 /// ```
 pub fn verify(backbone: &Backbone, udg: &Graph, radius: f64) -> PropertyReport {
-    assert_eq!(
-        udg.node_count(),
-        backbone.roles().len(),
-        "UDG and backbone must share the vertex set"
-    );
-    let planar = is_plane_embedding(backbone.ldel_icds());
+    assert_shared_vertex_set(backbone, udg);
+    let planar = backbone_is_planar(backbone);
     let crossings = if planar {
         0
     } else {
@@ -124,11 +205,11 @@ pub fn verify(backbone: &Backbone, udg: &Graph, radius: f64) -> PropertyReport {
             min_euclidean_separation: radius,
         },
     );
-    let lemma1_ok = backbone
-        .cds_graphs()
-        .dominators_of
-        .iter()
-        .all(|d| d.len() <= 5);
+    let disconnected_pairs = disconnected_pairs(
+        &udg.component_labels(),
+        &backbone.ldel_icds_prime().component_labels(),
+    );
+    let lemma1_ok = lemma1_holds(backbone);
     let (mut dominators, mut connectors) = (0, 0);
     for r in backbone.roles() {
         match r {
@@ -143,7 +224,7 @@ pub fn verify(backbone: &Backbone, udg: &Graph, radius: f64) -> PropertyReport {
         backbone_max_degree: degree_stats_over(backbone.ldel_icds(), backbone.backbone_nodes()).max,
         length_stretch_max: stretch.length_max,
         hop_stretch_max: stretch.hop_max,
-        disconnected_pairs: stretch.disconnected_pairs,
+        disconnected_pairs,
         spanning_edges: backbone.ldel_icds_prime().edge_count(),
         lemma1_ok,
         dominators,
@@ -156,7 +237,125 @@ pub fn verify(backbone: &Backbone, udg: &Graph, radius: f64) -> PropertyReport {
 mod tests {
     use super::*;
     use crate::{BackboneBuilder, BackboneConfig};
-    use geospan_graph::gen::connected_unit_disk;
+    use geospan_geometry::segments_properly_cross;
+    use geospan_graph::gen::{connected_unit_disk, uniform_points, UnitDiskBuilder};
+    use proptest::prelude::*;
+
+    /// A backbone over `n` uniform points, connected or not.
+    fn random_backbone(n: usize, side: f64, radius: f64, seed: u64) -> (Graph, Backbone) {
+        let udg = UnitDiskBuilder::new(radius).build(&uniform_points(n, side, seed));
+        let b = BackboneBuilder::new(BackboneConfig::new(radius))
+            .build(&udg)
+            .unwrap();
+        (udg, b)
+    }
+
+    /// Adds to `LDel(ICDS)` an edge properly crossing one of its edges.
+    fn add_crossing_edge(b: &mut Backbone) -> bool {
+        let (_, ldel, _) = b.parts_mut();
+        let Some((u, v)) = ldel.edges().next() else {
+            return false;
+        };
+        let (pu, pv) = (ldel.position(u), ldel.position(v));
+        let n = ldel.node_count();
+        for x in 0..n {
+            for y in x + 1..n {
+                if segments_properly_cross(pu, pv, ldel.position(x), ldel.position(y)) {
+                    ldel.add_edge(x, y);
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Removes from `LDel(ICDS')` an edge whose removal splits a
+    /// component.
+    fn remove_bridge(b: &mut Backbone) -> bool {
+        let (_, _, prime) = b.parts_mut();
+        let components = |g: &Graph| g.component_labels().into_iter().max();
+        let before = components(prime);
+        let edges: Vec<(usize, usize)> = prime.edges().collect();
+        for (u, v) in edges {
+            prime.remove_edge(u, v);
+            if components(prime) != before {
+                return true;
+            }
+            prime.add_edge(u, v);
+        }
+        false
+    }
+
+    /// Gives node 0 a sixth dominator.
+    fn add_sixth_dominator(b: &mut Backbone) -> bool {
+        let (cds, _, _) = b.parts_mut();
+        let n = cds.roles.len();
+        let doms = &mut cds.dominators_of[0];
+        for w in 1..n {
+            if doms.len() == 6 {
+                break;
+            }
+            if !doms.contains(&w) {
+                doms.push(w);
+            }
+        }
+        doms.len() == 6
+    }
+
+    /// The verdict and the pair count agree with the all-pairs
+    /// measurement; returns the verdict.
+    fn check_agreement(b: &Backbone, udg: &Graph, radius: f64) -> Result<bool, TestCaseError> {
+        let report = verify(b, udg, radius);
+        let verdict = guarantees_hold(b, udg);
+        prop_assert_eq!(verdict, report.all_ok(), "{}", report);
+        let all_pairs = stretch_factors(udg, b.ldel_icds_prime(), StretchOptions::default());
+        prop_assert_eq!(report.disconnected_pairs, all_pairs.disconnected_pairs);
+        Ok(verdict)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn guarantee_check_equals_verify_verdict(
+            n in 8usize..80,
+            side in 80.0f64..260.0,
+            radius in 30.0f64..60.0,
+            seed in any::<u64>(),
+        ) {
+            let (udg, b) = random_backbone(n, side, radius, seed);
+            prop_assert!(check_agreement(&b, &udg, radius)?, "a built backbone fails");
+
+            let mut crossed = b.clone();
+            if add_crossing_edge(&mut crossed) {
+                prop_assert!(!check_agreement(&crossed, &udg, radius)?, "crossing kept");
+            }
+            let mut cut = b.clone();
+            if remove_bridge(&mut cut) {
+                prop_assert!(!check_agreement(&cut, &udg, radius)?, "bridge kept");
+            }
+            let mut crowded = b.clone();
+            prop_assert!(add_sixth_dominator(&mut crowded));
+            prop_assert!(!check_agreement(&crowded, &udg, radius)?, "sixth dominator kept");
+        }
+    }
+
+    #[test]
+    fn component_pair_count_matches_all_pairs_stretch() {
+        for seed in 0..12 {
+            // Sparse fields split the UDG into several components.
+            let (udg, mut b) = random_backbone(50, 220.0 + 10.0 * seed as f64, 40.0, seed);
+            remove_bridge(&mut b);
+            remove_bridge(&mut b);
+            let kept = b.ldel_icds_prime();
+            let all_pairs = stretch_factors(&udg, kept, StretchOptions::default());
+            assert_eq!(
+                disconnected_pairs(&udg.component_labels(), &kept.component_labels()),
+                all_pairs.disconnected_pairs,
+                "seed {seed}"
+            );
+        }
+    }
 
     #[test]
     fn healthy_backbone_verifies() {

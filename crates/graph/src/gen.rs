@@ -208,7 +208,12 @@ impl UnitDiskBuilder {
             let (cx, cy) = cell(p);
             for dx in -1..=1 {
                 for dy in -1..=1 {
-                    if let Some(cands) = buckets.get(&(cx + dx, cy + dy)) {
+                    // Huge or infinite coordinates saturate the cell
+                    // index; a neighbor cell past the end does not exist.
+                    let (Some(nx), Some(ny)) = (cx.checked_add(dx), cy.checked_add(dy)) else {
+                        continue;
+                    };
+                    if let Some(cands) = buckets.get(&(nx, ny)) {
                         for &j in cands {
                             if j > i && p.distance_sq(points[j]) <= r2 {
                                 edges.push((i, j));

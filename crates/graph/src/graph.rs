@@ -293,31 +293,41 @@ impl Graph {
         count == n
     }
 
-    /// Connected components as sorted lists of node indices, largest
-    /// first (ties broken by smallest member).
-    pub fn components(&self) -> Vec<Vec<usize>> {
+    /// Connected-component label of every node: two nodes share a label
+    /// iff they are connected. Labels are `0..k`, numbered in order of
+    /// each component's smallest member. `O(n + m)`.
+    pub fn component_labels(&self) -> Vec<usize> {
         let n = self.node_count();
-        let mut comp = vec![usize::MAX; n];
-        let mut comps: Vec<Vec<usize>> = Vec::new();
+        let mut label = vec![usize::MAX; n];
+        let mut next = 0;
+        let mut stack = Vec::new();
         for s in 0..n {
-            if comp[s] != usize::MAX {
+            if label[s] != usize::MAX {
                 continue;
             }
-            let id = comps.len();
-            let mut members = vec![s];
-            comp[s] = id;
-            let mut stack = vec![s];
+            label[s] = next;
+            stack.push(s);
             while let Some(u) = stack.pop() {
                 for &v in self.neighbors(u) {
-                    if comp[v] == usize::MAX {
-                        comp[v] = id;
-                        members.push(v);
+                    if label[v] == usize::MAX {
+                        label[v] = next;
                         stack.push(v);
                     }
                 }
             }
-            members.sort_unstable();
-            comps.push(members);
+            next += 1;
+        }
+        label
+    }
+
+    /// Connected components as sorted lists of node indices, largest
+    /// first (ties broken by smallest member).
+    pub fn components(&self) -> Vec<Vec<usize>> {
+        let labels = self.component_labels();
+        let count = labels.iter().max().map_or(0, |&l| l + 1);
+        let mut comps: Vec<Vec<usize>> = vec![Vec::new(); count];
+        for (v, &l) in labels.iter().enumerate() {
+            comps[l].push(v);
         }
         comps.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
         comps
@@ -408,6 +418,9 @@ mod tests {
         let comps = g.components();
         assert_eq!(comps.len(), 2);
         assert_eq!(comps[0], vec![0, 1]); // tie broken by smallest member
+        g.add_edge(0, 3);
+        g.remove_edge(2, 3);
+        assert_eq!(g.component_labels(), vec![0, 0, 1, 0]);
         g.add_edge(1, 2);
         assert!(g.is_connected());
         assert_eq!(g.components().len(), 1);

@@ -263,6 +263,44 @@ impl<'a> DistanceOracle<'a> {
     }
 }
 
+/// Hop and length distances of a batch of `(src, dst)` pairs, answered
+/// in input order.
+///
+/// Returns exactly what [`DistanceOracle::hops`] and
+/// [`DistanceOracle::length`] would: one [`bfs_hops`] and one
+/// [`dijkstra_lengths`] row per distinct source. The sources are visited
+/// in ascending order and each row is dropped once its pairs are
+/// answered, so memory is `O(n + pairs)` rather than the oracle's
+/// `O(n · sources)`.
+///
+/// # Panics
+/// Panics if an endpoint is out of bounds.
+///
+/// # Example
+/// ```
+/// use geospan_graph::{Graph, Point};
+/// use geospan_graph::paths::pair_distances;
+/// let g = Graph::with_edges(
+///     vec![Point::new(0.,0.), Point::new(1.,0.), Point::new(2.,0.)],
+///     [(0,1),(1,2)]);
+/// assert_eq!(pair_distances(&g, &[(2, 0), (0, 1)]), vec![(Some(2), Some(2.0)), (Some(1), Some(1.0))]);
+/// ```
+pub fn pair_distances(g: &Graph, pairs: &[(usize, usize)]) -> Vec<(Option<u32>, Option<f64>)> {
+    let mut order: Vec<usize> = (0..pairs.len()).collect();
+    order.sort_by_key(|&i| pairs[i].0);
+    let mut out = vec![(None, None); pairs.len()];
+    for group in order.chunk_by(|&a, &b| pairs[a].0 == pairs[b].0) {
+        let src = pairs[group[0]].0;
+        let hops = bfs_hops(g, src);
+        let lengths = dijkstra_lengths(g, src);
+        for &i in group {
+            let dst = pairs[i].1;
+            out[i] = (hops[dst], lengths[dst]);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,9 @@
 //! Property-based tests for the graph substrate.
 
 use geospan_graph::gen::{uniform_points, UnitDiskBuilder};
-use geospan_graph::paths::{bfs_hops, dijkstra_lengths, path_length, shortest_length_path};
+use geospan_graph::paths::{
+    bfs_hops, dijkstra_lengths, pair_distances, path_length, shortest_length_path, DistanceOracle,
+};
 use geospan_graph::stats::degree_stats;
 use geospan_graph::stretch::{stretch_factors, StretchOptions};
 use geospan_graph::Graph;
@@ -125,6 +127,28 @@ proptest! {
         // Components are sorted by size descending.
         for w in comps.windows(2) {
             prop_assert!(w[0].len() >= w[1].len());
+        }
+        // Labels agree with the component lists.
+        let labels = g.component_labels();
+        for comp in &comps {
+            prop_assert!(comp.iter().all(|&v| labels[v] == labels[comp[0]]));
+        }
+    }
+
+    #[test]
+    fn pair_distances_match_the_oracle_bit_for_bit(
+        (pts, radius) in deployment(),
+        raw in prop::collection::vec((any::<usize>(), any::<usize>()), 0..200),
+    ) {
+        let g = UnitDiskBuilder::new(radius).build(&pts);
+        let n = g.node_count();
+        let pairs: Vec<(usize, usize)> = raw.iter().map(|&(s, d)| (s % n, d % n)).collect();
+        let batched = pair_distances(&g, &pairs);
+        let mut oracle = DistanceOracle::new(&g);
+        prop_assert_eq!(batched.len(), pairs.len());
+        for (&(s, d), &(hops, len)) in pairs.iter().zip(&batched) {
+            prop_assert_eq!(hops, oracle.hops(s, d));
+            prop_assert_eq!(len.map(f64::to_bits), oracle.length(s, d).map(f64::to_bits));
         }
     }
 

@@ -17,7 +17,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use geospan_graph::paths::DistanceOracle;
+use geospan_graph::paths::pair_distances;
 use geospan_graph::Graph;
 use geospan_sim::{ChurnPlan, FaultPlan, OverloadConfig, ReliabilityConfig};
 
@@ -800,12 +800,6 @@ pub(crate) fn aggregate(udg: &Graph, cores: Vec<ShardCore<'_>>) -> TrafficOutcom
     let mut drops = DropCounts::default();
     let mut refused = 0usize;
     let mut latencies: Vec<u64> = Vec::new();
-    let mut oracle = DistanceOracle::new(udg);
-    let mut hop_stretch_sum = 0.0;
-    let mut hop_stretch_max = 0.0f64;
-    let mut len_stretch_sum = 0.0;
-    let mut len_stretch_max = 0.0f64;
-    let mut stretch_pairs = 0usize;
     for slot in slots {
         let rec = slot.expect("every offered packet resolves before the engine quiesces");
         match rec.outcome {
@@ -814,35 +808,45 @@ pub(crate) fn aggregate(udg: &Graph, cores: Vec<ShardCore<'_>>) -> TrafficOutcom
                 // from any retransmission: backoff waits are part of
                 // the packet's measured delay.
                 latencies.push(rec.finish - rec.spawn);
-                if rec.src != rec.dst {
-                    // Under churn the stretch baseline is the *static*
-                    // home-position UDG; a pair the baseline does not
-                    // connect (yet the evolving topology delivered)
-                    // has no defined stretch and is skipped.
-                    let (Some(best_hops), Some(best_len)) = (
-                        oracle.hops(rec.src, rec.dst),
-                        oracle.length(rec.src, rec.dst),
-                    ) else {
-                        records.push(rec);
-                        continue;
-                    };
-                    let hs = f64::from(rec.hops) / f64::from(best_hops.max(1));
-                    let ls = if best_len > 0.0 {
-                        rec.length / best_len
-                    } else {
-                        1.0
-                    };
-                    hop_stretch_sum += hs;
-                    hop_stretch_max = hop_stretch_max.max(hs);
-                    len_stretch_sum += ls;
-                    len_stretch_max = len_stretch_max.max(ls);
-                    stretch_pairs += 1;
-                }
             }
             PacketOutcome::Dropped(cause) => drops.record(cause),
             PacketOutcome::Refused => refused += 1,
         }
         records.push(rec);
+    }
+    // Stretch against UDG shortest paths. The baselines are computed
+    // source by source without keeping rows, then folded in packet
+    // order so the float sums do not depend on the batching.
+    let stretched = |r: &&PacketRecord| r.outcome == PacketOutcome::Delivered && r.src != r.dst;
+    let pairs: Vec<(usize, usize)> = records
+        .iter()
+        .filter(stretched)
+        .map(|r| (r.src, r.dst))
+        .collect();
+    let baselines = pair_distances(udg, &pairs);
+    let mut hop_stretch_sum = 0.0;
+    let mut hop_stretch_max = 0.0f64;
+    let mut len_stretch_sum = 0.0;
+    let mut len_stretch_max = 0.0f64;
+    let mut stretch_pairs = 0usize;
+    for (rec, &baseline) in records.iter().filter(stretched).zip(&baselines) {
+        // Under churn the stretch baseline is the *static* home-position
+        // UDG; a pair the baseline does not connect (yet the evolving
+        // topology delivered) has no defined stretch and is skipped.
+        let (Some(best_hops), Some(best_len)) = baseline else {
+            continue;
+        };
+        let hs = f64::from(rec.hops) / f64::from(best_hops.max(1));
+        let ls = if best_len > 0.0 {
+            rec.length / best_len
+        } else {
+            1.0
+        };
+        hop_stretch_sum += hs;
+        hop_stretch_max = hop_stretch_max.max(hs);
+        len_stretch_sum += ls;
+        len_stretch_max = len_stretch_max.max(ls);
+        stretch_pairs += 1;
     }
     latencies.sort_unstable();
     let percentile = |q: f64| -> u64 {

@@ -151,10 +151,13 @@ fn load_nodes(flags: &Flags) -> Result<Vec<Point>, String> {
         let (x, y) = line
             .split_once(',')
             .ok_or_else(|| format!("{path}:{}: expected `x,y`", lineno + 1))?;
-        let parse = |s: &str| {
-            s.trim()
-                .parse::<f64>()
-                .map_err(|_| format!("{path}:{}: bad coordinate `{s}`", lineno + 1))
+        let parse = |s: &str| match s.trim().parse::<f64>() {
+            Ok(c) if c.is_finite() => Ok(c),
+            Ok(_) => Err(format!(
+                "{path}:{}: non-finite coordinate `{s}`",
+                lineno + 1
+            )),
+            Err(_) => Err(format!("{path}:{}: bad coordinate `{s}`", lineno + 1)),
         };
         pts.push(Point::new(parse(x)?, parse(y)?));
     }
