@@ -1,22 +1,28 @@
 //! Experiment harness regenerating the evaluation of Wang & Li
 //! (ICDCS 2002).
 //!
-//! Each table/figure of the paper has a binary in `src/bin` that drives
-//! the functions here (see `EXPERIMENTS.md` at the repository root for
-//! the experiment ↔ binary index). This library holds the shared pieces:
-//! scenario configuration, instance generation, the construction of the
-//! paper's ten topologies, the measured statistics, and plain-text /
-//! CSV output.
+//! One binary, `geospan-bench <experiment> [flags]`, runs every table
+//! and figure of the paper plus the extension experiments (see
+//! [`cli::EXPERIMENTS`] and `EXPERIMENTS.md` at the repository root).
+//! This library holds the shared pieces: scenario configuration,
+//! instance generation, the construction of the paper's ten
+//! topologies, the measured statistics, and the [`Table`] every
+//! artifact is written through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
 pub mod churn;
+pub mod cli;
+pub mod extensions;
+pub mod paper;
+pub mod pipeline;
 pub mod scale;
+pub mod table;
 pub mod traffic;
 
-use std::fmt::Write as _;
+pub use table::Table;
 
 use geospan_cds::build_cds;
 use geospan_core::{BackboneBuilder, BackboneConfig, ClusterRank};
@@ -26,11 +32,10 @@ use geospan_graph::stretch::{stretch_factors, StretchOptions, StretchReport};
 use geospan_graph::{Graph, Point};
 use geospan_topology::{gabriel, ldel, relative_neighborhood};
 use rayon::prelude::*;
-use serde::Serialize;
 
 /// An experiment scenario: the deployment parameters of the paper's
 /// simulations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scenario {
     /// Number of nodes.
     pub n: usize,
@@ -73,7 +78,7 @@ impl Scenario {
 
 /// Whether a topology spans all nodes (stretch factors are meaningful)
 /// or only the backbone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Span {
     /// Spans every node: measure stretch against the UDG.
     AllNodes,
@@ -161,7 +166,7 @@ pub fn table1_topologies(udg: &Graph, radius: f64) -> Vec<NamedTopology> {
 }
 
 /// Table I row statistics for one topology, aggregated over instances.
-#[derive(Debug, Clone, Serialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RowStats {
     /// Row label.
     pub name: String,
@@ -282,173 +287,30 @@ pub fn table1_rows(scenario: &Scenario) -> Vec<RowStats> {
     rows
 }
 
-/// Formats a float column entry, rendering `None` as the paper's "-".
-fn opt(v: Option<f64>, prec: usize) -> String {
-    v.map_or_else(|| "-".to_string(), |x| format!("{x:.prec$}"))
+/// A sweep table: the swept parameter, then one column per label.
+pub fn sweep_table(param: &str, labels: impl IntoIterator<Item = String>) -> Table {
+    Table::new(std::iter::once(param.to_string()).chain(labels))
 }
 
-/// Renders Table I in the paper's layout.
-pub fn format_table1(rows: &[RowStats]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}",
-        "topology", "deg_avg", "deg_max", "len_avg", "len_max", "hop_avg", "hop_max", "edges"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<12} {:>8.2} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9.1}",
-            r.name,
-            r.deg_avg,
-            r.deg_max,
-            opt(r.len_avg, 2),
-            opt(r.len_max, 2),
-            opt(r.hop_avg, 2),
-            opt(r.hop_max, 2),
-            r.edges
-        );
-    }
-    out
+/// One sweep row: the parameter value, then each value to 6 decimals.
+pub fn sweep_row(x: f64, values: impl IntoIterator<Item = f64>) -> Vec<String> {
+    std::iter::once(format!("{x}"))
+        .chain(values.into_iter().map(|v| format!("{v:.6}")))
+        .collect()
 }
 
-/// Writes rows as CSV (header + one line per row).
-pub fn table1_csv(rows: &[RowStats]) -> String {
-    let mut out = String::from("topology,deg_avg,deg_max,len_avg,len_max,hop_avg,hop_max,edges\n");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{:.4},{},{},{},{},{},{:.2}",
-            r.name,
-            r.deg_avg,
-            r.deg_max,
-            opt(r.len_avg, 4),
-            opt(r.len_max, 4),
-            opt(r.hop_avg, 4),
-            opt(r.hop_max, 4),
-            r.edges
-        );
-    }
-    out
+/// Splitmix-style seed mixing for per-cell workload schedules and
+/// fault plans of the traffic sweeps.
+pub(crate) fn mix_seed(base: u64, trial: u64, cell: u64) -> u64 {
+    let mut z = base
+        .wrapping_add(trial.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .wrapping_add(cell.wrapping_mul(0xc2b2_ae3d_27d4_eb4f));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-/// A generic sweep series: one metric sampled across a parameter range.
-#[derive(Debug, Clone, Serialize)]
-pub struct Series {
-    /// Metric label, e.g. `"CDS deg max"`.
-    pub label: String,
-    /// `(parameter, value)` samples.
-    pub points: Vec<(f64, f64)>,
-}
-
-/// Renders sweep series as an aligned text table: one row per parameter
-/// value, one column per series.
-pub fn format_series(param_name: &str, series: &[Series]) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{param_name:>8}");
-    for s in series {
-        let _ = write!(out, " {:>18}", s.label);
-    }
-    out.push('\n');
-    if series.is_empty() {
-        return out;
-    }
-    for i in 0..series[0].points.len() {
-        let _ = write!(out, "{:>8.0}", series[0].points[i].0);
-        for s in series {
-            let _ = write!(out, " {:>18.3}", s.points[i].1);
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders sweep series as CSV.
-pub fn series_csv(param_name: &str, series: &[Series]) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{param_name}");
-    for s in series {
-        let _ = write!(out, ",{}", s.label.replace(',', ";"));
-    }
-    out.push('\n');
-    if series.is_empty() {
-        return out;
-    }
-    for i in 0..series[0].points.len() {
-        let _ = write!(out, "{}", series[0].points[i].0);
-        for s in series {
-            let _ = write!(out, ",{:.6}", s.points[i].1);
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Simple CLI parsing shared by the experiment binaries: `--trials N`,
-/// `--seed S`, `--out DIR` (all optional).
-#[derive(Debug, Clone, Default)]
-pub struct CliArgs {
-    /// Override for the trial count.
-    pub trials: Option<usize>,
-    /// Override for the base seed.
-    pub seed: Option<u64>,
-    /// Output directory for CSV/SVG artifacts.
-    pub out: Option<std::path::PathBuf>,
-}
-
-impl CliArgs {
-    /// Parses `std::env::args`.
-    ///
-    /// # Panics
-    /// Panics (with a usage message) on malformed arguments.
-    pub fn parse() -> Self {
-        let mut args = std::env::args().skip(1);
-        let mut out = CliArgs::default();
-        while let Some(a) = args.next() {
-            let mut next = |what: &str| {
-                args.next()
-                    // geospan-analyze: allow(D11, documented CLI usage panic: this helper exists only for bin targets)
-                    .unwrap_or_else(|| panic!("missing value after {what}"))
-            };
-            match a.as_str() {
-                "--trials" => out.trials = Some(next("--trials").parse().expect("trials: integer")),
-                "--seed" => out.seed = Some(next("--seed").parse().expect("seed: integer")),
-                "--out" => out.out = Some(next("--out").into()),
-                other => {
-                    // geospan-analyze: allow(D11, documented CLI usage panic: this helper exists only for bin targets)
-                    panic!("unknown argument {other}; supported: --trials N --seed S --out DIR")
-                }
-            }
-        }
-        out
-    }
-
-    /// Applies the overrides to a scenario.
-    pub fn apply(&self, mut s: Scenario) -> Scenario {
-        if let Some(t) = self.trials {
-            s.trials = t;
-        }
-        if let Some(seed) = self.seed {
-            s.seed = seed;
-        }
-        s
-    }
-
-    /// Writes an artifact into the `--out` directory, if one was given.
-    ///
-    /// # Panics
-    /// Panics when the directory or file cannot be written.
-    pub fn write_artifact(&self, name: &str, content: &str) {
-        if let Some(dir) = &self.out {
-            std::fs::create_dir_all(dir).expect("create output directory");
-            let path = dir.join(name);
-            std::fs::write(&path, content).expect("write artifact");
-            println!("wrote {}", path.display());
-        }
-    }
-}
-
-/// Builds a UDG directly (used by benches and the gallery binary).
+/// Builds a UDG directly (used by the Criterion benches).
 pub fn udg_of(pts: &[Point], radius: f64) -> Graph {
     UnitDiskBuilder::new(radius).build(pts)
 }
@@ -498,49 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn formatting_smoke() {
-        let rows = table1_rows(&tiny());
-        let table = format_table1(&rows);
-        assert!(table.contains("LDel(ICDS')"));
-        assert!(table.contains('-'));
-        let csv = table1_csv(&rows);
-        assert_eq!(csv.lines().count(), 11);
-    }
-
-    #[test]
-    fn cli_overrides_apply() {
-        let cli = CliArgs {
-            trials: Some(3),
-            seed: Some(77),
-            out: None,
-        };
-        let s = cli.apply(Scenario::table1());
-        assert_eq!(s.trials, 3);
-        assert_eq!(s.seed, 77);
-        assert_eq!(s.n, 100); // untouched fields stay
-        let none = CliArgs::default().apply(Scenario::table1());
-        assert_eq!(none.trials, Scenario::table1().trials);
-    }
-
-    #[test]
-    fn artifacts_written_only_with_out_dir() {
-        let dir = std::env::temp_dir().join(format!("geospan-bench-test-{}", std::process::id()));
-        let cli = CliArgs {
-            trials: None,
-            seed: None,
-            out: Some(dir.clone()),
-        };
-        cli.write_artifact("x.csv", "a,b\n1,2\n");
-        assert_eq!(
-            std::fs::read_to_string(dir.join("x.csv")).unwrap(),
-            "a,b\n1,2\n"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-        // Without --out: no panic, nothing written.
-        CliArgs::default().write_artifact("y.csv", "ignored");
-    }
-
-    #[test]
     fn measure_stretch_uses_separation_convention() {
         let (_pts, udg) = &tiny().instances()[0];
         let r = measure_stretch(udg, udg, 40.0);
@@ -550,24 +369,5 @@ mod tests {
             r.length_pairs < r.hop_pairs,
             "separation filter must drop pairs"
         );
-    }
-
-    #[test]
-    fn series_formatting() {
-        let s = vec![
-            Series {
-                label: "a".into(),
-                points: vec![(10.0, 1.0), (20.0, 2.0)],
-            },
-            Series {
-                label: "b".into(),
-                points: vec![(10.0, 3.0), (20.0, 4.0)],
-            },
-        ];
-        let txt = format_series("n", &s);
-        assert_eq!(txt.lines().count(), 3);
-        let csv = series_csv("n", &s);
-        assert!(csv.starts_with("n,a,b"));
-        assert!(csv.contains("10,1.000000,3.000000"));
     }
 }

@@ -12,8 +12,6 @@
 //! produce a [`TrafficOutcome`] identical to the single-shard run —
 //! the shard knob trades synchronization overhead for parallelism and
 //! changes nothing else.
-
-use std::fmt::Write as _;
 // geospan-analyze: allow(D02, wall-clock timing is the benchmark's measurement, not an artifact input)
 use std::time::Instant;
 
@@ -23,6 +21,9 @@ use geospan_sim::{FaultPlan, OverloadConfig};
 use geospan_traffic::{
     Forwarding, ShardMap, ShardedEngine, TrafficConfig, TrafficOutcome, Workload,
 };
+
+use crate::cli::{Artifacts, Flags};
+use crate::table::{json_object, Table};
 
 /// Configuration of one scaling run.
 #[derive(Debug, Clone)]
@@ -284,94 +285,133 @@ pub fn check_speedup(report: &ScaleReport) -> Result<(), String> {
     }
 }
 
-/// Renders the report as an aligned text table.
-pub fn format_scale(report: &ScaleReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:>7} {:>8} {:>10} {:>10} {:>12} {:>8} {:>8} {:>10} {:>11} {:>10} {:>8} {:>10}",
+/// One row per shard count; the cells are valid JSON values, so the
+/// same table prints on the console and fills `shard_counts`.
+pub fn scale_table(report: &ScaleReport) -> Table {
+    let mut table = Table::new([
         "shards",
         "threads",
         "wall_ms",
         "events",
-        "events/s",
+        "events_per_sec",
         "speedup",
         "rounds",
-        "boundary",
-        "idle_rounds",
+        "boundary_messages",
+        "idle_shard_rounds",
         "imbalance",
-        "cut",
-        "identical"
-    );
+        "cut_fraction",
+        "identical",
+    ]);
     for r in &report.rows {
-        let _ = writeln!(
-            out,
-            "{:>7} {:>8} {:>10.1} {:>10} {:>12.0} {:>7.2}x {:>8} {:>10} {:>11} {:>10.3} {:>8.3} {:>10}",
-            r.shards,
-            r.threads,
-            r.wall_ms,
-            r.events,
-            r.events_per_sec,
-            r.speedup,
-            r.rounds,
-            r.boundary_messages,
-            r.idle_shard_rounds,
-            r.imbalance,
-            r.cut_fraction,
-            r.identical
-        );
+        table.row(vec![
+            r.shards.to_string(),
+            r.threads.to_string(),
+            format!("{:.3}", r.wall_ms),
+            r.events.to_string(),
+            format!("{:.0}", r.events_per_sec),
+            format!("{:.3}", r.speedup),
+            r.rounds.to_string(),
+            r.boundary_messages.to_string(),
+            r.idle_shard_rounds.to_string(),
+            format!("{:.4}", r.imbalance),
+            format!("{:.4}", r.cut_fraction),
+            r.identical.to_string(),
+        ]);
     }
-    out
+    table
 }
 
-/// Machine-readable artifact (the serde stubs don't serialize, so the
-/// JSON is written by hand; the schema is flat and additive-friendly).
+/// The `BENCH_traffic_scale.json` artifact: the run's configuration and
+/// ledger, then [`scale_table`]'s rows as `shard_counts`.
 pub fn scale_json(cfg: &ScaleConfig, report: &ScaleReport, quick: bool) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(
-        s,
-        "  \"description\": \"Sharded traffic engine scaling: one hotspot workload served once \
-         per shard count; outcomes are bit-identical, only wall clock and synchronization \
-         overhead vary\","
+    let fields = [
+        (
+            "description",
+            "\"Sharded traffic engine scaling: one hotspot workload served once per shard \
+             count; outcomes are bit-identical, only wall clock and synchronization overhead \
+             vary\""
+                .to_string(),
+        ),
+        ("quick", quick.to_string()),
+        ("cores", report.cores.to_string()),
+        ("n", cfg.n.to_string()),
+        ("side", format!("{:.3}", cfg.side)),
+        ("radius", format!("{:.1}", cfg.radius)),
+        ("seed", cfg.seed.to_string()),
+        ("rate", format!("{:.1}", cfg.rate)),
+        ("duration", cfg.duration.to_string()),
+        ("sink_bias", format!("{:.2}", cfg.sink_bias)),
+        ("loss", format!("{:.2}", cfg.loss)),
+        ("queue_capacity", cfg.queue_capacity.to_string()),
+        ("reps", cfg.reps.to_string()),
+        ("offered", report.offered.to_string()),
+        ("delivered", report.delivered.to_string()),
+        ("udg_edges", report.udg_edges.to_string()),
+        ("shard_counts", scale_table(report).json_rows(2)),
+    ];
+    json_object(fields, 0) + "\n"
+}
+
+/// E20 — sharded traffic-engine scaling: one hotspot workload (1.1M
+/// offered packets full-size) over `LDel(ICDS)` backbone routing, once
+/// per shard count, written to `BENCH_traffic_scale.json`. `--check`:
+/// every shard count's outcome is bit-identical to the single-shard run
+/// (and, full-size, the workload offered >= 1M packets); the >= 2×
+/// speedup gate applies only on hosts with 4+ cores, where there is
+/// parallel hardware for a speedup to come from.
+pub fn traffic_scale(flags: &Flags, out: &mut Artifacts) -> Result<(), String> {
+    let mut cfg = if flags.quick {
+        ScaleConfig::quick()
+    } else {
+        ScaleConfig::standard()
+    };
+    cfg.seed = flags.seed.unwrap_or(cfg.seed);
+    cfg.reps = flags.reps.unwrap_or(cfg.reps);
+    println!(
+        "Sharded engine scaling: n={}, R={}, hotspot rate {} x {} ticks \
+         (~{:.0} packets offered), loss {:.0}%, shards {:?}\n",
+        cfg.n,
+        cfg.radius,
+        cfg.rate,
+        cfg.duration,
+        cfg.expected_offered(),
+        100.0 * cfg.loss,
+        cfg.shard_counts
     );
-    let _ = writeln!(s, "  \"quick\": {quick},");
-    let _ = writeln!(s, "  \"cores\": {},", report.cores);
-    let _ = writeln!(s, "  \"n\": {},", cfg.n);
-    let _ = writeln!(s, "  \"side\": {:.3},", cfg.side);
-    let _ = writeln!(s, "  \"radius\": {:.1},", cfg.radius);
-    let _ = writeln!(s, "  \"seed\": {},", cfg.seed);
-    let _ = writeln!(s, "  \"rate\": {:.1},", cfg.rate);
-    let _ = writeln!(s, "  \"duration\": {},", cfg.duration);
-    let _ = writeln!(s, "  \"sink_bias\": {:.2},", cfg.sink_bias);
-    let _ = writeln!(s, "  \"loss\": {:.2},", cfg.loss);
-    let _ = writeln!(s, "  \"queue_capacity\": {},", cfg.queue_capacity);
-    let _ = writeln!(s, "  \"reps\": {},", cfg.reps);
-    let _ = writeln!(s, "  \"offered\": {},", report.offered);
-    let _ = writeln!(s, "  \"delivered\": {},", report.delivered);
-    let _ = writeln!(s, "  \"udg_edges\": {},", report.udg_edges);
-    s.push_str("  \"shard_counts\": [\n");
-    for (k, r) in report.rows.iter().enumerate() {
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"shards\": {},", r.shards);
-        let _ = writeln!(s, "      \"threads\": {},", r.threads);
-        let _ = writeln!(s, "      \"wall_ms\": {:.3},", r.wall_ms);
-        let _ = writeln!(s, "      \"events\": {},", r.events);
-        let _ = writeln!(s, "      \"events_per_sec\": {:.0},", r.events_per_sec);
-        let _ = writeln!(s, "      \"speedup\": {:.3},", r.speedup);
-        let _ = writeln!(s, "      \"rounds\": {},", r.rounds);
-        let _ = writeln!(s, "      \"boundary_messages\": {},", r.boundary_messages);
-        let _ = writeln!(s, "      \"idle_shard_rounds\": {},", r.idle_shard_rounds);
-        let _ = writeln!(s, "      \"imbalance\": {:.4},", r.imbalance);
-        let _ = writeln!(s, "      \"cut_fraction\": {:.4},", r.cut_fraction);
-        let _ = writeln!(s, "      \"identical\": {}", r.identical);
-        s.push_str(if k + 1 < report.rows.len() {
-            "    },\n"
+    let report = scale_rows(&cfg);
+    print!("{}", scale_table(&report).render());
+    println!(
+        "\nEvery shard count replays the identical packet ledger; the partition's price is \
+         the boundary-message and idle-round columns (lockstep barriers at zero lookahead), \
+         its payoff the wall-clock column on multi-core hosts. Host cores: {}.",
+        report.cores
+    );
+    out.push((
+        "BENCH_traffic_scale.json".into(),
+        scale_json(&cfg, &report, flags.quick),
+    ));
+    if flags.check {
+        check_identity(&report)?;
+        if !flags.quick && report.offered < 1_000_000 {
+            return Err(format!(
+                "full-size workload offered only {} packets (< 1M)",
+                report.offered
+            ));
+        }
+        if report.cores >= 4 {
+            check_speedup(&report)?;
+            println!(
+                "check passed: outcomes bit-identical at every shard count, 2x speedup reached"
+            );
         } else {
-            "    }\n"
-        });
+            println!(
+                "check passed: outcomes bit-identical at every shard count \
+                 (speedup gate skipped on a {}-core host)",
+                report.cores
+            );
+        }
     }
-    s.push_str("  ]\n}\n");
-    s
+    Ok(())
 }
 
 #[cfg(test)]
@@ -413,7 +453,7 @@ mod tests {
         assert!(json.contains("\"idle_shard_rounds\""));
         assert!(json.contains("\"identical\": true"));
         assert_eq!(json.matches("\"shards\":").count(), cfg.shard_counts.len());
-        let table = format_scale(&report);
+        let table = scale_table(&report).render();
         assert_eq!(table.lines().count(), 1 + cfg.shard_counts.len());
         assert!(table.contains("speedup"));
     }

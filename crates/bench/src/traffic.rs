@@ -10,18 +10,50 @@
 //! Cells (trial × load × topology) are independent and run in parallel;
 //! results are folded in deterministic order, so the CSV is
 //! byte-identical for every thread count.
-
-use std::fmt::Write as _;
+//!
+//! Three experiments live here: E16 `traffic_load`, E17
+//! `traffic_reliability` and E18 `traffic_saturation`.
 
 use geospan_core::{Backbone, BackboneBuilder, BackboneConfig, ClusterRank};
 use geospan_graph::Graph;
 use geospan_sim::{FaultPlan, OverloadConfig, ReliabilityConfig};
 use geospan_traffic::{
-    run, AdmissionPolicy, Discipline, Forwarding, TrafficConfig, TrafficReport, Workload,
+    run, AdmissionPolicy, Discipline, DropCounts, Forwarding, TrafficConfig, TrafficReport,
+    Workload,
 };
 use rayon::prelude::*;
 
-use crate::Scenario;
+use crate::cli::{publish, Artifacts, Flags};
+use crate::{mix_seed, Scenario, Table};
+
+/// The per-cause drop columns every traffic artifact carries, in order.
+const DROP_COLUMNS: [&str; 6] = [
+    "drop_stuck",
+    "drop_queue",
+    "drop_loss",
+    "drop_crash",
+    "drop_hop_limit",
+    "drop_retry_shed",
+];
+
+/// The cells of [`DROP_COLUMNS`] (departures never happen in these
+/// sweeps and have no column).
+fn drop_cells(drops: &DropCounts) -> [String; 6] {
+    [
+        drops.stuck,
+        drops.queue_full,
+        drops.link_loss,
+        drops.node_crash,
+        drops.hop_limit,
+        drops.retry_shed,
+    ]
+    .map(|d| d.to_string())
+}
+
+/// `"on"` or `"off"`.
+fn on_off(b: bool) -> String {
+    if b { "on" } else { "off" }.to_string()
+}
 
 /// Configuration of one traffic sweep.
 #[derive(Debug, Clone)]
@@ -82,7 +114,7 @@ impl SweepConfig {
 
 /// One aggregated sweep row: a (topology, load) cell averaged over the
 /// scenario's trials.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrafficRow {
     /// Topology served.
     pub topology: &'static str,
@@ -94,20 +126,10 @@ pub struct TrafficRow {
     pub offered: usize,
     /// Total packets delivered across trials.
     pub delivered: usize,
-    /// Drop totals across trials, by cause.
-    pub drop_stuck: usize,
-    /// Dropped at full queues.
-    pub drop_queue: usize,
-    /// Lost on the air.
-    pub drop_loss: usize,
-    /// Lost to crashes.
-    pub drop_crash: usize,
-    /// Exceeded the hop budget.
-    pub drop_hop_limit: usize,
-    /// Shed by watermark overload control (always 0 here: this sweep
-    /// runs without overload control; the column keeps the drop
-    /// breakdown schema uniform across traffic artifacts).
-    pub drop_retry_shed: usize,
+    /// Drop totals across trials, by cause (`retry_shed` is always 0
+    /// here: this sweep runs without overload control; the column keeps
+    /// the drop breakdown schema uniform across traffic artifacts).
+    pub drops: DropCounts,
     /// Refused admission at sources (always 0 here, same reason).
     pub refused: usize,
     /// Mean over trials of the median delivery latency.
@@ -148,16 +170,6 @@ const TOPOLOGIES: [(&str, &str); 3] = [
     ("CDS'", "gpsr"),
     ("LDel(ICDS)", "backbone"),
 ];
-
-/// Splitmix-style seed mixing for per-cell workload schedules.
-fn mix_seed(base: u64, trial: u64, load_idx: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(trial.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_add(load_idx.wrapping_mul(0xc2b2_ae3d_27d4_eb4f));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Runs the sweep: every (trial, load, topology) cell in parallel, then
 /// a deterministic fold into one row per (topology, load).
@@ -248,32 +260,13 @@ pub fn traffic_rows(cfg: &SweepConfig) -> Vec<TrafficRow> {
                 topology,
                 policy,
                 load,
-                offered: 0,
-                delivered: 0,
-                drop_stuck: 0,
-                drop_queue: 0,
-                drop_loss: 0,
-                drop_crash: 0,
-                drop_hop_limit: 0,
-                drop_retry_shed: 0,
-                refused: 0,
-                latency_p50: 0.0,
-                latency_p99: 0.0,
-                latency_mean: 0.0,
-                hop_stretch_avg: 0.0,
-                length_stretch_avg: 0.0,
-                queue_peak_max: 0,
+                ..TrafficRow::default()
             };
             for t in 0..trials.len() {
                 let r = &reports[(t * cfg.loads.len() + l) * TOPOLOGIES.len() + k];
                 row.offered += r.offered;
                 row.delivered += r.delivered;
-                row.drop_stuck += r.drops.stuck;
-                row.drop_queue += r.drops.queue_full;
-                row.drop_loss += r.drops.link_loss;
-                row.drop_crash += r.drops.node_crash;
-                row.drop_hop_limit += r.drops.hop_limit;
-                row.drop_retry_shed += r.drops.retry_shed;
+                row.drops += r.drops;
                 row.refused += r.refused;
                 row.latency_p50 += r.latency_p50 as f64;
                 row.latency_p99 += r.latency_p99 as f64;
@@ -294,78 +287,52 @@ pub fn traffic_rows(cfg: &SweepConfig) -> Vec<TrafficRow> {
     rows
 }
 
-/// Renders sweep rows as CSV (stable column order and formatting: the
-/// artifact is byte-identical for a given seed).
-pub fn traffic_csv(rows: &[TrafficRow]) -> String {
-    let mut out = String::from(
-        "topology,policy,load,offered,delivered,delivery_ratio,\
-         drop_stuck,drop_queue,drop_loss,drop_crash,drop_hop_limit,\
-         drop_retry_shed,refused,\
-         latency_p50,latency_p99,latency_mean,\
-         hop_stretch_avg,length_stretch_avg,queue_peak_max\n",
+/// The `traffic_load.csv` table (stable column order and formatting:
+/// the artifact is byte-identical for a given seed).
+pub fn traffic_table(rows: &[TrafficRow]) -> Table {
+    let mut table = Table::new(
+        [
+            "topology",
+            "policy",
+            "load",
+            "offered",
+            "delivered",
+            "delivery_ratio",
+        ]
+        .into_iter()
+        .chain(DROP_COLUMNS)
+        .chain([
+            "refused",
+            "latency_p50",
+            "latency_p99",
+            "latency_mean",
+            "hop_stretch_avg",
+            "length_stretch_avg",
+            "queue_peak_max",
+        ]),
     );
     for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{:.3},{},{},{:.6},{},{},{},{},{},{},{},{:.3},{:.3},{:.4},{:.4},{:.4},{}",
-            r.topology,
-            r.policy,
-            r.load,
-            r.offered,
-            r.delivered,
-            r.delivery_ratio(),
-            r.drop_stuck,
-            r.drop_queue,
-            r.drop_loss,
-            r.drop_crash,
-            r.drop_hop_limit,
-            r.drop_retry_shed,
-            r.refused,
-            r.latency_p50,
-            r.latency_p99,
-            r.latency_mean,
-            r.hop_stretch_avg,
-            r.length_stretch_avg,
-            r.queue_peak_max
-        );
+        let mut cells = vec![
+            r.topology.to_string(),
+            r.policy.to_string(),
+            format!("{:.3}", r.load),
+            r.offered.to_string(),
+            r.delivered.to_string(),
+            format!("{:.6}", r.delivery_ratio()),
+        ];
+        cells.extend(drop_cells(&r.drops));
+        cells.extend([
+            r.refused.to_string(),
+            format!("{:.3}", r.latency_p50),
+            format!("{:.3}", r.latency_p99),
+            format!("{:.4}", r.latency_mean),
+            format!("{:.4}", r.hop_stretch_avg),
+            format!("{:.4}", r.length_stretch_avg),
+            r.queue_peak_max.to_string(),
+        ]);
+        table.row(cells);
     }
-    out
-}
-
-/// Renders sweep rows as an aligned text table.
-pub fn format_traffic(rows: &[TrafficRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<12} {:<9} {:>6} {:>8} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8}",
-        "topology",
-        "policy",
-        "load",
-        "offered",
-        "delivered",
-        "ratio",
-        "p50",
-        "p99",
-        "stretch",
-        "queue"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<12} {:<9} {:>6.2} {:>8} {:>9} {:>9.4} {:>9.1} {:>9.1} {:>8.3} {:>8}",
-            r.topology,
-            r.policy,
-            r.load,
-            r.offered,
-            r.delivered,
-            r.delivery_ratio(),
-            r.latency_p50,
-            r.latency_p99,
-            r.hop_stretch_avg,
-            r.queue_peak_max
-        );
-    }
-    out
+    table
 }
 
 /// The smoke-test assertion: at the lowest swept load, dominating-set
@@ -492,7 +459,7 @@ impl ReliabilitySweepConfig {
 
 /// One aggregated reliability-sweep row: a (workload, load, discipline,
 /// retx) cell summed/averaged over the scenario's trials.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReliabilityRow {
     /// Workload shape ("hotspot" or "bursty").
     pub workload: &'static str,
@@ -508,19 +475,10 @@ pub struct ReliabilityRow {
     pub offered: usize,
     /// Total packets delivered across trials.
     pub delivered: usize,
-    /// Dropped at forwarding dead ends.
-    pub drop_stuck: usize,
-    /// Dropped at full queues.
-    pub drop_queue: usize,
-    /// Lost on the air (after the retransmit budget, when enabled).
-    pub drop_loss: usize,
-    /// Lost to crashes.
-    pub drop_crash: usize,
-    /// Exceeded the hop budget.
-    pub drop_hop_limit: usize,
-    /// Shed by watermark overload control (always 0 here: this sweep
-    /// runs without overload control).
-    pub drop_retry_shed: usize,
+    /// Drop totals across trials, by cause (`link_loss` counts losses
+    /// after the retransmit budget, when enabled; `retry_shed` is
+    /// always 0 here: this sweep runs without overload control).
+    pub drops: DropCounts,
     /// Refused admission at sources (always 0 here, same reason).
     pub refused: usize,
     /// Link-layer retransmissions spent across trials.
@@ -644,32 +602,14 @@ pub fn reliability_rows(cfg: &ReliabilitySweepConfig) -> Vec<ReliabilityRow> {
                     discipline: disc.label(),
                     retx: v % 2 == 1,
                     load,
-                    offered: 0,
-                    delivered: 0,
-                    drop_stuck: 0,
-                    drop_queue: 0,
-                    drop_loss: 0,
-                    drop_crash: 0,
-                    drop_hop_limit: 0,
-                    drop_retry_shed: 0,
-                    refused: 0,
-                    retransmissions: 0,
-                    latency_p50: 0.0,
-                    latency_p99: 0.0,
-                    latency_mean: 0.0,
-                    queue_peak_max: 0,
+                    ..ReliabilityRow::default()
                 };
                 for t in 0..trials.len() {
                     let idx = ((t * n_workloads + w) * cfg.loads.len() + l) * variants + v;
                     let r = &reports[idx];
                     row.offered += r.offered;
                     row.delivered += r.delivered;
-                    row.drop_stuck += r.drops.stuck;
-                    row.drop_queue += r.drops.queue_full;
-                    row.drop_loss += r.drops.link_loss;
-                    row.drop_crash += r.drops.node_crash;
-                    row.drop_hop_limit += r.drops.hop_limit;
-                    row.drop_retry_shed += r.drops.retry_shed;
+                    row.drops += r.drops;
                     row.refused += r.refused;
                     row.retransmissions += r.retransmissions;
                     row.latency_p50 += r.latency_p50 as f64;
@@ -688,87 +628,59 @@ pub fn reliability_rows(cfg: &ReliabilitySweepConfig) -> Vec<ReliabilityRow> {
     rows
 }
 
-/// Renders reliability rows as CSV (stable column order and formatting:
-/// the artifact is byte-identical for a given seed).
-pub fn reliability_csv(rows: &[ReliabilityRow]) -> String {
-    let mut out = String::from(
-        "workload,param,discipline,retx,load,offered,delivered,delivery_ratio,\
-         drop_stuck,drop_queue,drop_loss,drop_crash,drop_hop_limit,\
-         drop_retry_shed,refused,\
-         retransmissions,latency_p50,latency_p99,latency_mean,queue_peak_max\n",
+/// The `traffic_reliability.csv` table (stable column order and
+/// formatting: the artifact is byte-identical for a given seed).
+pub fn reliability_table(rows: &[ReliabilityRow]) -> Table {
+    let mut table = Table::new(
+        [
+            "workload",
+            "param",
+            "discipline",
+            "retx",
+            "load",
+            "offered",
+            "delivered",
+            "delivery_ratio",
+        ]
+        .into_iter()
+        .chain(DROP_COLUMNS)
+        .chain([
+            "refused",
+            "retransmissions",
+            "latency_p50",
+            "latency_p99",
+            "latency_mean",
+            "queue_peak_max",
+        ]),
     );
     for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{:.3},{},{},{:.3},{},{},{:.6},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.4},{}",
-            r.workload,
-            r.param,
-            r.discipline,
-            if r.retx { "on" } else { "off" },
-            r.load,
-            r.offered,
-            r.delivered,
-            r.delivery_ratio(),
-            r.drop_stuck,
-            r.drop_queue,
-            r.drop_loss,
-            r.drop_crash,
-            r.drop_hop_limit,
-            r.drop_retry_shed,
-            r.refused,
-            r.retransmissions,
-            r.latency_p50,
-            r.latency_p99,
-            r.latency_mean,
-            r.queue_peak_max
-        );
+        let mut cells = vec![
+            r.workload.to_string(),
+            format!("{:.3}", r.param),
+            r.discipline.to_string(),
+            on_off(r.retx),
+            format!("{:.3}", r.load),
+            r.offered.to_string(),
+            r.delivered.to_string(),
+            format!("{:.6}", r.delivery_ratio()),
+        ];
+        cells.extend(drop_cells(&r.drops));
+        cells.extend([
+            r.refused.to_string(),
+            r.retransmissions.to_string(),
+            format!("{:.3}", r.latency_p50),
+            format!("{:.3}", r.latency_p99),
+            format!("{:.4}", r.latency_mean),
+            r.queue_peak_max.to_string(),
+        ]);
+        table.row(cells);
     }
-    out
-}
-
-/// Renders reliability rows as an aligned text table.
-pub fn format_reliability(rows: &[ReliabilityRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<8} {:>6} {:<9} {:>4} {:>6} {:>8} {:>9} {:>9} {:>7} {:>6} {:>9} {:>9}",
-        "workload",
-        "param",
-        "disc",
-        "retx",
-        "load",
-        "offered",
-        "delivered",
-        "ratio",
-        "loss",
-        "retx#",
-        "p50",
-        "p99"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<8} {:>6.2} {:<9} {:>4} {:>6.2} {:>8} {:>9} {:>9.4} {:>7} {:>6} {:>9.1} {:>9.1}",
-            r.workload,
-            r.param,
-            r.discipline,
-            if r.retx { "on" } else { "off" },
-            r.load,
-            r.offered,
-            r.delivered,
-            r.delivery_ratio(),
-            r.drop_loss,
-            r.retransmissions,
-            r.latency_p50,
-            r.latency_p99
-        );
-    }
-    out
+    table
 }
 
 /// The recovery assertion: at the lowest swept load, for every
 /// (workload, discipline), retransmit recovers at least 90% of the
-/// first-attempt link losses — `drop_loss` with retx on is at most 10%
+/// first-attempt link losses — `link_loss` with retx on is at most 10%
 /// of the paired no-retx cell's.
 ///
 /// Returns a description of the first violation, if any.
@@ -785,10 +697,10 @@ pub fn check_retx_recovery(rows: &[ReliabilityRow]) -> Result<(), String> {
                     && r.discipline == base.discipline
             })
             .ok_or_else(|| format!("no retx row pairing {base:?}"))?;
-        if base.drop_loss == 0 {
+        if base.drops.link_loss == 0 {
             continue;
         }
-        let recovered = 1.0 - paired.drop_loss as f64 / base.drop_loss as f64;
+        let recovered = 1.0 - paired.drops.link_loss as f64 / base.drops.link_loss as f64;
         if recovered < 0.9 {
             return Err(format!(
                 "{}/{} ({}) at load {:.3}: retransmit recovered only {:.1}% \
@@ -798,8 +710,8 @@ pub fn check_retx_recovery(rows: &[ReliabilityRow]) -> Result<(), String> {
                 base.discipline,
                 low,
                 100.0 * recovered,
-                base.drop_loss,
-                paired.drop_loss
+                base.drops.link_loss,
+                paired.drops.link_loss
             ));
         }
     }
@@ -958,7 +870,7 @@ impl SaturationSweepConfig {
 
 /// One aggregated saturation row: a (discipline, control, load) cell
 /// summed/averaged over the scenario's trials.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SaturationRow {
     /// Queue discipline label ("fifo", "priority", "drr").
     pub discipline: &'static str,
@@ -972,18 +884,10 @@ pub struct SaturationRow {
     pub refused: usize,
     /// Total packets delivered across trials.
     pub delivered: usize,
-    /// Dropped at forwarding dead ends.
-    pub drop_stuck: usize,
-    /// Dropped at full queues: the congestion-collapse signature.
-    pub drop_queue: usize,
-    /// Lost on the air (after the retransmit budget).
-    pub drop_loss: usize,
-    /// Lost to crashes.
-    pub drop_crash: usize,
-    /// Exceeded the hop budget.
-    pub drop_hop_limit: usize,
-    /// Shed by watermark overload control (0 in the control-off half).
-    pub drop_retry_shed: usize,
+    /// Drop totals across trials, by cause: `queue_full` is the
+    /// congestion-collapse signature, `link_loss` counts losses after
+    /// the retransmit budget, `retry_shed` is 0 in the control-off half.
+    pub drops: DropCounts,
     /// Link-layer retransmissions spent across trials.
     pub retransmissions: usize,
     /// Mean over trials of the median delivery latency.
@@ -1093,19 +997,7 @@ pub fn saturation_rows(cfg: &SaturationSweepConfig) -> Vec<SaturationRow> {
                     discipline: disc.label(),
                     control,
                     load,
-                    offered: 0,
-                    refused: 0,
-                    delivered: 0,
-                    drop_stuck: 0,
-                    drop_queue: 0,
-                    drop_loss: 0,
-                    drop_crash: 0,
-                    drop_hop_limit: 0,
-                    drop_retry_shed: 0,
-                    retransmissions: 0,
-                    latency_p50: 0.0,
-                    latency_p99: 0.0,
-                    queue_peak_max: 0,
+                    ..SaturationRow::default()
                 };
                 for t in 0..trials.len() {
                     let idx = (t * cfg.loads.len() + l) * variants + v;
@@ -1113,12 +1005,7 @@ pub fn saturation_rows(cfg: &SaturationSweepConfig) -> Vec<SaturationRow> {
                     row.offered += r.offered;
                     row.refused += r.refused;
                     row.delivered += r.delivered;
-                    row.drop_stuck += r.drops.stuck;
-                    row.drop_queue += r.drops.queue_full;
-                    row.drop_loss += r.drops.link_loss;
-                    row.drop_crash += r.drops.node_crash;
-                    row.drop_hop_limit += r.drops.hop_limit;
-                    row.drop_retry_shed += r.drops.retry_shed;
+                    row.drops += r.drops;
                     row.retransmissions += r.retransmissions;
                     row.latency_p50 += r.latency_p50 as f64;
                     row.latency_p99 += r.latency_p99 as f64;
@@ -1164,7 +1051,7 @@ pub fn check_saturation_collapse(rows: &[SaturationRow]) -> Result<(), String> {
             r.discipline == disc
                 && !r.control
                 && r.delivery_ratio() < FRONTIER_THRESHOLD
-                && r.drop_queue > 0
+                && r.drops.queue_full > 0
         });
         if !collapsed {
             return Err(format!(
@@ -1201,92 +1088,181 @@ pub fn check_frontier_shift(rows: &[SaturationRow]) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders saturation rows as CSV (stable column order and formatting:
-/// the artifact is byte-identical for a given seed). `delivery_ratio`
-/// is delivered / admitted — see [`SaturationRow::delivery_ratio`].
-pub fn saturation_csv(rows: &[SaturationRow]) -> String {
-    let mut out = String::from(
-        "discipline,control,load,offered,refused,admitted,delivered,delivery_ratio,\
-         drop_stuck,drop_queue,drop_loss,drop_crash,drop_hop_limit,drop_retry_shed,\
-         retransmissions,latency_p50,latency_p99,queue_peak_max\n",
+/// The `traffic_saturation.csv` table (stable column order and
+/// formatting: the artifact is byte-identical for a given seed).
+/// `delivery_ratio` is delivered / admitted — see
+/// [`SaturationRow::delivery_ratio`].
+pub fn saturation_table(rows: &[SaturationRow]) -> Table {
+    let mut table = Table::new(
+        [
+            "discipline",
+            "control",
+            "load",
+            "offered",
+            "refused",
+            "admitted",
+            "delivered",
+            "delivery_ratio",
+        ]
+        .into_iter()
+        .chain(DROP_COLUMNS)
+        .chain([
+            "retransmissions",
+            "latency_p50",
+            "latency_p99",
+            "queue_peak_max",
+        ]),
     );
     for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{:.3},{},{},{},{},{:.6},{},{},{},{},{},{},{},{:.3},{:.3},{}",
-            r.discipline,
-            if r.control { "on" } else { "off" },
-            r.load,
-            r.offered,
-            r.refused,
-            r.admitted(),
-            r.delivered,
-            r.delivery_ratio(),
-            r.drop_stuck,
-            r.drop_queue,
-            r.drop_loss,
-            r.drop_crash,
-            r.drop_hop_limit,
-            r.drop_retry_shed,
-            r.retransmissions,
-            r.latency_p50,
-            r.latency_p99,
-            r.queue_peak_max
-        );
+        let mut cells = vec![
+            r.discipline.to_string(),
+            on_off(r.control),
+            format!("{:.3}", r.load),
+            r.offered.to_string(),
+            r.refused.to_string(),
+            r.admitted().to_string(),
+            r.delivered.to_string(),
+            format!("{:.6}", r.delivery_ratio()),
+        ];
+        cells.extend(drop_cells(&r.drops));
+        cells.extend([
+            r.retransmissions.to_string(),
+            format!("{:.3}", r.latency_p50),
+            format!("{:.3}", r.latency_p99),
+            r.queue_peak_max.to_string(),
+        ]);
+        table.row(cells);
     }
-    out
+    table
 }
 
-/// Renders saturation rows as an aligned text table, followed by the
-/// per-discipline frontier summary.
-pub fn format_saturation(rows: &[SaturationRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<9} {:>7} {:>6} {:>8} {:>8} {:>9} {:>9} {:>7} {:>7} {:>7} {:>9}",
-        "disc",
-        "control",
-        "load",
-        "offered",
-        "refused",
-        "delivered",
-        "ratio",
-        "queue",
-        "shed",
-        "retx#",
-        "p99"
+/// E16 — packet delivery under load across backbone topologies:
+/// seeded workloads over UDG (greedy), CDS' (GPSR) and `LDel(ICDS)`
+/// (dominating-set backbone routing) at a range of offered loads.
+/// `--check`: backbone routing delivers >= 99% at the lowest load.
+pub fn traffic_load(flags: &Flags, out: &mut Artifacts) -> Result<(), String> {
+    let mut cfg = if flags.quick {
+        SweepConfig::quick()
+    } else {
+        SweepConfig::standard()
+    };
+    cfg.scenario = flags.scenario(cfg.scenario);
+    println!(
+        "Traffic under load: n={}, R={}, {} trials, {} ticks, loads {:?}\n",
+        cfg.scenario.n, cfg.scenario.radius, cfg.scenario.trials, cfg.duration, cfg.loads
     );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<9} {:>7} {:>6.2} {:>8} {:>8} {:>9} {:>9.4} {:>7} {:>7} {:>7} {:>9.1}",
-            r.discipline,
-            if r.control { "on" } else { "off" },
-            r.load,
-            r.offered,
-            r.refused,
-            r.delivered,
-            r.delivery_ratio(),
-            r.drop_queue,
-            r.drop_retry_shed,
-            r.retransmissions,
-            r.latency_p99
+    let rows = traffic_rows(&cfg);
+    publish(out, "traffic_load.csv", &traffic_table(&rows));
+    println!(
+        "\nAt low load the backbone delivers nearly everything at bounded stretch; as load \
+         rises, queueing on the (smaller) backbone caps throughput first — the cost side of \
+         concentrating traffic on a spanner."
+    );
+    if flags.check {
+        check_low_load_delivery(&rows)?;
+        println!("check passed: backbone delivery >= 0.99 at the lowest load");
+    }
+    Ok(())
+}
+
+/// E17 — retransmit and queue disciplines under lossy load: hotspot and
+/// bursty workloads over `LDel(ICDS)` under seeded radio loss, the three
+/// disciplines with link-layer retransmit off and on. `--check`: at the
+/// lowest load retransmit recovers >= 90% of first-attempt link losses
+/// in every cell, and every retransmit cell delivers at least the
+/// FIFO/no-retx baseline fraction.
+pub fn traffic_reliability(flags: &Flags, out: &mut Artifacts) -> Result<(), String> {
+    let mut cfg = if flags.quick {
+        ReliabilitySweepConfig::quick()
+    } else {
+        ReliabilitySweepConfig::standard()
+    };
+    cfg.scenario = flags.scenario(cfg.scenario);
+    println!(
+        "Retransmit + disciplines under {:.0}% loss: n={}, R={}, {} trials, {} ticks, \
+         loads {:?}, biases {:?}, bursts {:?}\n",
+        100.0 * cfg.loss,
+        cfg.scenario.n,
+        cfg.scenario.radius,
+        cfg.scenario.trials,
+        cfg.duration,
+        cfg.loads,
+        cfg.hotspot_biases,
+        cfg.burst_sizes
+    );
+    let rows = reliability_rows(&cfg);
+    publish(out, "traffic_reliability.csv", &reliability_table(&rows));
+    println!(
+        "\nAt low load retransmit converts link losses into latency — deliveries go up, \
+         tails stretch by the backoff. At high load retries compete with fresh packets \
+         for queue slots, so reliability buys less and can cost delivery; DRR keeps the \
+         hotspot from starving cross traffic where FIFO lets the sink's backlog win."
+    );
+    if flags.check {
+        check_retx_recovery(&rows)?;
+        check_retx_delivery(&rows)?;
+        println!(
+            "check passed: retransmit recovers >= 90% of link losses and no retransmit \
+             cell delivers below the fifo/no-retx baseline at the lowest load"
         );
     }
-    let _ = writeln!(out);
+    Ok(())
+}
+
+/// E18 — the saturation frontier, with and without overload control: a
+/// hotspot workload over `LDel(ICDS)` under seeded loss, pushed past the
+/// load where every discipline collapses into `QueueFull` drops, then
+/// re-run with sender-queue watermarks + token-bucket admission.
+/// `--check`: every discipline's control-off half collapses (admitted
+/// delivery < 95% with `QueueFull` drops) and its control-on frontier
+/// sits strictly higher (or beyond the sweep).
+pub fn traffic_saturation(flags: &Flags, out: &mut Artifacts) -> Result<(), String> {
+    let mut cfg = if flags.quick {
+        SaturationSweepConfig::quick()
+    } else {
+        SaturationSweepConfig::standard()
+    };
+    cfg.scenario = flags.scenario(cfg.scenario);
+    println!(
+        "Saturation frontier under {:.0}% loss: n={}, R={}, {} trials, {} ticks, \
+         loads {:?}, sink bias {}, queue capacity {}\n",
+        100.0 * cfg.loss,
+        cfg.scenario.n,
+        cfg.scenario.radius,
+        cfg.scenario.trials,
+        cfg.duration,
+        cfg.loads,
+        cfg.sink_bias,
+        cfg.queue_capacity
+    );
+    let rows = saturation_rows(&cfg);
+    publish(out, "traffic_saturation.csv", &saturation_table(&rows));
+    println!();
     for disc in ["fifo", "priority", "drr"] {
-        let fmt = |f: Option<f64>| match f {
-            Some(load) => format!("{load:.2}"),
-            None => "beyond sweep".to_string(),
-        };
-        let _ = writeln!(
-            out,
+        let fmt =
+            |f: Option<f64>| f.map_or("beyond sweep".to_string(), |load| format!("{load:.2}"));
+        println!(
             "{disc:<9} 95% frontier: off at {}, on at {}",
-            fmt(saturation_frontier(rows, disc, false)),
-            fmt(saturation_frontier(rows, disc, true))
+            fmt(saturation_frontier(&rows, disc, false)),
+            fmt(saturation_frontier(&rows, disc, true))
         );
     }
-    out
+    println!(
+        "\nWithout overload control the hotspot's ingress relays saturate: queues fill, \
+         retries amplify the backlog, and delivery collapses into QueueFull drops. With \
+         watermarks shedding retries and token buckets refusing excess injections at the \
+         source, admitted traffic keeps delivering — refusals absorb the overload instead \
+         of the queues, and the 95%-delivery frontier moves past the top of the sweep."
+    );
+    if flags.check {
+        check_saturation_collapse(&rows)?;
+        check_frontier_shift(&rows)?;
+        println!(
+            "check passed: every discipline collapses below 95% with QueueFull drops when \
+             overload control is off, and its frontier sits strictly higher with control on"
+        );
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1300,15 +1276,7 @@ mod tests {
         assert_eq!(rows.len(), cfg.loads.len() * TOPOLOGIES.len());
         for r in &rows {
             assert!(r.offered > 0);
-            assert_eq!(
-                r.offered,
-                r.delivered
-                    + r.drop_stuck
-                    + r.drop_queue
-                    + r.drop_loss
-                    + r.drop_crash
-                    + r.drop_hop_limit
-            );
+            assert_eq!(r.offered, r.delivered + r.drops.total());
         }
         check_low_load_delivery(&rows).unwrap();
         // Backbone routes detour: stretch is measured and ≥ 1.
@@ -1320,8 +1288,8 @@ mod tests {
     #[test]
     fn csv_is_stable_and_parsable() {
         let rows = traffic_rows(&SweepConfig::quick());
-        let a = traffic_csv(&rows);
-        let b = traffic_csv(&traffic_rows(&SweepConfig::quick()));
+        let a = traffic_table(&rows).csv();
+        let b = traffic_table(&traffic_rows(&SweepConfig::quick())).csv();
         assert_eq!(a, b, "same seed must give a byte-identical artifact");
         assert_eq!(a.lines().count(), rows.len() + 1);
         assert!(a.starts_with("topology,policy,load,"));
@@ -1335,17 +1303,12 @@ mod tests {
         assert_eq!(rows.len(), 2 * cfg.loads.len() * 3 * 2);
         for r in &rows {
             assert!(r.offered > 0);
-            assert_eq!(
-                r.offered,
-                r.delivered
-                    + r.drop_stuck
-                    + r.drop_queue
-                    + r.drop_loss
-                    + r.drop_crash
-                    + r.drop_hop_limit
-            );
+            assert_eq!(r.offered, r.delivered + r.drops.total());
             // Retransmissions only happen in the retx half.
-            assert_eq!(r.retx, r.retransmissions > 0 || r.retx && r.drop_loss == 0);
+            assert_eq!(
+                r.retx,
+                r.retransmissions > 0 || r.retx && r.drops.link_loss == 0
+            );
         }
         check_retx_recovery(&rows).unwrap();
         check_retx_delivery(&rows).unwrap();
@@ -1381,20 +1344,10 @@ mod tests {
         assert_eq!(rows.len(), 3 * 2 * cfg.loads.len());
         for r in &rows {
             assert!(r.offered > 0);
-            assert_eq!(
-                r.offered,
-                r.delivered
-                    + r.refused
-                    + r.drop_stuck
-                    + r.drop_queue
-                    + r.drop_loss
-                    + r.drop_crash
-                    + r.drop_hop_limit
-                    + r.drop_retry_shed
-            );
+            assert_eq!(r.offered, r.delivered + r.refused + r.drops.total());
             if !r.control {
                 assert_eq!(r.refused, 0, "no admission gate in the off half");
-                assert_eq!(r.drop_retry_shed, 0, "no watermarks in the off half");
+                assert_eq!(r.drops.retry_shed, 0, "no watermarks in the off half");
             }
         }
         check_saturation_collapse(&rows).unwrap();
@@ -1416,12 +1369,11 @@ mod tests {
     #[test]
     fn saturation_csv_is_stable_and_parsable() {
         let rows = saturation_rows(&SaturationSweepConfig::quick());
-        let a = saturation_csv(&rows);
-        let b = saturation_csv(&saturation_rows(&SaturationSweepConfig::quick()));
+        let a = saturation_table(&rows).csv();
+        let b = saturation_table(&saturation_rows(&SaturationSweepConfig::quick())).csv();
         assert_eq!(a, b, "same seed must give a byte-identical artifact");
         assert_eq!(a.lines().count(), rows.len() + 1);
         assert!(a.starts_with("discipline,control,load,"));
-        assert!(!format_saturation(&rows).is_empty());
     }
 
     #[test]
@@ -1429,11 +1381,11 @@ mod tests {
         // The crown invariant on the E18 saturation config itself:
         // shards ∈ {1, 2, 4, 8} serve every (discipline × control ×
         // load) cell of the sweep to byte-identical CSV rows.
-        let reference = saturation_csv(&saturation_rows(&SaturationSweepConfig::quick()));
+        let reference = saturation_table(&saturation_rows(&SaturationSweepConfig::quick())).csv();
         for shards in [2, 4, 8] {
             let mut cfg = SaturationSweepConfig::quick();
             cfg.shards = shards;
-            let csv = saturation_csv(&saturation_rows(&cfg));
+            let csv = saturation_table(&saturation_rows(&cfg)).csv();
             assert_eq!(
                 reference, csv,
                 "shards={shards}: E18 CSV diverged from single-shard"
@@ -1449,11 +1401,10 @@ mod tests {
     #[test]
     fn reliability_csv_is_stable_and_parsable() {
         let rows = reliability_rows(&ReliabilitySweepConfig::quick());
-        let a = reliability_csv(&rows);
-        let b = reliability_csv(&reliability_rows(&ReliabilitySweepConfig::quick()));
+        let a = reliability_table(&rows).csv();
+        let b = reliability_table(&reliability_rows(&ReliabilitySweepConfig::quick())).csv();
         assert_eq!(a, b, "same seed must give a byte-identical artifact");
         assert_eq!(a.lines().count(), rows.len() + 1);
         assert!(a.starts_with("workload,param,discipline,retx,load,"));
-        assert!(!format_reliability(&rows).is_empty());
     }
 }

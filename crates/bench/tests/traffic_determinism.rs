@@ -4,8 +4,8 @@
 //! CSVs cannot depend on scheduling.
 
 use geospan_bench::traffic::{
-    reliability_csv, reliability_rows, saturation_csv, saturation_rows, traffic_csv, traffic_rows,
-    ReliabilitySweepConfig, SaturationSweepConfig, SweepConfig,
+    reliability_rows, reliability_table, saturation_rows, saturation_table, traffic_rows,
+    traffic_table, ReliabilitySweepConfig, SaturationSweepConfig, SweepConfig,
 };
 
 fn sweep_csv() -> String {
@@ -13,7 +13,7 @@ fn sweep_csv() -> String {
     cfg.scenario.n = 30;
     cfg.scenario.side = 110.0;
     cfg.duration = 300;
-    traffic_csv(&traffic_rows(&cfg))
+    traffic_table(&traffic_rows(&cfg)).csv()
 }
 
 /// The reliability sweep exercises the hotspot/bursty workloads, all
@@ -24,7 +24,7 @@ fn reliability_sweep_csv() -> String {
     cfg.scenario.n = 30;
     cfg.scenario.side = 110.0;
     cfg.duration = 300;
-    reliability_csv(&reliability_rows(&cfg))
+    reliability_table(&reliability_rows(&cfg)).csv()
 }
 
 /// The saturation sweep exercises the overload layer — watermark
@@ -36,7 +36,7 @@ fn saturation_sweep_csv() -> String {
     cfg.scenario.side = 110.0;
     cfg.duration = 300;
     cfg.loads = vec![0.4, 3.2];
-    saturation_csv(&saturation_rows(&cfg))
+    saturation_table(&saturation_rows(&cfg)).csv()
 }
 
 /// One test owns every `RAYON_NUM_THREADS` mutation in this binary

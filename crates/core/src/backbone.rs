@@ -371,7 +371,7 @@ impl Backbone {
 /// Rejects NaN or infinite coordinates and coincident nodes (`-0.0`
 /// and `0.0` coincide), which the triangulations cannot handle. One
 /// `O(n log n)` sort.
-fn validate_positions(points: &[Point]) -> Result<(), BackboneError> {
+pub(crate) fn validate_positions(points: &[Point]) -> Result<(), BackboneError> {
     if let Some(v) = points.iter().position(|p| !p.is_finite()) {
         return Err(BackboneError::InvalidInput {
             reason: format!("node {v} has non-finite position {:?}", points[v]),

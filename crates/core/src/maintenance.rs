@@ -53,6 +53,7 @@ use geospan_graph::collections::VecSet;
 use geospan_graph::gen::UnitDiskBuilder;
 use geospan_graph::Graph;
 
+use crate::backbone::validate_positions;
 use crate::{guarantees_hold, Backbone, BackboneBuilder, BackboneConfig, BackboneError};
 
 /// How a maintenance operation restored the backbone invariants.
@@ -289,14 +290,19 @@ impl MobileBackbone {
     /// Returns the new node's index and the maintenance report.
     ///
     /// # Errors
-    /// Propagates [`BackboneError`] from a rebuild.
+    /// [`BackboneError::InvalidInput`] when `position` is non-finite or
+    /// coincides with another node (the backbone is left unchanged);
+    /// otherwise propagates [`BackboneError`] from a rebuild.
     pub fn add_node(
         &mut self,
         position: Point,
     ) -> Result<(usize, MaintenanceReport), BackboneError> {
+        let mut points = self.points.clone();
+        points.push(position);
+        validate_positions(&points)?;
         self.updates += 1;
         let old_udg = std::mem::replace(&mut self.udg, Graph::new(Vec::new()));
-        self.points.push(position);
+        self.points = points;
         let v = self.points.len() - 1;
         self.udg = UnitDiskBuilder::new(self.config.radius).build(&self.points);
         let mut doms: Vec<usize> = self
@@ -355,7 +361,9 @@ impl MobileBackbone {
     /// rebuild.
     ///
     /// # Errors
-    /// Propagates [`BackboneError`] from a rebuild.
+    /// [`BackboneError::InvalidInput`] when `position` is non-finite or
+    /// coincides with another node (the backbone is left unchanged);
+    /// otherwise propagates [`BackboneError`] from a rebuild.
     ///
     /// # Panics
     /// Panics if `v` is not currently departed.
@@ -365,9 +373,12 @@ impl MobileBackbone {
         position: Point,
     ) -> Result<MaintenanceReport, BackboneError> {
         assert!(self.departed.contains(&v), "node {v} is not departed");
+        let mut points = self.points.clone();
+        points[v] = position;
+        validate_positions(&points)?;
         self.updates += 1;
         let old_udg = std::mem::replace(&mut self.udg, Graph::new(Vec::new()));
-        self.points[v] = position;
+        self.points = points;
         self.departed.remove(&v);
         self.udg = UnitDiskBuilder::new(self.config.radius).build(&self.points);
         let mut doms: Vec<usize> = self
@@ -413,7 +424,9 @@ impl MobileBackbone {
     /// verbatim (the paper's maintenance policy).
     ///
     /// # Errors
-    /// Propagates [`BackboneError`] from a rebuild.
+    /// [`BackboneError::InvalidInput`] when a position is non-finite or
+    /// two nodes coincide (the backbone is left unchanged); otherwise
+    /// propagates [`BackboneError`] from a rebuild.
     ///
     /// # Panics
     /// Panics if the number of positions changes (nodes joining/leaving
@@ -434,6 +447,7 @@ impl MobileBackbone {
                 "departed node {d} cannot move"
             );
         }
+        validate_positions(&new_points)?;
         self.updates += 1;
         let broken_links: Vec<(usize, usize)> = self
             .backbone

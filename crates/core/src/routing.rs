@@ -110,33 +110,26 @@ pub fn greedy_forward(g: &Graph, u: usize, dst: usize) -> Decision {
 /// # Panics
 /// Panics if `src` or `dst` are out of bounds.
 pub fn greedy_route(g: &Graph, src: usize, dst: usize, max_hops: usize) -> Route {
+    walk(src, max_hops, |u| greedy_forward(g, u, dst))
+}
+
+/// Drives a single-hop `forward` rule from `src` until it arrives,
+/// gets stuck, or the path grows past `budget` hops.
+fn walk(src: usize, budget: usize, mut forward: impl FnMut(usize) -> Decision) -> Route {
     let mut path = vec![src];
     let mut u = src;
     loop {
-        match greedy_forward(g, u, dst) {
-            Decision::Arrived => {
-                return Route {
-                    path,
-                    outcome: RouteOutcome::Delivered,
-                }
-            }
-            _ if path.len() > max_hops => {
-                return Route {
-                    path,
-                    outcome: RouteOutcome::HopLimit,
-                }
-            }
+        let outcome = match forward(u) {
+            Decision::Arrived => RouteOutcome::Delivered,
+            _ if path.len() > budget => RouteOutcome::HopLimit,
             Decision::Forward(v) => {
                 path.push(v);
                 u = v;
+                continue;
             }
-            Decision::Stuck => {
-                return Route {
-                    path,
-                    outcome: RouteOutcome::Stuck,
-                }
-            }
-        }
+            Decision::Stuck => RouteOutcome::Stuck,
+        };
+        return Route { path, outcome };
     }
 }
 
@@ -296,34 +289,7 @@ pub fn gpsr_forward(g: &Graph, state: &mut GpsrState, u: usize, dst: usize) -> D
 /// Panics if `src` or `dst` are out of bounds.
 pub fn gpsr_route(g: &Graph, src: usize, dst: usize, max_hops: usize) -> Route {
     let mut state = GpsrState::new();
-    let mut path = vec![src];
-    let mut u = src;
-    loop {
-        match gpsr_forward(g, &mut state, u, dst) {
-            Decision::Arrived => {
-                return Route {
-                    path,
-                    outcome: RouteOutcome::Delivered,
-                }
-            }
-            _ if path.len() > max_hops => {
-                return Route {
-                    path,
-                    outcome: RouteOutcome::HopLimit,
-                }
-            }
-            Decision::Forward(v) => {
-                path.push(v);
-                u = v;
-            }
-            Decision::Stuck => {
-                return Route {
-                    path,
-                    outcome: RouteOutcome::Stuck,
-                }
-            }
-        }
-    }
+    walk(src, max_hops, |u| gpsr_forward(g, &mut state, u, dst))
 }
 
 /// Pure FACE (perimeter-only) routing: the right-hand-rule walk with
@@ -495,38 +461,13 @@ pub fn backbone_route(
         "UDG and backbone must share the vertex set"
     );
     let mut session = BackboneSession::new();
-    let mut path = vec![src];
-    let mut u = src;
     // The spanner leg starts after the optional ingress hop; budget the
     // GPSR leg exactly as before (ingress + egress hops are extra).
     let enter = backbone_entry(backbone, src);
     let budget = max_hops + usize::from(enter != src) + 1;
-    loop {
-        match backbone_forward(backbone, udg, &mut session, u, dst) {
-            Decision::Arrived => {
-                return Route {
-                    path,
-                    outcome: RouteOutcome::Delivered,
-                }
-            }
-            _ if path.len() > budget => {
-                return Route {
-                    path,
-                    outcome: RouteOutcome::HopLimit,
-                }
-            }
-            Decision::Forward(v) => {
-                path.push(v);
-                u = v;
-            }
-            Decision::Stuck => {
-                return Route {
-                    path,
-                    outcome: RouteOutcome::Stuck,
-                }
-            }
-        }
-    }
+    walk(src, budget, |u| {
+        backbone_forward(backbone, udg, &mut session, u, dst)
+    })
 }
 
 /// A node's backbone entry point: itself when it is a dominator or

@@ -18,7 +18,6 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 /// assert_eq!(a.distance(b), 5.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,

@@ -72,6 +72,19 @@ impl DropCounts {
     }
 }
 
+/// Field-wise sum: folds per-run drop counts into a sweep total.
+impl std::ops::AddAssign for DropCounts {
+    fn add_assign(&mut self, rhs: Self) {
+        self.stuck += rhs.stuck;
+        self.queue_full += rhs.queue_full;
+        self.link_loss += rhs.link_loss;
+        self.node_crash += rhs.node_crash;
+        self.hop_limit += rhs.hop_limit;
+        self.retry_shed += rhs.retry_shed;
+        self.node_departed += rhs.node_departed;
+    }
+}
+
 /// How one packet's lifecycle ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PacketOutcome {

@@ -1,9 +1,10 @@
 //! Hostile point sets — duplicates, non-finite coordinates, exact
-//! lattices — through the builder and the CLI's CSV path: an error or a
-//! valid backbone, never a panic.
+//! lattices — through the builder, `MobileBackbone` maintenance and the
+//! CLI's CSV path: an error or a valid backbone, never a panic.
 
 use std::process::Command;
 
+use geospan::core::maintenance::MobileBackbone;
 use geospan::core::{guarantees_hold, BackboneBuilder, BackboneConfig, BackboneError};
 use geospan::geometry::Point;
 use geospan::graph::gen::{uniform_points, UnitDiskBuilder};
@@ -121,6 +122,80 @@ proptest! {
     ) {
         let (udg, b) = build(&lattice(nx, ny, spacing), distributed).unwrap();
         prop_assert!(guarantees_hold(&b, &udg));
+    }
+}
+
+/// A maintenance operation that lands a node on a hostile position.
+#[derive(Debug, Clone, Copy)]
+enum HostileUpdate {
+    /// `update_positions` with node `j` moved onto node `i`, or one
+    /// coordinate of node `i` made non-finite (per [`Damage`]).
+    Move(Damage),
+    /// Node `i` departs, then rejoins onto node `j`'s position.
+    RejoinOntoOccupied,
+    /// A newcomer arrives on node `i`'s position.
+    AddOntoOccupied,
+}
+
+fn hostile_update() -> impl Strategy<Value = HostileUpdate> {
+    prop_oneof![
+        damage().prop_map(HostileUpdate::Move),
+        Just(HostileUpdate::RejoinOntoOccupied),
+        Just(HostileUpdate::AddOntoOccupied),
+    ]
+}
+
+/// The observable state a rejected operation must leave untouched.
+fn snapshot(m: &MobileBackbone) -> (Vec<Point>, Vec<(usize, usize)>, usize) {
+    (
+        m.points().to_vec(),
+        m.backbone().ldel_icds_prime().edges().collect(),
+        m.update_count(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn hostile_maintenance_is_rejected_and_leaves_the_backbone_unchanged(
+        n in 3usize..50,
+        seed in any::<u64>(),
+        update in hostile_update(),
+        (i, j) in (any::<usize>(), any::<usize>()),
+    ) {
+        let pts = uniform_points(n, 150.0, seed);
+        let mut mobile = MobileBackbone::new(pts.clone(), BackboneConfig::new(RADIUS)).unwrap();
+        let (i, j) = (i % n, j % n);
+        let j = if i == j { (j + 1) % n } else { j };
+        let result = match update {
+            HostileUpdate::Move(damage) => {
+                let before = snapshot(&mobile);
+                let mut moved = pts;
+                spoil(&mut moved, damage, i, j);
+                let r = mobile.update_positions(moved).map(|_| ());
+                prop_assert_eq!(snapshot(&mobile), before);
+                r
+            }
+            HostileUpdate::RejoinOntoOccupied => {
+                mobile.remove_node(i).unwrap();
+                let before = snapshot(&mobile);
+                let r = mobile.rejoin_node(i, pts[j]).map(|_| ());
+                prop_assert_eq!(snapshot(&mobile), before);
+                r
+            }
+            HostileUpdate::AddOntoOccupied => {
+                let before = snapshot(&mobile);
+                let r = mobile.add_node(pts[i]).map(|_| ());
+                prop_assert_eq!(snapshot(&mobile), before);
+                r
+            }
+        };
+        let err = result.unwrap_err();
+        prop_assert!(
+            matches!(err, BackboneError::InvalidInput { .. }),
+            "{update:?}: {err}"
+        );
     }
 }
 
