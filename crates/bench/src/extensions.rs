@@ -430,11 +430,6 @@ fn degradation_sweep(scenario: &Scenario) -> Table {
                     let victim = (k * 37 + c * 53 + 11) % sweep.n;
                     plan = plan.with_crash(victim, 1 + 3 * c);
                 }
-                if plan.is_zero() {
-                    // Keep the zero cell honest: it must take the exact
-                    // fault-free code path (bit-identical by contract).
-                    plan = plan.with_loss(0.0);
-                }
                 let config = BackboneConfig::new(sweep.radius)
                     .distributed()
                     .with_faults(plan)

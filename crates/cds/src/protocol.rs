@@ -21,8 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use geospan_graph::collections::{VecMap, VecSet};
 use geospan_graph::Graph;
 use geospan_sim::{
-    Context, FaultPlan, FaultReport, MessageKind, MessageStats, Network, Protocol,
-    QuiescenceTimeout, ReliabilityConfig,
+    Context, FaultReport, MessageKind, MessageStats, Network, Protocol, QuiescenceTimeout, Radio,
 };
 
 use crate::{assemble, CdsGraphs, ClusterRank, Clustering, ConnectorResult};
@@ -175,8 +174,8 @@ impl Protocol for CdsNode {
     type Message = CdsMsg;
 
     fn on_phase(&mut self, ctx: &mut Context<'_, CdsMsg>, phase: usize) {
-        // Phases 5–9 are the *recovery epilogue*, run only by the
-        // fault-injected construction ([`run_cds_faulty`]): after the
+        // Phases 5–9 are the *recovery epilogue*, run only under a
+        // non-zero fault plan ([`run_cds_with`]): after the
         // optimistic phases 0–4 ran under message loss and crashes, the
         // surviving dominators re-beacon (5), orphaned nodes re-attach or
         // promote themselves (6), and the connector election is re-run
@@ -343,7 +342,9 @@ impl Protocol for CdsNode {
     }
 }
 
-/// Runs the distributed CDS construction and assembles the graph family.
+/// Runs the distributed CDS construction on the perfect synchronous
+/// radio and assembles the graph family: [`run_cds_with`] under
+/// [`Radio::default`].
 ///
 /// # Errors
 /// Returns [`QuiescenceTimeout`] if a phase fails to converge (protocol
@@ -355,88 +356,43 @@ pub fn run_cds(
     udg: &Graph,
     rank: &ClusterRank,
 ) -> Result<(CdsGraphs, MessageStats), QuiescenceTimeout> {
-    run_cds_inner(udg, rank, None)
+    let (graphs, stats, _report) = run_cds_with(udg, rank, &Radio::default())?;
+    Ok((graphs, stats))
 }
 
-/// Runs the distributed CDS construction under **asynchronous** delivery:
-/// every broadcast is delayed by a deterministic pseudo-random number of
-/// rounds in `1..=max_delay`.
+/// Runs the distributed CDS construction over `radio`.
 ///
-/// The protocol's decisions are timing-independent (a node acts only on
-/// facts that can no longer change), so the constructed structure is
-/// identical to the synchronous run — a property the tests enforce and
-/// the paper asserts for its clustering ("this protocol can also be
-/// implemented using asynchronous communications").
+/// Under asynchronous delivery (`radio.jitter`) the structure is
+/// identical to the synchronous run: a node acts only on facts that can
+/// no longer change, as the paper asserts for its clustering ("this
+/// protocol can also be implemented using asynchronous communications").
+///
+/// Under a non-zero fault plan the link-layer ack/retransmit scheme runs
+/// and five self-healing phases follow the construction (dominator
+/// beacons, orphan re-attachment / self-promotion, connector
+/// re-election). Crashed nodes are then excluded from the assembled
+/// structure: they keep their vertex slot but hold no role, edges, or
+/// dominator links. A zero plan runs neither, and its report is
+/// [`FaultReport::default`].
 ///
 /// # Errors
-/// Returns [`QuiescenceTimeout`] if a phase fails to converge.
+/// Returns [`QuiescenceTimeout`] if a phase fails to converge within
+/// [`Network::round_budget`].
 ///
 /// # Panics
-/// Panics if `max_delay == 0` or a `Weight` rank does not cover all
-/// nodes.
-pub fn run_cds_jittered(
+/// Panics if a `Weight` rank does not cover all nodes, or if the jitter's
+/// `max_delay` is zero.
+pub fn run_cds_with(
     udg: &Graph,
     rank: &ClusterRank,
-    max_delay: usize,
-    seed: u64,
-) -> Result<(CdsGraphs, MessageStats), QuiescenceTimeout> {
-    run_cds_inner(udg, rank, Some((max_delay, seed)))
-}
-
-fn run_cds_inner(
-    udg: &Graph,
-    rank: &ClusterRank,
-    jitter: Option<(usize, u64)>,
-) -> Result<(CdsGraphs, MessageStats), QuiescenceTimeout> {
-    let mut net = Network::new(udg, |id| CdsNode::new(id, rank.key(udg, id)));
-    let mut budget = udg.node_count() + 16;
-    if let Some((max_delay, seed)) = jitter {
-        net = net.with_jitter(max_delay, seed);
-        budget *= max_delay;
-    }
-    net.run_phases(5, budget)?;
-    let (nodes, stats) = net.into_parts();
-    Ok((harvest(udg, &nodes, &VecSet::new(), false), stats))
-}
-
-/// Runs the CDS construction under injected faults, with the link-layer
-/// ack/retransmit scheme and the five-phase self-healing epilogue
-/// (dominator beacons, orphan re-attachment / self-promotion, connector
-/// re-election).
-///
-/// A [`FaultPlan::is_zero`] plan takes the exact code path of
-/// [`run_cds`] — no reliability layer, no recovery phases — so the
-/// output (structure *and* message statistics) is bit-identical.
-///
-/// Crashed nodes are excluded from the assembled structure: they keep
-/// their vertex slot but hold no role, edges, or dominator links.
-///
-/// # Errors
-/// Returns [`QuiescenceTimeout`] if a phase fails to converge within the
-/// (reliability-extended) round budget.
-///
-/// # Panics
-/// Panics if a `Weight` rank does not cover all nodes.
-pub fn run_cds_faulty(
-    udg: &Graph,
-    rank: &ClusterRank,
-    plan: &FaultPlan,
-    reliability: ReliabilityConfig,
+    radio: &Radio,
 ) -> Result<(CdsGraphs, MessageStats, FaultReport), QuiescenceTimeout> {
-    if plan.is_zero() {
-        let (graphs, stats) = run_cds(udg, rank)?;
-        return Ok((graphs, stats, FaultReport::default()));
-    }
-    let mut net = Network::new(udg, |id| CdsNode::new(id, rank.key(udg, id)))
-        .with_faults(plan.clone())
-        .with_reliability(reliability);
-    let per_hop = (reliability.max_retries as usize + 2) * (reliability.ack_timeout + 1);
-    let budget = (udg.node_count() + 16) * per_hop;
-    net.run_phases(10, budget)?;
-    let report = net.fault_report();
-    let (nodes, stats) = net.into_parts();
+    let faulty = !radio.faults.is_zero();
+    let mut net = Network::new(udg, |id| CdsNode::new(id, rank.key(udg, id))).with_radio(radio);
+    net.run_phases(if faulty { 10 } else { 5 }, net.round_budget())?;
+    let (nodes, stats, report) = net.into_outcome();
     let crashed: VecSet = report.crashed.iter().copied().collect();
-    Ok((harvest(udg, &nodes, &crashed, true), stats, report))
+    Ok((harvest(udg, &nodes, &crashed, faulty), stats, report))
 }
 
 /// Collects the per-node protocol outcomes into the graph family.
@@ -542,8 +498,12 @@ mod tests {
             let (_pts, udg, _s) = connected_unit_disk(50, 150.0, 45.0, seed * 31 + 7);
             let sync = build_cds(&udg, &ClusterRank::LowestId);
             for delay_seed in 0..3 {
-                let (jittered, _stats) =
-                    run_cds_jittered(&udg, &ClusterRank::LowestId, 5, delay_seed * 997 + 1)
+                let radio = Radio {
+                    jitter: Some((5, delay_seed * 997 + 1)),
+                    ..Radio::default()
+                };
+                let (jittered, _stats, _report) =
+                    run_cds_with(&udg, &ClusterRank::LowestId, &radio)
                         .expect("protocol converges under jitter");
                 assert!(
                     same_structure(&sync, &jittered),
@@ -584,13 +544,8 @@ mod tests {
     fn zero_fault_plan_matches_plain_run_exactly() {
         let (_pts, udg, _s) = connected_unit_disk(50, 150.0, 45.0, 9);
         let (plain, plain_stats) = run_cds(&udg, &ClusterRank::LowestId).unwrap();
-        let (faulty, faulty_stats, report) = run_cds_faulty(
-            &udg,
-            &ClusterRank::LowestId,
-            &FaultPlan::none(),
-            ReliabilityConfig::default(),
-        )
-        .unwrap();
+        let (faulty, faulty_stats, report) =
+            run_cds_with(&udg, &ClusterRank::LowestId, &Radio::default()).unwrap();
         assert!(same_structure(&plain, &faulty));
         assert_eq!(
             plain_stats, faulty_stats,
@@ -602,17 +557,21 @@ mod tests {
     #[test]
     fn recovery_survives_loss_and_crashes() {
         use geospan_graph::paths::bfs_hops;
+        use geospan_sim::{FaultPlan, ReliabilityConfig};
         for seed in 0..4 {
             let (_pts, udg, _s) = connected_unit_disk(60, 150.0, 45.0, seed * 37 + 11);
             let plan = FaultPlan::new(seed)
                 .with_loss(0.15)
                 .with_crash((seed as usize * 7 + 3) % 60, 4);
-            let rel = ReliabilityConfig {
-                max_retries: 8,
-                ack_timeout: 2,
+            let radio = Radio {
+                faults: plan,
+                reliability: ReliabilityConfig {
+                    max_retries: 8,
+                    ack_timeout: 2,
+                },
+                jitter: None,
             };
-            let (g, stats, report) =
-                run_cds_faulty(&udg, &ClusterRank::LowestId, &plan, rel).unwrap();
+            let (g, stats, report) = run_cds_with(&udg, &ClusterRank::LowestId, &radio).unwrap();
             assert!(report.dropped > 0, "seed {seed}: loss was injected");
             assert!(stats.per_kind().contains_key("ack"));
             let crashed: std::collections::BTreeSet<usize> =

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use geospan_cds::{
-    build_cds,
-    protocol::{run_cds, run_cds_faulty},
-    CdsGraphs, ClusterRank, Role,
-};
+use geospan_cds::{build_cds, protocol::run_cds_with, CdsGraphs, ClusterRank, Role};
 use geospan_geometry::Point;
 use geospan_graph::Graph;
-use geospan_sim::{FaultPlan, FaultReport, MessageStats, QuiescenceTimeout, ReliabilityConfig};
-use geospan_topology::distributed::{run_ldel, run_ldel_faulty};
+use geospan_sim::{
+    FaultPlan, FaultReport, MessageStats, QuiescenceTimeout, Radio, ReliabilityConfig,
+};
+use geospan_topology::distributed::run_ldel_with;
 use geospan_topology::ldel::{planarized, LocalDelaunay};
 
 /// Configuration of the backbone pipeline.
@@ -26,10 +24,11 @@ pub struct BackboneConfig {
     /// per-node message statistics; when false, use the (identical in
     /// output, faster) centralized reference algorithms.
     pub distributed: bool,
-    /// Faults injected into the distributed protocols. A non-zero plan
-    /// implies the distributed construction (faults are a property of the
-    /// radio layer, which the centralized reference has no notion of).
-    pub faults: Option<FaultPlan>,
+    /// Faults injected into the distributed protocols; default
+    /// [`FaultPlan::none`]. A non-zero plan implies the distributed
+    /// construction (faults are a property of the radio layer, which the
+    /// centralized reference has no notion of).
+    pub faults: FaultPlan,
     /// Link-layer ack/retransmit parameters used when faults are active.
     pub reliability: ReliabilityConfig,
 }
@@ -49,7 +48,7 @@ impl BackboneConfig {
             radius,
             rank: ClusterRank::LowestId,
             distributed: false,
-            faults: None,
+            faults: FaultPlan::none(),
             reliability: ReliabilityConfig::default(),
         }
     }
@@ -72,7 +71,7 @@ impl BackboneConfig {
         if !plan.is_zero() {
             self.distributed = true;
         }
-        self.faults = Some(plan);
+        self.faults = plan;
         self
     }
 
@@ -201,7 +200,7 @@ impl Backbone {
     }
 
     /// The combined fault report of both protocol stages, present when
-    /// the backbone was built under a fault plan.
+    /// the backbone was built under a non-zero fault plan.
     pub fn fault_report(&self) -> Option<&FaultReport> {
         self.fault_report.as_ref()
     }
@@ -213,6 +212,13 @@ impl Backbone {
     /// planar layer here.
     pub(crate) fn from_graphs(cds_graphs: CdsGraphs) -> Backbone {
         let ldel_icds = planarized(&cds_graphs.icds);
+        Backbone::from_layers(cds_graphs, ldel_icds)
+    }
+
+    /// Assembles a backbone from its graph family and planar layer
+    /// `LDel(ICDS)`, deriving `LDel(ICDS')` by adding every
+    /// dominatee–dominator edge.
+    fn from_layers(cds_graphs: CdsGraphs, ldel_icds: LocalDelaunay) -> Backbone {
         let mut ldel_icds_prime = ldel_icds.graph.clone();
         for (w, doms) in cds_graphs.dominators_of.iter().enumerate() {
             for &d in doms {
@@ -425,80 +431,31 @@ impl BackboneBuilder {
             }
         }
 
-        if let Some(plan) = self.config.faults.as_ref().filter(|p| !p.is_zero()) {
-            return self.build_faulty(udg, plan);
+        if !self.config.distributed {
+            return Ok(Backbone::from_graphs(build_cds(udg, &self.config.rank)));
         }
 
-        let (cds_graphs, stats) = if self.config.distributed {
-            let (g, cds_stats) = run_cds(udg, &self.config.rank)?;
-            let ldel_out = run_ldel(&g.icds, self.config.radius)?;
-            let stats = BackboneStats {
-                cds: cds_stats,
-                ldel: ldel_out.stats,
-            };
-            (g, Some((ldel_out.ldel, stats)))
-        } else {
-            (build_cds(udg, &self.config.rank), None)
+        // Both protocol stages run over the same radio, and the fault plan
+        // carries over between them: a node crashing during the
+        // triangulation stage is scheduled relative to the rounds the
+        // clustering stage already consumed.
+        let mut radio = Radio {
+            faults: self.config.faults.clone(),
+            reliability: self.config.reliability,
+            jitter: None,
         };
-
-        let (ldel_icds, stats) = match stats {
-            Some((ldel, s)) => (ldel, Some(s)),
-            None => (planarized(&cds_graphs.icds), None),
-        };
-
-        let mut ldel_icds_prime = ldel_icds.graph.clone();
-        for (w, doms) in cds_graphs.dominators_of.iter().enumerate() {
-            for &d in doms {
-                ldel_icds_prime.add_edge(w, d);
-            }
-        }
-
-        Ok(Backbone {
-            cds_graphs,
-            ldel_icds,
-            ldel_icds_prime,
-            stats,
-            fault_report: None,
-        })
-    }
-
-    /// The fault-injected pipeline: both protocol stages run over the
-    /// unreliable radio with the configured ack/retransmit layer, and the
-    /// plan carries over between stages — a node crashing during the
-    /// triangulation stage is scheduled relative to the rounds the
-    /// clustering stage already consumed.
-    fn build_faulty(&self, udg: &Graph, plan: &FaultPlan) -> Result<Backbone, BackboneError> {
-        let (cds_graphs, cds_stats, cds_report) =
-            run_cds_faulty(udg, &self.config.rank, plan, self.config.reliability)?;
-        let ldel_plan = plan.for_next_stage(cds_report.rounds);
-        let (ldel_out, ldel_report) = run_ldel_faulty(
-            &cds_graphs.icds,
-            self.config.radius,
-            &ldel_plan,
-            self.config.reliability,
-        )?;
-        let mut report = cds_report;
+        let (cds_graphs, cds_stats, mut report) = run_cds_with(udg, &self.config.rank, &radio)?;
+        radio.faults = radio.faults.for_next_stage(report.rounds);
+        let (ldel_out, ldel_report) = run_ldel_with(&cds_graphs.icds, self.config.radius, &radio)?;
         report.absorb(&ldel_report);
 
-        let stats = BackboneStats {
+        let mut backbone = Backbone::from_layers(cds_graphs, ldel_out.ldel);
+        backbone.stats = Some(BackboneStats {
             cds: cds_stats,
             ldel: ldel_out.stats,
-        };
-        let ldel_icds = ldel_out.ldel;
-        let mut ldel_icds_prime = ldel_icds.graph.clone();
-        for (w, doms) in cds_graphs.dominators_of.iter().enumerate() {
-            for &d in doms {
-                ldel_icds_prime.add_edge(w, d);
-            }
-        }
-
-        Ok(Backbone {
-            cds_graphs,
-            ldel_icds,
-            ldel_icds_prime,
-            stats: Some(stats),
-            fault_report: Some(report),
-        })
+        });
+        backbone.fault_report = (!self.config.faults.is_zero()).then_some(report);
+        Ok(backbone)
     }
 }
 
@@ -687,5 +644,8 @@ mod tests {
         assert_eq!(c.radius, 2.0);
         let d = BackboneConfig::default();
         assert_eq!(d.radius, 1.0);
+        assert!(d.faults.is_zero());
+        let z = BackboneConfig::new(2.0).with_faults(FaultPlan::new(9));
+        assert!(!z.distributed, "a zero plan keeps the centralized build");
     }
 }

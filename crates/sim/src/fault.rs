@@ -41,8 +41,10 @@ impl EventKind {
 
 /// A seeded, reproducible description of radio-level faults.
 ///
-/// Built with the `with_*` methods; attached to a network via
-/// [`Network::with_faults`](crate::Network::with_faults).
+/// Built with the `with_*` methods; reaches a network through a
+/// [`Radio`](crate::Radio) and
+/// [`Network::with_radio`](crate::Network::with_radio). The default is
+/// [`FaultPlan::none`].
 ///
 /// # Example
 /// ```
@@ -78,6 +80,12 @@ impl Partition {
     /// True when this partition severs `(a, b)` at `round`.
     pub fn severs(&self, a: usize, b: usize, round: usize) -> bool {
         self.rounds.contains(&round) && (self.side.contains(&a) != self.side.contains(&b))
+    }
+}
+
+impl Default for FaultPlan {
+    fn default() -> Self {
+        FaultPlan::none()
     }
 }
 
@@ -230,39 +238,11 @@ impl FaultPlan {
         }
     }
 
-    /// True when the data delivery `(sender → receiver)` of packet `seq`
-    /// on transmission `attempt` is lost to radio noise.
-    ///
-    /// Public so engines outside this crate — the discrete-event traffic
-    /// engine in particular — can drive the *same* seeded plan with the
-    /// same per-event independence guarantees as the round simulator.
-    /// Crash and partition checks compose via [`FaultPlan::crashed`] and
-    /// [`FaultPlan::severed`].
-    pub fn drops_delivery(&self, sender: usize, receiver: usize, seq: u64, attempt: u32) -> bool {
-        self.loses(EventKind::Data, sender, receiver, seq, attempt)
-    }
-
-    /// True when the data delivery `(sender → receiver)` of packet `seq`
-    /// on transmission `attempt` arrives twice (a stale MAC
-    /// retransmission).
-    ///
-    /// Public for the same reason as [`FaultPlan::drops_delivery`]: the
-    /// traffic engine consumes the identical per-event rolls, so a
-    /// delivery duplicates there iff it would in the round simulator.
-    pub fn duplicates_delivery(
-        &self,
-        sender: usize,
-        receiver: usize,
-        seq: u64,
-        attempt: u32,
-    ) -> bool {
-        self.duplicates(sender, receiver, seq, attempt)
-    }
-
     /// True when transmission `attempt` of packet `packet` is lost to
-    /// radio noise.
+    /// radio noise — the loss roll of the discrete-event traffic engine.
     ///
-    /// Unlike [`FaultPlan::drops_delivery`], the roll is keyed on the
+    /// Unlike the round simulator's per-delivery rolls, which are keyed
+    /// on `(sender, receiver, seq, attempt)`, this roll is keyed on the
     /// packet identity and its transmission count alone — never on the
     /// link endpoints. `(packet, attempt)` is a pure function of the
     /// arrival schedule and the retry budget: it does not depend on
@@ -271,7 +251,8 @@ impl FaultPlan {
     /// loss decision invariant under *any* reordering of the engine
     /// around it — sharded execution, phase restructuring, future
     /// optimistic schedulers — while keeping per-packet failures
-    /// independent and bisectable exactly as before.
+    /// independent and bisectable. Crash and partition checks compose
+    /// via [`FaultPlan::crashed`] and [`FaultPlan::severed`].
     pub fn drops_packet(&self, packet: u64, attempt: u32) -> bool {
         self.loss > 0.0 && self.packet_roll(EventKind::Data, packet, attempt) < self.loss
     }
@@ -563,21 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn public_delivery_rolls_match_internal_ones() {
-        let plan = FaultPlan::new(11).with_loss(0.3).with_duplication(0.3);
-        for seq in 0..200 {
-            assert_eq!(
-                plan.drops_delivery(1, 2, seq, 0),
-                plan.loses(EventKind::Data, 1, 2, seq, 0)
-            );
-            assert_eq!(
-                plan.duplicates_delivery(1, 2, seq, 0),
-                plan.duplicates(1, 2, seq, 0)
-            );
-        }
-    }
-
-    #[test]
     fn packet_rolls_are_deterministic_and_endpoint_free() {
         let plan = FaultPlan::new(7).with_loss(0.5).with_duplication(0.5);
         for packet in 0..50u64 {
@@ -609,7 +575,7 @@ mod tests {
         // engine would otherwise couple their fault decisions.
         let plan = FaultPlan::new(42).with_loss(0.5);
         let agree = (0..400u64)
-            .filter(|&p| plan.drops_packet(p, 0) == plan.drops_delivery(0, 0, p, 0))
+            .filter(|&p| plan.drops_packet(p, 0) == plan.loses(EventKind::Data, 0, 0, p, 0))
             .count();
         assert!(
             (120..280).contains(&agree),

@@ -61,17 +61,18 @@
 //! assert_eq!(net.stats().total_sent(), 3); // every node broadcast once
 //! ```
 
-//! # Faults and reliability
+//! # Faults, reliability and jitter
 //!
 //! Perfect radios are a modeling choice, not a law of physics. A seeded
-//! [`FaultPlan`] attached via [`Network::with_faults`] injects lost
-//! broadcasts, duplicated deliveries, node crashes, and temporary
-//! partitions — all reproducible from one `u64`. A link-layer
-//! ack/retransmit scheme ([`Network::with_reliability`]) recovers lost
-//! deliveries with a bounded number of retries; its overhead is counted
-//! under the distinct `"ack"` and `"<kind>-retx"` statistics so
-//! degradation is measurable. Zero-fault plans leave every run
-//! bit-identical to an unfaulted one.
+//! [`FaultPlan`] injects lost broadcasts, duplicated deliveries, node
+//! crashes, and temporary partitions — all reproducible from one `u64`.
+//! A link-layer ack/retransmit scheme ([`ReliabilityConfig`]) recovers
+//! lost deliveries with a bounded number of retries; its overhead is
+//! counted under the distinct `"ack"` and `"<kind>-retx"` statistics so
+//! degradation is measurable. Bounded per-message delivery jitter models
+//! asynchronous communication. A [`Radio`] bundles the three, and
+//! [`Network::with_radio`] is the one place that decides what a protocol
+//! run sees of them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -301,6 +302,23 @@ struct Outstanding<M> {
     deadline: usize,
 }
 
+/// What the radio does to a protocol run: the faults it injects, the
+/// link layer that recovers from them, and whether delivery is
+/// asynchronous.
+///
+/// `Radio::default()` is the perfect synchronous radio the paper
+/// assumes. Attach one with [`Network::with_radio`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Radio {
+    /// Injected faults; a [`FaultPlan::is_zero`] plan injects nothing.
+    pub faults: FaultPlan,
+    /// Ack/retransmit parameters, used only under a non-zero plan.
+    pub reliability: ReliabilityConfig,
+    /// Asynchronous delivery as `(max_delay, seed)`; `None` is
+    /// synchronous (see [`Network::with_jitter`]).
+    pub jitter: Option<(usize, u64)>,
+}
+
 /// A simulated radio network: a communication graph plus one protocol
 /// state machine per node.
 pub struct Network<'g, P: Protocol> {
@@ -388,6 +406,39 @@ impl<'g, P: Protocol> Network<'g, P> {
         assert!(max_delay >= 1, "delivery delay must be at least one round");
         self.jitter = (max_delay, seed | 1);
         self
+    }
+
+    /// Configures the network for `radio`: applies its jitter when set,
+    /// and attaches its fault plan together with the ack/retransmit layer
+    /// only when the plan is non-zero.
+    ///
+    /// A zero plan attaches nothing, so the run — structure, message
+    /// statistics and timing — is bit-identical to a network that was
+    /// never given a radio, and no per-delivery fault check runs.
+    ///
+    /// # Panics
+    /// Panics if the jitter's `max_delay` is zero.
+    pub fn with_radio(mut self, radio: &Radio) -> Self {
+        if let Some((max_delay, seed)) = radio.jitter {
+            self = self.with_jitter(max_delay, seed);
+        }
+        if !radio.faults.is_zero() {
+            self = self
+                .with_faults(radio.faults.clone())
+                .with_reliability(radio.reliability);
+        }
+        self
+    }
+
+    /// The per-phase round budget for a localized protocol on this
+    /// network: `(n + 16)` rounds, stretched by the maximum delivery
+    /// delay under jitter and by the worst-case retransmit cycle
+    /// `(max_retries + 2) * (ack_timeout + 1)` under reliability.
+    pub fn round_budget(&self) -> usize {
+        let per_hop = self
+            .reliability
+            .map_or(1, |r| (r.max_retries as usize + 2) * (r.ack_timeout + 1));
+        (self.graph.node_count() + 16) * self.jitter.0 * per_hop
     }
 
     /// The communication graph.
@@ -671,6 +722,18 @@ impl<'g, P: Protocol> Network<'g, P> {
     /// Consumes the network, returning node states and statistics.
     pub fn into_parts(self) -> (Vec<P>, MessageStats) {
         (self.nodes, self.stats)
+    }
+
+    /// Consumes the network, returning node states, statistics and the
+    /// fault report — [`FaultReport::default`] when no fault plan is
+    /// attached.
+    pub fn into_outcome(self) -> (Vec<P>, MessageStats, FaultReport) {
+        let report = if self.faults.is_some() {
+            self.fault_report()
+        } else {
+            FaultReport::default()
+        };
+        (self.nodes, self.stats, report)
     }
 
     fn record_and_enqueue(&mut self, sender: usize, outbox: &mut Vec<P::Message>) -> usize {
@@ -1143,5 +1206,48 @@ mod tests {
         assert!(net.stats().per_kind()["ack"] > 0);
         assert_eq!(net.stats().total_retx(), 0);
         assert_eq!(net.fault_report().gave_up, 0);
+    }
+
+    #[test]
+    fn zero_fault_radio_attaches_nothing() {
+        let g = path_graph(5);
+        let radio = Radio {
+            reliability: ReliabilityConfig {
+                max_retries: 9,
+                ack_timeout: 9,
+            },
+            ..Radio::default()
+        };
+        let mut net = Network::new(&g, relay()).with_radio(&radio);
+        assert!(net.fault_plan().is_none());
+        assert_eq!(net.round_budget(), 5 + 16, "no reliability attached");
+        net.run_phase(0, 100).unwrap();
+        let mut plain = Network::new(&g, relay());
+        plain.run_phase(0, 100).unwrap();
+        let (nodes, stats, report) = net.into_outcome();
+        assert_eq!(nodes[4].received, plain.nodes()[4].received);
+        assert_eq!(&stats, plain.stats());
+        assert_eq!(report, FaultReport::default());
+    }
+
+    #[test]
+    fn faulty_radio_attaches_plan_reliability_and_jitter() {
+        let g = path_graph(5);
+        let radio = Radio {
+            faults: FaultPlan::new(4).with_crash(4, 0),
+            reliability: ReliabilityConfig {
+                max_retries: 2,
+                ack_timeout: 3,
+            },
+            jitter: Some((3, 7)),
+        };
+        let mut net = Network::new(&g, relay()).with_radio(&radio);
+        assert_eq!(net.fault_plan(), Some(&radio.faults));
+        // (n + 16) rounds × max delay × (retries + 2)(ack timeout + 1).
+        assert_eq!(net.round_budget(), 21 * 3 * 16);
+        net.run_phase(0, net.round_budget()).unwrap();
+        let (_nodes, stats, report) = net.into_outcome();
+        assert_eq!(report.crashed, vec![4]);
+        assert!(stats.per_kind()["ack"] > 0);
     }
 }

@@ -30,8 +30,7 @@ use geospan_geometry::{
 use geospan_graph::collections::{VecMap, VecSet};
 use geospan_graph::Graph;
 use geospan_sim::{
-    Context, FaultPlan, FaultReport, MessageKind, MessageStats, Network, Protocol,
-    QuiescenceTimeout, ReliabilityConfig,
+    Context, FaultReport, MessageKind, MessageStats, Network, Protocol, QuiescenceTimeout, Radio,
 };
 
 use crate::ldel::LocalDelaunay;
@@ -428,112 +427,78 @@ pub struct DistributedOutcome {
 }
 
 /// Runs Algorithms 2 & 3 on the communication graph `g` (which must be
-/// distance-closed for radius `radius`) and assembles the resulting
-/// planar localized Delaunay graph.
+/// distance-closed for radius `radius`) over the perfect synchronous
+/// radio and assembles the resulting planar localized Delaunay graph:
+/// [`run_ldel_with`] under [`Radio::default`].
 ///
 /// # Errors
 /// Returns [`QuiescenceTimeout`] if any phase fails to converge (a
 /// protocol bug, not an input condition).
 pub fn run_ldel(g: &Graph, radius: f64) -> Result<DistributedOutcome, QuiescenceTimeout> {
-    run_ldel_inner(g, radius, None)
+    let (outcome, _report) = run_ldel_with(g, radius, &Radio::default())?;
+    Ok(outcome)
 }
 
-/// Runs Algorithms 2 & 3 under asynchronous delivery (per-message delays
-/// in `1..=max_delay`, deterministic in `seed`).
+/// Runs Algorithms 2 & 3 over `radio`.
 ///
 /// Like the CDS protocol, the triangulation handshake only acts on
-/// stabilized facts, so the result is identical to the synchronous run.
+/// stabilized facts, so asynchronous delivery (`radio.jitter`) yields
+/// the synchronous result.
+///
+/// Under a non-zero fault plan the link-layer ack/retransmit scheme runs.
+/// The handshake degrades gracefully: a corner that missed a message
+/// simply withholds its vote, so affected triangles drop out instead of
+/// corrupting the structure. Crashed nodes contribute nothing — their
+/// partial state and any edge or triangle touching them are filtered
+/// from the assembly. A zero plan's report is [`FaultReport::default`].
 ///
 /// # Errors
-/// Returns [`QuiescenceTimeout`] if a phase fails to converge.
+/// Returns [`QuiescenceTimeout`] if a phase fails to converge within
+/// [`Network::round_budget`].
 ///
 /// # Panics
-/// Panics if `max_delay == 0`.
-pub fn run_ldel_jittered(
+/// Panics if the jitter's `max_delay` is zero.
+pub fn run_ldel_with(
     g: &Graph,
     radius: f64,
-    max_delay: usize,
-    seed: u64,
-) -> Result<DistributedOutcome, QuiescenceTimeout> {
-    run_ldel_inner(g, radius, Some((max_delay, seed)))
-}
-
-fn run_ldel_inner(
-    g: &Graph,
-    radius: f64,
-    jitter: Option<(usize, u64)>,
-) -> Result<DistributedOutcome, QuiescenceTimeout> {
-    let mut net = Network::new(g, |id| {
-        LdelNode::new(id, g.position(id), radius, g.degree(id) > 0)
-    });
-    let mut budget = g.node_count() + 16;
-    if let Some((max_delay, seed)) = jitter {
-        net = net.with_jitter(max_delay, seed);
-        budget *= max_delay;
-    }
-    net.run_phases(5, budget)?;
-    let (nodes, stats) = net.into_parts();
-    Ok(assemble_ldel(g, &nodes, stats, &VecSet::new()))
-}
-
-/// Runs Algorithms 2 & 3 under injected faults with the link-layer
-/// ack/retransmit scheme.
-///
-/// The handshake design degrades gracefully: a corner that missed a
-/// message simply withholds its vote, so affected triangles drop out
-/// instead of corrupting the structure. Crashed nodes contribute nothing
-/// — their partial state and any edge or triangle touching them are
-/// filtered from the assembly.
-///
-/// A [`FaultPlan::is_zero`] plan takes the exact [`run_ldel`] code path,
-/// so outputs and message statistics are bit-identical.
-///
-/// # Errors
-/// Returns [`QuiescenceTimeout`] if a phase fails to converge within the
-/// (reliability-extended) round budget.
-pub fn run_ldel_faulty(
-    g: &Graph,
-    radius: f64,
-    plan: &FaultPlan,
-    reliability: ReliabilityConfig,
+    radio: &Radio,
 ) -> Result<(DistributedOutcome, FaultReport), QuiescenceTimeout> {
-    if plan.is_zero() {
-        return Ok((run_ldel(g, radius)?, FaultReport::default()));
-    }
     let mut net = Network::new(g, |id| {
         LdelNode::new(id, g.position(id), radius, g.degree(id) > 0)
     })
-    .with_faults(plan.clone())
-    .with_reliability(reliability);
-    let per_hop = (reliability.max_retries as usize + 2) * (reliability.ack_timeout + 1);
-    net.run_phases(5, (g.node_count() + 16) * per_hop)?;
-    let report = net.fault_report();
-    let (nodes, stats) = net.into_parts();
+    .with_radio(radio);
+    net.run_phases(5, net.round_budget())?;
+    let (nodes, stats, report) = net.into_outcome();
     let crashed: VecSet = report.crashed.iter().copied().collect();
-    Ok((assemble_ldel(g, &nodes, stats, &crashed), report))
+    let ldel = assemble(
+        g,
+        nodes.iter().map(|v| (v.id, &v.gabriel[..], &v.final_tris)),
+        &crashed,
+    );
+    Ok((DistributedOutcome { ldel, stats }, report))
 }
 
-/// Unions the per-node Gabriel edges and confirmed triangles into the
-/// final structure, excluding anything touching a crashed node.
-fn assemble_ldel(
+/// Unions the per-node Gabriel edges and confirmed triangles of a
+/// localized Delaunay protocol run, given as `(node, gabriel, triangles)`,
+/// into one structure, excluding anything touching a crashed node.
+pub(crate) fn assemble<'a>(
     g: &Graph,
-    nodes: &[LdelNode],
-    stats: MessageStats,
+    nodes: impl IntoIterator<Item = (usize, &'a [(usize, usize)], &'a BTreeSet<[usize; 3]>)>,
     crashed: &VecSet,
-) -> DistributedOutcome {
+) -> LocalDelaunay {
     let mut graph = g.same_vertices();
     let mut gabriel: BTreeSet<(usize, usize)> = BTreeSet::new();
     let mut triangles: BTreeSet<[usize; 3]> = BTreeSet::new();
-    for node in nodes {
-        if crashed.contains(node.id) {
+    for (id, node_gabriel, node_tris) in nodes {
+        if crashed.contains(id) {
             continue;
         }
-        for &(a, b) in &node.gabriel {
+        for &(a, b) in node_gabriel {
             if !crashed.contains(a) && !crashed.contains(b) {
                 gabriel.insert((a, b));
             }
         }
-        for &t in &node.final_tris {
+        for &t in node_tris {
             if t.iter().all(|&v| !crashed.contains(v)) {
                 triangles.insert(t);
             }
@@ -551,13 +516,10 @@ fn assemble_ldel(
     gabriel_edges.sort_unstable();
     let mut triangles: Vec<[usize; 3]> = triangles.into_iter().collect();
     triangles.sort_unstable();
-    DistributedOutcome {
-        ldel: LocalDelaunay {
-            graph,
-            triangles,
-            gabriel_edges,
-        },
-        stats,
+    LocalDelaunay {
+        graph,
+        triangles,
+        gabriel_edges,
     }
 }
 
@@ -567,6 +529,7 @@ mod tests {
     use crate::ldel::planarized;
     use geospan_graph::gen::connected_unit_disk;
     use geospan_graph::planarity::is_plane_embedding;
+    use geospan_sim::{FaultPlan, ReliabilityConfig};
 
     #[test]
     fn distributed_matches_centralized() {
@@ -601,7 +564,11 @@ mod tests {
             let (_pts, g, _s) = connected_unit_disk(40, 100.0, 35.0, seed * 41 + 9);
             let sync = run_ldel(&g, 35.0).unwrap();
             for delay_seed in 0..2 {
-                let jittered = run_ldel_jittered(&g, 35.0, 4, delay_seed * 31 + 1).unwrap();
+                let radio = Radio {
+                    jitter: Some((4, delay_seed * 31 + 1)),
+                    ..Radio::default()
+                };
+                let (jittered, _report) = run_ldel_with(&g, 35.0, &radio).unwrap();
                 assert_eq!(
                     jittered.ldel.graph.edges().collect::<Vec<_>>(),
                     sync.ldel.graph.edges().collect::<Vec<_>>(),
@@ -642,8 +609,7 @@ mod tests {
     fn zero_fault_plan_matches_plain_ldel_exactly() {
         let (_pts, g, _s) = connected_unit_disk(40, 100.0, 35.0, 7);
         let plain = run_ldel(&g, 35.0).unwrap();
-        let (faulty, report) =
-            run_ldel_faulty(&g, 35.0, &FaultPlan::none(), ReliabilityConfig::default()).unwrap();
+        let (faulty, report) = run_ldel_with(&g, 35.0, &Radio::default()).unwrap();
         assert_eq!(faulty.ldel.triangles, plain.ldel.triangles);
         assert_eq!(faulty.ldel.gabriel_edges, plain.ldel.gabriel_edges);
         assert_eq!(
@@ -661,12 +627,15 @@ mod tests {
         for seed in 0..3 {
             let (_pts, g, _s) = connected_unit_disk(35, 100.0, 35.0, seed * 23 + 5);
             let plain = run_ldel(&g, 35.0).unwrap();
-            let plan = FaultPlan::new(seed + 1).with_loss(0.15);
-            let cfg = ReliabilityConfig {
-                max_retries: 8,
-                ack_timeout: 2,
+            let radio = Radio {
+                faults: FaultPlan::new(seed + 1).with_loss(0.15),
+                reliability: ReliabilityConfig {
+                    max_retries: 8,
+                    ack_timeout: 2,
+                },
+                jitter: None,
             };
-            let (faulty, report) = run_ldel_faulty(&g, 35.0, &plan, cfg).unwrap();
+            let (faulty, report) = run_ldel_with(&g, 35.0, &radio).unwrap();
             assert!(report.dropped > 0, "seed {seed}: loss should bite");
             assert!(report.retransmissions > 0, "seed {seed}");
             // The planarized union stays a plane embedding either way.
@@ -683,9 +652,11 @@ mod tests {
     fn crashed_node_is_excised_from_the_structure() {
         let (_pts, g, _s) = connected_unit_disk(40, 100.0, 35.0, 13);
         let victim = 17;
-        let plan = FaultPlan::new(3).with_crash(victim, 0);
-        let (faulty, report) =
-            run_ldel_faulty(&g, 35.0, &plan, ReliabilityConfig::default()).unwrap();
+        let radio = Radio {
+            faults: FaultPlan::new(3).with_crash(victim, 0),
+            ..Radio::default()
+        };
+        let (faulty, report) = run_ldel_with(&g, 35.0, &radio).unwrap();
         assert_eq!(report.crashed, vec![victim]);
         for &(a, b) in &faulty.ldel.gabriel_edges {
             assert!(a != victim && b != victim);

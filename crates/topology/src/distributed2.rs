@@ -22,10 +22,10 @@ use geospan_geometry::{in_circumcircle, CirclePosition, Point};
 use geospan_graph::collections::{VecMap, VecSet};
 use geospan_graph::Graph;
 use geospan_sim::{
-    Context, FaultPlan, FaultReport, MessageKind, MessageStats, Network, Protocol,
-    QuiescenceTimeout, ReliabilityConfig,
+    Context, FaultReport, MessageKind, MessageStats, Network, Protocol, QuiescenceTimeout, Radio,
 };
 
+use crate::distributed::assemble;
 use crate::ldel::LocalDelaunay;
 
 /// Messages of the `LDel²` protocol.
@@ -247,7 +247,9 @@ impl Protocol for Ldel2Node {
     }
 }
 
-/// Runs the `LDel²` protocol on a distance-closed communication graph.
+/// Runs the `LDel²` protocol on a distance-closed communication graph
+/// over the perfect synchronous radio: [`run_ldel2_with`] under
+/// [`Radio::default`].
 ///
 /// # Errors
 /// Returns [`QuiescenceTimeout`] if a phase fails to converge.
@@ -255,45 +257,44 @@ pub fn run_ldel2(
     g: &Graph,
     radius: f64,
 ) -> Result<(LocalDelaunay, MessageStats), QuiescenceTimeout> {
-    let mut net = Network::new(g, |id| new_node(g, id, radius));
-    net.run_phases(4, g.node_count() + 16)?;
-    let (nodes, stats) = net.into_parts();
-    Ok(assemble_ldel2(g, &nodes, stats, &VecSet::new()))
+    let (ldel, stats, _report) = run_ldel2_with(g, radius, &Radio::default())?;
+    Ok((ldel, stats))
 }
 
-/// Runs the `LDel²` protocol under injected faults with the link-layer
-/// ack/retransmit scheme.
+/// Runs the `LDel²` protocol over `radio`.
 ///
+/// Under a non-zero fault plan the link-layer ack/retransmit scheme runs.
 /// Triangles whose corners can't be vetted (a missed `Hello` or
 /// `NeighborTable`) are rejected rather than guessed at, so loss degrades
 /// the triangle set instead of corrupting it. Crashed nodes and anything
-/// touching them are filtered from the assembly.
-///
-/// A [`FaultPlan::is_zero`] plan takes the exact [`run_ldel2`] code path,
-/// so outputs and message statistics are bit-identical.
+/// touching them are filtered from the assembly. A zero plan's report is
+/// [`FaultReport::default`].
 ///
 /// # Errors
-/// Returns [`QuiescenceTimeout`] if a phase fails to converge within the
-/// (reliability-extended) round budget.
-pub fn run_ldel2_faulty(
+/// Returns [`QuiescenceTimeout`] if a phase fails to converge within
+/// [`Network::round_budget`].
+///
+/// # Panics
+/// Panics if the jitter's `max_delay` is zero.
+pub fn run_ldel2_with(
     g: &Graph,
     radius: f64,
-    plan: &FaultPlan,
-    reliability: ReliabilityConfig,
+    radio: &Radio,
 ) -> Result<(LocalDelaunay, MessageStats, FaultReport), QuiescenceTimeout> {
-    if plan.is_zero() {
-        let (ldel, stats) = run_ldel2(g, radius)?;
-        return Ok((ldel, stats, FaultReport::default()));
-    }
-    let mut net = Network::new(g, |id| new_node(g, id, radius))
-        .with_faults(plan.clone())
-        .with_reliability(reliability);
-    let per_hop = (reliability.max_retries as usize + 2) * (reliability.ack_timeout + 1);
-    net.run_phases(4, (g.node_count() + 16) * per_hop)?;
-    let report = net.fault_report();
-    let (nodes, stats) = net.into_parts();
+    let mut net = Network::new(g, |id| new_node(g, id, radius)).with_radio(radio);
+    net.run_phases(4, net.round_budget())?;
+    let (nodes, stats, report) = net.into_outcome();
     let crashed: VecSet = report.crashed.iter().copied().collect();
-    let (ldel, stats) = assemble_ldel2(g, &nodes, stats, &crashed);
+    let ldel = assemble(
+        g,
+        nodes.iter().map(|v| (v.id, &v.gabriel[..], &v.final_tris)),
+        &crashed,
+    );
+    #[cfg(feature = "invariant-checks")]
+    assert!(
+        geospan_graph::planarity::is_plane_embedding(&ldel.graph),
+        "assembled LDel(2) output is not a plane embedding"
+    );
     Ok((ldel, stats, report))
 }
 
@@ -311,57 +312,6 @@ fn new_node(g: &Graph, id: usize, radius: f64) -> Ldel2Node {
         gabriel: Vec::new(),
         final_tris: BTreeSet::new(),
     }
-}
-
-fn assemble_ldel2(
-    g: &Graph,
-    nodes: &[Ldel2Node],
-    stats: MessageStats,
-    crashed: &VecSet,
-) -> (LocalDelaunay, MessageStats) {
-    let mut graph = g.same_vertices();
-    let mut gabriel: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut triangles: BTreeSet<[usize; 3]> = BTreeSet::new();
-    for node in nodes {
-        if crashed.contains(node.id) {
-            continue;
-        }
-        for &(a, b) in &node.gabriel {
-            if !crashed.contains(a) && !crashed.contains(b) {
-                gabriel.insert((a, b));
-            }
-        }
-        for &t in &node.final_tris {
-            if t.iter().all(|&v| !crashed.contains(v)) {
-                triangles.insert(t);
-            }
-        }
-    }
-    for &(u, v) in &gabriel {
-        graph.add_edge(u, v);
-    }
-    for &[a, b, c] in &triangles {
-        graph.add_edge(a, b);
-        graph.add_edge(b, c);
-        graph.add_edge(a, c);
-    }
-    let mut gabriel_edges: Vec<(usize, usize)> = gabriel.into_iter().collect();
-    gabriel_edges.sort_unstable();
-    let mut triangles: Vec<[usize; 3]> = triangles.into_iter().collect();
-    triangles.sort_unstable();
-    #[cfg(feature = "invariant-checks")]
-    assert!(
-        geospan_graph::planarity::is_plane_embedding(&graph),
-        "assembled LDel(2) output is not a plane embedding"
-    );
-    (
-        LocalDelaunay {
-            graph,
-            triangles,
-            gabriel_edges,
-        },
-        stats,
-    )
 }
 
 #[cfg(test)]
@@ -399,14 +349,37 @@ mod tests {
 
     #[test]
     fn zero_fault_plan_matches_plain_ldel2_exactly() {
-        use geospan_sim::{FaultPlan, FaultReport, ReliabilityConfig};
         let (_pts, g, _s) = connected_unit_disk(40, 100.0, 35.0, 9);
         let (plain, stats) = run_ldel2(&g, 35.0).unwrap();
-        let (faulty, fstats, report) =
-            run_ldel2_faulty(&g, 35.0, &FaultPlan::none(), ReliabilityConfig::default()).unwrap();
+        let (faulty, fstats, report) = run_ldel2_with(&g, 35.0, &Radio::default()).unwrap();
         assert_eq!(faulty, plain);
         assert_eq!(fstats, stats);
         assert_eq!(report, FaultReport::default());
+    }
+
+    #[test]
+    fn asynchronous_delivery_changes_nothing() {
+        // Like LDel¹, the handshake acts only on stabilized facts, so
+        // bounded per-message delays must yield the synchronous result.
+        for seed in 0..3 {
+            let (_pts, g, _s) = connected_unit_disk(45, 100.0, 35.0, seed * 53 + 4);
+            let (sync, sync_stats) = run_ldel2(&g, 35.0).unwrap();
+            for (max_delay, delay_seed) in [(2, 1), (4, 32), (4, 63)] {
+                let radio = Radio {
+                    jitter: Some((max_delay, delay_seed)),
+                    ..Radio::default()
+                };
+                let (jittered, stats, _report) = run_ldel2_with(&g, 35.0, &radio).unwrap();
+                assert_eq!(jittered.triangles, sync.triangles, "seed {seed}");
+                assert_eq!(
+                    jittered.graph.edges().collect::<Vec<_>>(),
+                    sync.graph.edges().collect::<Vec<_>>(),
+                    "seed {seed}: async LDel² diverged"
+                );
+                // Same transmissions, different timing.
+                assert_eq!(stats.total_sent(), sync_stats.total_sent());
+            }
+        }
     }
 
     #[test]
@@ -415,14 +388,17 @@ mod tests {
         for seed in 0..3 {
             let (_pts, g, _s) = connected_unit_disk(45, 100.0, 32.0, seed * 29 + 7);
             let victim = (seed as usize * 13 + 5) % 45;
-            let plan = FaultPlan::new(seed + 11)
-                .with_loss(0.15)
-                .with_crash(victim, 2);
-            let cfg = ReliabilityConfig {
-                max_retries: 8,
-                ack_timeout: 2,
+            let radio = Radio {
+                faults: FaultPlan::new(seed + 11)
+                    .with_loss(0.15)
+                    .with_crash(victim, 2),
+                reliability: ReliabilityConfig {
+                    max_retries: 8,
+                    ack_timeout: 2,
+                },
+                jitter: None,
             };
-            let (faulty, _stats, report) = run_ldel2_faulty(&g, 32.0, &plan, cfg).unwrap();
+            let (faulty, _stats, report) = run_ldel2_with(&g, 32.0, &radio).unwrap();
             assert!(report.dropped > 0, "seed {seed}");
             assert_eq!(report.crashed, vec![victim], "seed {seed}");
             // LDel² is planar by construction; rejecting unvettable

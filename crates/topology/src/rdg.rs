@@ -235,7 +235,7 @@ pub fn run_rdg(
         surviving: Vec::new(),
         degree: g.degree(id),
     });
-    net.run_phases(3, g.node_count() + 16)?;
+    net.run_phases(3, net.round_budget())?;
     let (nodes, stats) = net.into_parts();
     let mut out = g.same_vertices();
     for node in &nodes {

@@ -33,20 +33,9 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match Flags::parse(&args[1..]) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&flags),
-        "build" => cmd_build(&flags),
-        "render" => cmd_render(&flags),
-        "route" => cmd_route(&flags),
-        "traffic" => cmd_traffic(&flags),
-        other => Err(format!("unknown command `{other}`")),
+    let result = match COMMANDS.iter().find(|(name, ..)| name == command) {
+        Some((name, takes, run)) => Flags::parse(name, takes, &args[1..]).and_then(|f| run(&f)),
+        None => Err(format!("unknown command `{command}`")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -96,6 +85,25 @@ churn:       --churn-rate P schedules ~P membership/mobility events per
              localized 2-hop repair while packets are in flight;
              requires --policy backbone";
 
+/// A command's entry point.
+type Command = fn(&Flags) -> Result<(), String>;
+
+/// Every command with the flags it takes and its entry point.
+/// `distributed` is the one boolean flag; every other flag takes a value.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &[&str], Command)] = &[
+    ("generate", &["n", "side", "radius", "seed", "out"], cmd_generate),
+    ("build", &["nodes", "radius", "distributed"], cmd_build),
+    ("render", &["nodes", "radius", "topology", "out"], cmd_render),
+    ("route", &["nodes", "radius", "from", "to"], cmd_route),
+    ("traffic", &[
+        "nodes", "n", "side", "radius", "policy", "workload", "rate", "duration", "seed",
+        "capacity", "service", "loss", "sink", "bias", "burst", "discipline", "quantum",
+        "retries", "ack-timeout", "high-watermark", "low-watermark", "backoff-factor",
+        "admit-ticks", "admit-burst", "shards", "churn-rate", "churn-seed", "out",
+    ], cmd_traffic),
+];
+
 /// Minimal flag map: `--key value` pairs plus boolean `--distributed`.
 struct Flags {
     kv: std::collections::HashMap<String, String>,
@@ -103,7 +111,8 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `args` for `command`, rejecting any flag not in `takes`.
+    fn parse(command: &str, takes: &[&str], args: &[String]) -> Result<Self, String> {
         let mut kv = std::collections::HashMap::new();
         let mut distributed = false;
         let mut it = args.iter();
@@ -111,6 +120,9 @@ impl Flags {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{a}`"));
             };
+            if !takes.contains(&key) {
+                return Err(format!("`{command}` does not take --{key}"));
+            }
             if key == "distributed" {
                 distributed = true;
                 continue;

@@ -504,6 +504,33 @@ fn bad_usage_fails_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing value"));
 
+    // Unknown flag: a typo must not be silently ignored.
+    let out = cli()
+        .args(["generate", "--n", "30", "--side", "100", "--radius", "40"])
+        .args(["--out", "/nonexistent/n.csv", "--bogus", "3"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("`generate` does not take --bogus"), "{err}");
+    assert!(err.contains("usage"), "{err}");
+
+    // A real flag on a command that never reads it.
+    let out = cli()
+        .args([
+            "route",
+            "--nodes",
+            "/nonexistent/nodes.csv",
+            "--radius",
+            "10",
+        ])
+        .args(["--from", "0", "--to", "1", "--distributed"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("`route` does not take --distributed"), "{err}");
+
     // Nonexistent nodes file.
     let out = cli()
         .args([
