@@ -19,11 +19,39 @@
 //!
 //! Together the stages link every dominator pair at hop distance two or
 //! three, which suffices for backbone connectivity.
+//!
+//! # Layout
+//!
+//! Node ids arrive in random order, so at scale every lookup keyed by a
+//! node misses the cache. The election therefore runs as passes over
+//! flat arrays rather than over node- or pair-keyed maps:
+//!
+//! * **Flat indexes.** The dominators of each node, the dominatees of
+//!   each dominator (ascending) and the 2-hop dominators of each
+//!   dominatee (deduplicated by a stamp array) are `u32` rows stored
+//!   back to back (`FlatRows`), built once per call.
+//! * **Per-dominator candidate lists.** Dominators are visited along a
+//!   Z-order curve over their positions, so consecutive visits touch
+//!   overlapping neighbourhoods. The pairs of one dominator `u` (`{u, v}`
+//!   with `v > u` in stage 1, `(u, v)` in stage 2) are collected as
+//!   `(v, w)` pairs into one reused buffer, sorted, and walked by
+//!   `chunk_by`; within a pair `w` ascends, exactly as in a pair-keyed
+//!   map. Each pair's election is independent of the others, so the
+//!   visiting order cannot change the result.
+//! * **Local minima.** A candidate wins when no adjacent candidate is
+//!   smaller: the candidate's sorted neighbour list is merged with the
+//!   sorted earlier candidates, linear in both.
+//! * **Stage 3 by merge.** For a stage-2 pair `(u, v)`, each winner's
+//!   sorted neighbours are merged with `v`'s sorted dominatees. The
+//!   merges yield the stage-3 candidates and, because winners ascend,
+//!   each candidate's smallest adjacent winner.
+//! * **One sort at the end.** Connectors and edges are pushed as found
+//!   and sorted and deduplicated once.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
 
 use geospan_graph::collections::VecSet;
-use geospan_graph::Graph;
+use geospan_graph::{Graph, Point};
 
 use crate::Clustering;
 
@@ -75,6 +103,112 @@ pub fn find_connectors_for_pairs_excluding(
     find_connectors_impl(g, clustering, Some(include), Some(exclude))
 }
 
+/// Node-id rows stored back to back: row `i` is
+/// `values[offsets[i]..offsets[i + 1]]`.
+struct FlatRows {
+    offsets: Vec<u32>,
+    values: Vec<u32>,
+}
+
+impl FlatRows {
+    fn with_capacity(rows: usize, values: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        FlatRows {
+            offsets,
+            values: Vec::with_capacity(values),
+        }
+    }
+
+    /// Closes the row being filled at the end of `values`.
+    fn end_row(&mut self) {
+        let end = u32::try_from(self.values.len()).expect("index rows hold under 2^32 ids");
+        self.offsets.push(end);
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.values[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// The common elements of an ascending neighbour list `a` and an
+/// ascending `u32` id list `b`, in ascending order.
+struct SortedMerge<'a> {
+    a: &'a [usize],
+    b: &'a [u32],
+}
+
+impl Iterator for SortedMerge<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        while let (Some(&x), Some(&y)) = (self.a.first(), self.b.first()) {
+            match x.cmp(&(y as usize)) {
+                Ordering::Less => self.a = &self.a[1..],
+                Ordering::Greater => self.b = &self.b[1..],
+                Ordering::Equal => {
+                    self.a = &self.a[1..];
+                    self.b = &self.b[1..];
+                    return Some(y);
+                }
+            }
+        }
+        None
+    }
+}
+
+/// Calls `win(i)` for each local-minimum candidate `cands[i]` of one
+/// ascending candidate list: those with no adjacent smaller candidate,
+/// found by merging the candidate's neighbours with the earlier ones.
+fn local_minima(g: &Graph, cands: &[u32], mut win: impl FnMut(usize)) {
+    for (i, &w) in cands.iter().enumerate() {
+        let mut adjacent = SortedMerge {
+            a: g.neighbors(w as usize),
+            b: &cands[..i],
+        };
+        if adjacent.next().is_none() {
+            win(i);
+        }
+    }
+}
+
+/// `nodes` sorted along a Z-order curve over their positions, so that
+/// consecutive nodes are near each other and share neighbourhoods.
+fn spatial_order(g: &Graph, nodes: impl Iterator<Item = usize>) -> Vec<usize> {
+    let pts = g.points();
+    let (mut lo, mut hi) = (
+        Point::new(f64::MAX, f64::MAX),
+        Point::new(f64::MIN, f64::MIN),
+    );
+    for p in pts {
+        lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
+        hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
+    }
+    // A 16-bit grid coordinate with its bits spread to the even
+    // positions (a degenerate extent maps to 0).
+    let spread = |v: f64, lo: f64, hi: f64| {
+        let mut x = ((v - lo) / (hi - lo) * 65_535.0) as u32;
+        x = (x | (x << 8)) & 0x00ff_00ff;
+        x = (x | (x << 4)) & 0x0f0f_0f0f;
+        x = (x | (x << 2)) & 0x3333_3333;
+        (x | (x << 1)) & 0x5555_5555
+    };
+    let mut keyed: Vec<(u32, usize)> = nodes
+        .map(|u| {
+            let p = pts[u];
+            (spread(p.x, lo.x, hi.x) | spread(p.y, lo.y, hi.y) << 1, u)
+        })
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, u)| u).collect()
+}
+
+/// The unordered edge `{a, b}` as `(min, max)`.
+fn edge(a: usize, b: u32) -> (usize, usize) {
+    let b = b as usize;
+    (a.min(b), a.max(b))
+}
+
 fn find_connectors_impl(
     g: &Graph,
     clustering: &Clustering,
@@ -82,130 +216,154 @@ fn find_connectors_impl(
     exclude: Option<&VecSet>,
 ) -> ConnectorResult {
     let n = g.node_count();
-    let doms = &clustering.dominators_of;
-    let pair_in_scope = |u: usize, v: usize| {
-        restrict.is_none_or(|set| set.contains(u) || set.contains(v))
-            && !exclude.is_some_and(|set| set.contains(u) || set.contains(v))
+    // Ids are stored as `u32`, and `u32::MAX` is the stamp sentinel.
+    assert!(
+        n < u32::MAX as usize,
+        "connector election takes under 2^32 - 1 nodes"
+    );
+    let touches = |set: Option<&VecSet>, d: usize| set.is_some_and(|set| set.contains(d));
+
+    // Dominators per node; dominators themselves get empty rows.
+    let total: usize = clustering.dominators_of.iter().map(Vec::len).sum();
+    let mut doms = FlatRows::with_capacity(n, total);
+    for (w, ds) in clustering.dominators_of.iter().enumerate() {
+        if !clustering.is_dominator[w] {
+            doms.values.extend(ds.iter().map(|&d| d as u32));
+        }
+        doms.end_row();
+    }
+
+    // Dominatees per dominator, ascending (a counting sort of `doms`).
+    let mut dominatees = FlatRows {
+        offsets: vec![0; n + 1],
+        values: vec![0; doms.values.len()],
     };
+    for &v in &doms.values {
+        dominatees.offsets[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        dominatees.offsets[v + 1] += dominatees.offsets[v];
+    }
+    let mut cursor = dominatees.offsets[..n].to_vec();
+    for w in 0..n {
+        for &v in doms.row(w) {
+            dominatees.values[cursor[v as usize] as usize] = w as u32;
+            cursor[v as usize] += 1;
+        }
+    }
 
     // 2-hop dominators per dominatee: v such that some neighboring
     // dominatee is dominated by v, and v is not already adjacent.
-    let mut two_hop: Vec<VecSet> = vec![VecSet::new(); n];
-    // Dominatees per dominator (ascending), so stage 3 enumerates only
-    // the far dominator's dominatees instead of scanning all n nodes
-    // per winning pair.
-    let mut dominatees_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-    #[allow(clippy::needless_range_loop)]
+    let mut two_hop = FlatRows::with_capacity(n, 2 * doms.values.len());
+    // `seen[v] == w` marks v as already adjacent to, or listed for, w.
+    let mut seen: Vec<u32> = vec![u32::MAX; n];
     for w in 0..n {
-        if clustering.is_dominator[w] {
-            continue;
+        let own = doms.row(w);
+        for &v in own {
+            seen[v as usize] = w as u32;
         }
-        for &v in &doms[w] {
-            dominatees_of[v].push(w);
-        }
-        for &x in g.neighbors(w) {
-            if clustering.is_dominator[x] {
-                continue;
-            }
-            for &v in &doms[x] {
-                if !doms[w].contains(&v) {
-                    two_hop[w].insert(v);
+        if !own.is_empty() {
+            for &x in g.neighbors(w) {
+                for &v in doms.row(x) {
+                    if seen[v as usize] != w as u32 {
+                        seen[v as usize] = w as u32;
+                        two_hop.values.push(v);
+                    }
                 }
             }
         }
+        two_hop.end_row();
     }
 
-    let mut connectors = VecSet::new();
-    let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let add_edge = |edges: &mut BTreeSet<(usize, usize)>, a: usize, b: usize| {
-        edges.insert((a.min(b), a.max(b)));
-    };
+    let mut connectors: Vec<usize> = Vec::new();
+    let mut edges: Vec<(usize, usize)> = Vec::new();
 
-    // Stage 1: common dominatees of an unordered dominator pair.
-    let mut cand1: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-    #[allow(clippy::needless_range_loop)]
-    for w in 0..n {
-        if clustering.is_dominator[w] {
+    // Reused per-dominator buffers: `(v, w)` candidates, one pair's
+    // candidate ids, its stage-2 winners, and stage-3 `(x, w)` matches.
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let mut cands: Vec<u32> = Vec::new();
+    let mut winners: Vec<u32> = Vec::new();
+    let mut matches: Vec<(u32, u32)> = Vec::new();
+
+    for u in spatial_order(g, (0..n).filter(|&u| !dominatees.row(u).is_empty())) {
+        let mine = dominatees.row(u);
+        if touches(exclude, u) {
             continue;
         }
-        let ds = &doms[w];
-        for (i, &u) in ds.iter().enumerate() {
-            for &v in &ds[i + 1..] {
-                if pair_in_scope(u, v) {
-                    cand1.entry((u, v)).or_default().push(w);
+        let u_in = restrict.is_none() || touches(restrict, u);
+        let in_scope = |v: usize| (u_in || touches(restrict, v)) && !touches(exclude, v);
+
+        // Stage 1: common dominatees of the unordered pair {u, v}, v > u.
+        pairs.clear();
+        for &w in mine {
+            for &v in doms.row(w as usize) {
+                if v as usize > u && in_scope(v as usize) {
+                    pairs.push((v, w));
                 }
             }
         }
-    }
-    for ((u, v), cands) in &cand1 {
-        for &w in cands {
-            let beaten = cands.iter().any(|&w2| w2 < w && g.has_edge(w, w2));
-            if !beaten {
-                connectors.insert(w);
-                add_edge(&mut edges, *u, w);
-                add_edge(&mut edges, w, *v);
-            }
+        pairs.sort_unstable();
+        for pair in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let v = pair[0].0 as usize;
+            cands.clear();
+            cands.extend(pair.iter().map(|&(_, w)| w));
+            local_minima(g, &cands, |i| {
+                connectors.push(cands[i] as usize);
+                edges.push(edge(u, cands[i]));
+                edges.push(edge(v, cands[i]));
+            });
         }
-    }
 
-    // Stage 2: dominatee w of u proposing toward a 2-hop dominator v.
-    let mut cand2: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-    for w in 0..n {
-        if clustering.is_dominator[w] {
-            continue;
-        }
-        for &u in &doms[w] {
-            for v in &two_hop[w] {
-                if v != u && pair_in_scope(u, v) {
-                    cand2.entry((u, v)).or_default().push(w);
+        // Stage 2: dominatee w of u proposing toward a 2-hop dominator v.
+        pairs.clear();
+        for &w in mine {
+            for &v in two_hop.row(w as usize) {
+                if in_scope(v as usize) {
+                    pairs.push((v, w));
                 }
             }
         }
-    }
-    let mut winners2: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-    for ((u, v), cands) in &cand2 {
-        for &w in cands {
-            let beaten = cands.iter().any(|&w2| w2 < w && g.has_edge(w, w2));
-            if !beaten {
-                connectors.insert(w);
-                add_edge(&mut edges, *u, w);
-                winners2.entry((*u, *v)).or_default().push(w);
+        pairs.sort_unstable();
+        for pair in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let v = pair[0].0 as usize;
+            cands.clear();
+            cands.extend(pair.iter().map(|&(_, w)| w));
+            winners.clear();
+            local_minima(g, &cands, |i| {
+                connectors.push(cands[i] as usize);
+                edges.push(edge(u, cands[i]));
+                winners.push(cands[i]);
+            });
+
+            // Stage 3: dominatees of v adjacent to a stage-2 winner for
+            // (u, v). Winners ascend, so after sorting by (x, w) the
+            // first match of each x names its smallest adjacent winner.
+            matches.clear();
+            for &w in &winners {
+                let common = SortedMerge {
+                    a: g.neighbors(w as usize),
+                    b: dominatees.row(v),
+                };
+                matches.extend(common.map(|x| (x, w)));
             }
+            matches.sort_unstable();
+            matches.dedup_by_key(|&mut (x, _)| x);
+            cands.clear();
+            cands.extend(matches.iter().map(|&(x, _)| x));
+            local_minima(g, &cands, |i| {
+                let (x, w) = matches[i];
+                connectors.push(x as usize);
+                edges.push(edge(v, x));
+                edges.push(edge(w as usize, x));
+            });
         }
     }
 
-    // Stage 3: dominatees of v adjacent to a stage-2 winner for (u, v).
-    // `dominatees_of[v]` is ascending, so the candidate list comes out
-    // in the same order the old all-nodes scan produced.
-    for ((u, v), ws) in &winners2 {
-        let _ = u;
-        let mut cands: Vec<usize> = Vec::new();
-        for &x in &dominatees_of[*v] {
-            if ws.iter().any(|&w| g.has_edge(x, w)) {
-                cands.push(x);
-            }
-        }
-        for &x in &cands {
-            let beaten = cands.iter().any(|&x2| x2 < x && g.has_edge(x, x2));
-            if !beaten {
-                connectors.insert(x);
-                add_edge(&mut edges, x, *v);
-                // Link to the smallest adjacent stage-2 winner.
-                let w = ws
-                    .iter()
-                    .copied()
-                    .filter(|&w| g.has_edge(x, w))
-                    .min()
-                    .expect("candidate is adjacent to a winner");
-                add_edge(&mut edges, x, w);
-            }
-        }
-    }
-
-    ConnectorResult {
-        connectors: connectors.iter().collect(),
-        edges: edges.into_iter().collect(),
-    }
+    connectors.sort_unstable();
+    connectors.dedup();
+    edges.sort_unstable();
+    edges.dedup();
+    ConnectorResult { connectors, edges }
 }
 
 #[cfg(test)]
@@ -215,6 +373,7 @@ mod tests {
     use geospan_graph::gen::connected_unit_disk;
     use geospan_graph::paths::bfs_hops;
     use geospan_graph::Point;
+    use std::collections::BTreeSet;
 
     #[test]
     fn two_hop_pair_gets_connected() {

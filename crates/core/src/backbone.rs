@@ -374,13 +374,41 @@ impl Backbone {
     }
 }
 
-/// Rejects NaN or infinite coordinates and coincident nodes (`-0.0`
-/// and `0.0` coincide), which the triangulations cannot handle. One
+/// The largest coordinate magnitude the pipeline accepts, `2^250`
+/// (about `1.8e75`). Below it a difference of two coordinates stays
+/// under `2^251`, so squared distances stay under `2^503` and the
+/// in-circle determinant — products of four differences, the
+/// highest-degree formula in the pipeline — under `2^1008`, short of
+/// `f64::MAX`. Past it squared pairwise distances can overflow to
+/// infinity and the unit disk test admits every pair.
+const MAX_COORDINATE: f64 = f64::from_bits((1023 + 250) << 52);
+
+/// Rejects NaN, infinite or too large (beyond `±2^250`, where squared
+/// distances can overflow) coordinates and coincident nodes (`-0.0` and
+/// `0.0` coincide), which the triangulations cannot handle. One
 /// `O(n log n)` sort.
-pub(crate) fn validate_positions(points: &[Point]) -> Result<(), BackboneError> {
+///
+/// [`BackboneBuilder::build`] and every [`crate::MobileBackbone`]
+/// operation run it first; callers that build the unit disk graph
+/// themselves can run it before that build, whose in-range test
+/// overflows on such input.
+///
+/// # Errors
+/// [`BackboneError::InvalidInput`] naming the first offending node.
+pub fn validate_positions(points: &[Point]) -> Result<(), BackboneError> {
     if let Some(v) = points.iter().position(|p| !p.is_finite()) {
         return Err(BackboneError::InvalidInput {
             reason: format!("node {v} has non-finite position {:?}", points[v]),
+        });
+    }
+    let too_large = |p: &Point| p.x.abs().max(p.y.abs()) > MAX_COORDINATE;
+    if let Some(v) = points.iter().position(too_large) {
+        return Err(BackboneError::InvalidInput {
+            reason: format!(
+                "node {v} has position {:?} beyond ±{MAX_COORDINATE:e}, \
+                 where squared distances can overflow",
+                points[v]
+            ),
         });
     }
     // Adding 0.0 maps -0.0 to 0.0, so the bit patterns compare positions.
@@ -413,8 +441,9 @@ impl BackboneBuilder {
     /// Runs the pipeline on a unit disk graph.
     ///
     /// # Errors
-    /// * [`BackboneError::InvalidInput`] when a node position is NaN or
-    ///   infinite, or two nodes share a position,
+    /// * [`BackboneError::InvalidInput`] when a node position is NaN,
+    ///   infinite or has a coordinate beyond ±2^250 (where squared
+    ///   distances can overflow), or two nodes share a position,
     /// * [`BackboneError::InvalidRadius`] when `udg` contains an edge
     ///   longer than the configured radius,
     /// * [`BackboneError::Protocol`] when a distributed phase fails to
@@ -629,6 +658,18 @@ mod tests {
         let dup = bad(vec![p(1.0, 2.0), p(3.0, 4.0), p(1.0, 2.0)]);
         assert!(dup.contains("[0, 2]"), "{dup}");
         assert!(bad(vec![p(0.0, 5.0), p(-0.0, 5.0)]).contains("share position"));
+        let huge = bad(vec![p(0.0, 0.0), p(1.0, -1e300)]);
+        assert!(
+            huge.contains("node 1") && huge.contains("overflow"),
+            "{huge}"
+        );
+        assert!(bad(vec![p(2.0 * MAX_COORDINATE, 0.0)]).contains("node 0"));
+        assert!(builder
+            .build(&Graph::new(vec![
+                p(-MAX_COORDINATE, 0.0),
+                p(MAX_COORDINATE, 0.0)
+            ]))
+            .is_ok());
         assert!(builder
             .build(&Graph::new(vec![p(0.0, 0.0), p(0.0, 1.0)]))
             .is_ok());

@@ -42,6 +42,8 @@ pub mod maintenance;
 pub mod routing;
 mod verify;
 
-pub use backbone::{Backbone, BackboneBuilder, BackboneConfig, BackboneError, BackboneStats};
+pub use backbone::{
+    validate_positions, Backbone, BackboneBuilder, BackboneConfig, BackboneError, BackboneStats,
+};
 pub use geospan_cds::{ClusterRank, Role};
 pub use verify::{guarantees_hold, verify, PropertyReport};

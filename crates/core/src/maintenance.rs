@@ -424,28 +424,30 @@ impl MobileBackbone {
     /// verbatim (the paper's maintenance policy).
     ///
     /// # Errors
-    /// [`BackboneError::InvalidInput`] when a position is non-finite or
-    /// two nodes coincide (the backbone is left unchanged); otherwise
-    /// propagates [`BackboneError`] from a rebuild.
-    ///
-    /// # Panics
-    /// Panics if the number of positions changes (nodes joining/leaving
-    /// is a different operation from movement) or if a departed node's
-    /// position changes.
+    /// [`BackboneError::InvalidInput`] (the backbone is left unchanged)
+    /// when the number of positions changes (nodes joining or leaving is
+    /// a different operation from movement), a departed node's position
+    /// changes, a position is non-finite or too large, or two nodes
+    /// coincide; otherwise propagates [`BackboneError`] from a rebuild.
     pub fn update_positions(
         &mut self,
         new_points: Vec<Point>,
     ) -> Result<MaintenanceReport, BackboneError> {
-        assert_eq!(
-            new_points.len(),
-            self.points.len(),
-            "update_positions handles movement, not membership changes"
-        );
-        for &d in &self.departed {
-            assert_eq!(
-                new_points[d], self.points[d],
-                "departed node {d} cannot move"
-            );
+        let invalid = |reason: String| Err(BackboneError::InvalidInput { reason });
+        if new_points.len() != self.points.len() {
+            return invalid(format!(
+                "update_positions handles movement, not membership changes: \
+                 {} positions for {} nodes",
+                new_points.len(),
+                self.points.len()
+            ));
+        }
+        if let Some(&d) = self
+            .departed
+            .iter()
+            .find(|&&d| new_points[d] != self.points[d])
+        {
+            return invalid(format!("departed node {d} cannot move"));
         }
         validate_positions(&new_points)?;
         self.updates += 1;
@@ -1136,12 +1138,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "membership")]
     fn membership_change_rejected() {
         let mut m = start(3);
         let mut pts = m.points().to_vec();
         pts.pop();
-        let _ = m.update_positions(pts);
+        let err = m.update_positions(pts).unwrap_err();
+        assert!(
+            matches!(&err, BackboneError::InvalidInput { reason } if reason.contains("membership")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn moving_a_departed_node_is_rejected() {
+        let mut m = start(5);
+        let v = (0..m.points().len())
+            .find(|&v| m.backbone().roles()[v] == crate::Role::Dominatee)
+            .expect("some dominatee exists");
+        m.remove_node(v).unwrap();
+        let before = m.points().to_vec();
+        let mut pts = before.clone();
+        pts[v].x += 1.0;
+        let err = m.update_positions(pts).unwrap_err();
+        assert!(
+            matches!(&err, BackboneError::InvalidInput { reason } if reason.contains(&format!("departed node {v}"))),
+            "{err}"
+        );
+        assert_eq!(m.points(), &before[..]);
     }
 
     #[test]

@@ -163,11 +163,12 @@ impl UnitDiskBuilder {
     /// A builder for the given transmission radius.
     ///
     /// # Panics
-    /// Panics unless `radius` is positive and finite.
+    /// Panics unless `radius` is positive and its square finite (the
+    /// in-range test compares squared distances).
     pub fn new(radius: f64) -> Self {
         assert!(
-            radius > 0.0 && radius.is_finite(),
-            "transmission radius must be positive and finite"
+            radius > 0.0 && (radius * radius).is_finite(),
+            "transmission radius must be positive, with a finite square"
         );
         UnitDiskBuilder { radius }
     }
@@ -359,6 +360,14 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_radius_rejected() {
         let _ = UnitDiskBuilder::new(0.0);
+    }
+
+    /// A radius whose square overflows would admit every pair, however
+    /// far apart.
+    #[test]
+    #[should_panic(expected = "finite square")]
+    fn radius_with_infinite_square_rejected() {
+        let _ = UnitDiskBuilder::new(1e200);
     }
 
     #[test]

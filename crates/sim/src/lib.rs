@@ -210,6 +210,17 @@ impl MessageStats {
             .sum()
     }
 
+    /// Counts one broadcast of `kind`, allocating the key only the first
+    /// time the kind is seen.
+    fn count(&mut self, kind: &str) {
+        match self.per_kind.get_mut(kind) {
+            Some(count) => *count += 1,
+            None => {
+                self.per_kind.insert(kind.to_string(), 1);
+            }
+        }
+    }
+
     /// Merges another run's statistics into this one (same node count).
     ///
     /// # Panics
@@ -347,6 +358,8 @@ pub struct Network<'g, P: Protocol> {
     duplicated: usize,
     retransmissions: usize,
     gave_up: usize,
+    /// Reused buffer for the `"<kind>-retx"` statistics key.
+    retx_key: String,
 }
 
 impl<'g, P: Protocol> Network<'g, P> {
@@ -372,6 +385,7 @@ impl<'g, P: Protocol> Network<'g, P> {
             duplicated: 0,
             retransmissions: 0,
             gave_up: 0,
+            retx_key: String::new(),
         }
     }
 
@@ -603,7 +617,7 @@ impl<'g, P: Protocol> Network<'g, P> {
                 if self.reliability.is_some() {
                     // Link-layer ack: `v` confirms it heard (seq, attempt).
                     self.stats.sent_per_node[v] += 1;
-                    *self.stats.per_kind.entry("ack".to_string()).or_insert(0) += 1;
+                    self.stats.count("ack");
                     sent += 1;
                     let delay = self.next_delay();
                     self.in_flight.push(InFlight {
@@ -685,11 +699,10 @@ impl<'g, P: Protocol> Network<'g, P> {
             let attempt = out.attempt;
             let msg = out.msg.clone();
             self.stats.sent_per_node[sender] += 1;
-            *self
-                .stats
-                .per_kind
-                .entry(format!("{}-retx", msg.kind()))
-                .or_insert(0) += 1;
+            self.retx_key.clear();
+            self.retx_key.push_str(msg.kind());
+            self.retx_key.push_str("-retx");
+            self.stats.count(&self.retx_key);
             self.retransmissions += 1;
             self.last_active = Some(sender);
             sent += 1;
@@ -743,11 +756,7 @@ impl<'g, P: Protocol> Network<'g, P> {
         }
         for msg in outbox.drain(..) {
             self.stats.sent_per_node[sender] += 1;
-            *self
-                .stats
-                .per_kind
-                .entry(msg.kind().to_string())
-                .or_insert(0) += 1;
+            self.stats.count(msg.kind());
             let seq = self.next_seq[sender];
             self.next_seq[sender] += 1;
             if let Some(rel) = self.reliability {

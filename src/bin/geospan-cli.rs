@@ -14,7 +14,7 @@ use std::process::ExitCode;
 
 use geospan::cds::Role;
 use geospan::core::routing::backbone_route;
-use geospan::core::{verify, BackboneBuilder, BackboneConfig};
+use geospan::core::{validate_positions, verify, BackboneBuilder, BackboneConfig};
 use geospan::graph::gen::UnitDiskBuilder;
 use geospan::graph::svg::{render_svg, NodeRole, SvgOptions};
 use geospan::graph::{Graph, Point};
@@ -180,9 +180,12 @@ fn load_nodes(flags: &Flags) -> Result<Vec<Point>, String> {
 }
 
 fn udg_of(flags: &Flags, pts: &[Point]) -> Result<(Graph, f64), String> {
+    // Checked before the unit disk graph is built: its in-range test
+    // overflows on huge coordinates and admits every pair.
+    validate_positions(pts).map_err(|e| e.to_string())?;
     let radius: f64 = flags.get("radius")?;
-    if !(radius > 0.0 && radius.is_finite()) {
-        return Err("radius must be positive".into());
+    if !(radius > 0.0 && (radius * radius).is_finite()) {
+        return Err("radius must be positive, with a finite square".into());
     }
     Ok((UnitDiskBuilder::new(radius).build(pts), radius))
 }

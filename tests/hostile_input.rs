@@ -77,7 +77,7 @@ fn build(
 }
 
 /// Runs `geospan-cli build` on `pts` written as CSV.
-fn cli_build(pts: &[Point], test: &str) -> std::process::Output {
+fn cli_build(pts: &[Point], radius: f64, test: &str) -> std::process::Output {
     let dir = std::env::temp_dir().join(format!("geospan-hostile-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let nodes = dir.join("nodes.csv");
@@ -86,7 +86,7 @@ fn cli_build(pts: &[Point], test: &str) -> std::process::Output {
     let out = Command::new(env!("CARGO_BIN_EXE_geospan-cli"))
         .args(["build", "--nodes"])
         .arg(&nodes)
-        .args(["--radius", &RADIUS.to_string()])
+        .args(["--radius", &radius.to_string()])
         .output()
         .unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -211,7 +211,7 @@ proptest! {
     ) {
         let mut pts = uniform_points(n, 150.0, seed);
         spoil(&mut pts, damage, i, j);
-        let out = cli_build(&pts, "spoiled");
+        let out = cli_build(&pts, RADIUS, "spoiled");
         let stderr = String::from_utf8_lossy(&out.stderr);
         prop_assert!(!out.status.success(), "{damage:?} accepted");
         prop_assert!(!stderr.contains("panicked"), "{damage:?}: {stderr}");
@@ -224,11 +224,45 @@ proptest! {
 
 #[test]
 fn cli_builds_an_exact_lattice() {
-    let out = cli_build(&lattice(6, 5, RADIUS), "lattice");
+    let out = cli_build(&lattice(6, 5, RADIUS), RADIUS, "lattice");
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("planar:          yes"));
+}
+
+/// Coordinates so large that squared distances overflow used to slip
+/// through the unit disk test (every pair admitted, then rejected as an
+/// infinitely long edge); they are now refused before the unit disk
+/// graph is built, naming a node. A few thousand nodes keep a quadratic
+/// all-pairs graph from passing unnoticed.
+#[test]
+fn cli_rejects_coordinates_too_large_to_square() {
+    let scale = 1e300;
+    let pts: Vec<Point> = uniform_points(3_000, 150.0, 3)
+        .into_iter()
+        .map(|p| Point::new(p.x * scale, p.y * scale))
+        .collect();
+    let out = cli_build(&pts, RADIUS * scale, "huge");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains("invalid input: node ")
+            && stderr.contains("squared distances can overflow"),
+        "{stderr}"
+    );
+}
+
+/// A radius whose square overflows is refused with a message, not a
+/// panic in the unit disk builder.
+#[test]
+fn cli_rejects_radius_with_infinite_square() {
+    let out = cli_build(&uniform_points(40, 150.0, 3), 1e200, "radius");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("finite square"), "{stderr}");
 }
