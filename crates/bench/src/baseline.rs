@@ -1,64 +1,29 @@
-//! Frozen copy of the seed construction pipeline, kept as the baseline
-//! that `pipeline_speedup` and the equivalence tests measure against.
+//! Frozen copy of the seed construction pipeline, kept as the reference
+//! that `tests/pipeline_equivalence.rs` compares the live pipeline
+//! against.
 //!
-//! The library crates now build `LDel¹`/`PLDel` through the parallel,
-//! grid-indexed pipeline. To keep the committed speedup numbers honest —
-//! and to let tests prove the optimized pipeline produces *identical*
-//! output — this module preserves the seed algorithms exactly as they
-//! shipped: the Bowyer–Watson core with per-insert hash maps and full
-//! triangulation assembly, the serial per-node `LDel¹` loop over
+//! The library crates build `LDel¹`/`PLDel` through the parallel,
+//! grid-indexed, arena-backed pipeline. To prove that pipeline produces
+//! *identical* output, this module preserves the seed algorithms exactly
+//! as they shipped: the Bowyer–Watson core with per-insert hash maps and
+//! full triangulation assembly, the serial per-node `LDel¹` loop over
 //! `HashSet` membership, the `O(k²)` x-sweep planarization, and the
 //! `O(m²)` pairwise crossing count. Nothing here should be "improved";
-//! it is a measurement artifact, not production code.
-//!
-//! A second frozen generation lives alongside it: [`prev_planarized`]
-//! preserves the PR 2–6 "optimized" pipeline (parallel per-node
-//! triangulations with per-call allocation, full per-node key lists with
-//! binary-search acceptance, materialized + sorted grid candidate
-//! pairs, per-edge `add_edge` graph assembly) so the arena-generation
-//! speedup is measured in-process against the path it replaced rather
-//! than against a number recorded under different machine load.
+//! it is a test oracle, not production code.
 
 use std::collections::{HashMap, HashSet};
 
-use geospan_geometry::{CirclePosition, Orientation, Point, UniformGrid};
+use geospan_geometry::{
+    gabriel_test, in_circumcircle, incircle, orient2d, CirclePosition, Orientation, Point,
+    SegmentIntersection,
+};
 use geospan_graph::Graph;
 use geospan_topology::ldel::LocalDelaunay;
-use rayon::prelude::*;
 
-// Non-inlined predicate shims. When these baselines were frozen the
-// geometry predicates were plain cross-crate functions, so every call
-// paid real call overhead; the live predicates have since grown
-// `#[inline]` fast paths. Routing the frozen pipelines through
-// `#[inline(never)]` wrappers keeps their timings faithful to what
-// actually shipped instead of silently inheriting the new inlining.
-
-#[inline(never)]
-fn orient2d(a: Point, b: Point, c: Point) -> Orientation {
-    geospan_geometry::orient2d(a, b, c)
-}
-
-#[inline(never)]
-fn incircle(a: Point, b: Point, c: Point, d: Point) -> CirclePosition {
-    geospan_geometry::incircle(a, b, c, d)
-}
-
-#[inline(never)]
-fn in_circumcircle(a: Point, b: Point, c: Point, p: Point) -> CirclePosition {
-    geospan_geometry::in_circumcircle(a, b, c, p)
-}
-
-#[inline(never)]
-fn gabriel_test(u: Point, v: Point, p: Point) -> bool {
-    geospan_geometry::gabriel_test(u, v, p)
-}
-
-#[inline(never)]
+/// The seed's proper-crossing test: it classifies the full intersection
+/// rather than taking the live predicate's short-circuit.
 fn segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool {
-    // The frozen pipelines classified the full intersection and compared,
-    // always evaluating both orientation pairs; the live fast path
-    // short-circuits.
-    geospan_geometry::segments_cross(a, b, c, d) == geospan_geometry::SegmentIntersection::Proper
+    geospan_geometry::segments_cross(a, b, c, d) == SegmentIntersection::Proper
 }
 
 /// The seed's (unplanarized) `LDel¹`: serial per-node local
@@ -116,11 +81,6 @@ pub fn seed_ldel1(g: &Graph) -> LocalDelaunay {
         triangles,
         gabriel_edges,
     }
-}
-
-/// The seed's `PLDel`: [`seed_ldel1`] followed by [`seed_planarize`].
-pub fn seed_planarized(g: &Graph) -> LocalDelaunay {
-    seed_planarize(g, seed_ldel1(g))
 }
 
 /// The seed's planarization: x-sorted bounding-box sweep over triangle
@@ -270,462 +230,6 @@ fn circum_contains_any(g: &Graph, t: [usize; 3], other: [usize; 3]) -> bool {
                 g.position(x),
             ) != CirclePosition::Outside
     })
-}
-
-/// The PR 2–6 optimized `PLDel` pipeline, frozen verbatim: the
-/// in-process "previous generation" that the arena-backed pipeline's
-/// ≥ 2× speedup gate is measured against.
-pub fn prev_planarized(g: &Graph) -> LocalDelaunay {
-    prev_planarize(g, prev_ldel1(g))
-}
-
-/// The PR 2–6 optimized `LDel¹`: parallel per-node local triangulations
-/// (fresh buffers per call), full sorted per-node key lists, and
-/// binary-search three-way acceptance.
-pub fn prev_ldel1(g: &Graph) -> LocalDelaunay {
-    let n = g.node_count();
-    let local_tris: Vec<Vec<[usize; 3]>> = (0..n)
-        .into_par_iter()
-        .map(|u| {
-            if g.degree(u) < 2 {
-                return Vec::new();
-            }
-            let mut ids: Vec<usize> = Vec::with_capacity(g.degree(u) + 1);
-            ids.push(u);
-            ids.extend_from_slice(g.neighbors(u));
-            let pts: Vec<_> = ids.iter().map(|&i| g.position(i)).collect();
-            let mut keys: Vec<[usize; 3]> = prev_tri::delaunay_triangles(&pts)
-                .iter()
-                .map(|&[a, b, c]| {
-                    let mut key = [ids[a], ids[b], ids[c]];
-                    key.sort_unstable();
-                    key
-                })
-                .collect();
-            keys.sort_unstable();
-            keys
-        })
-        .collect();
-
-    let kept: Vec<Vec<[usize; 3]>> = (0..n)
-        .into_par_iter()
-        .map(|u| {
-            local_tris[u]
-                .iter()
-                .copied()
-                .filter(|&key| {
-                    let [a, b, c] = key;
-                    a == u
-                        && g.has_edge(a, b)
-                        && g.has_edge(b, c)
-                        && g.has_edge(a, c)
-                        && local_tris[b].binary_search(&key).is_ok()
-                        && local_tris[c].binary_search(&key).is_ok()
-                })
-                .collect()
-        })
-        .collect();
-    let triangles: Vec<[usize; 3]> = kept.into_iter().flatten().collect();
-
-    let gabriel_edges = prev_gabriel_edge_list(g);
-    let mut graph = g.same_vertices();
-    for &(u, v) in &gabriel_edges {
-        graph.add_edge(u, v);
-    }
-    for &[a, b, c] in &triangles {
-        graph.add_edge(a, b);
-        graph.add_edge(b, c);
-        graph.add_edge(a, c);
-    }
-    LocalDelaunay {
-        graph,
-        triangles,
-        gabriel_edges,
-    }
-}
-
-/// The PR 2–6 planarization: materialized + sorted grid candidate
-/// pairs, parallel pair flags, per-edge `add_edge` assembly.
-pub fn prev_planarize(g: &Graph, raw: LocalDelaunay) -> LocalDelaunay {
-    let tris = &raw.triangles;
-    let m = tris.len();
-    let boxes: Vec<(Point, Point)> = tris
-        .iter()
-        .map(|t| {
-            let p0 = g.position(t[0]);
-            let (mut lo, mut hi) = (p0, p0);
-            for &v in &t[1..] {
-                let p = g.position(v);
-                lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
-                hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
-            }
-            (lo, hi)
-        })
-        .collect();
-    let pairs = UniformGrid::from_boxes(&boxes, None).candidate_pairs();
-
-    let flags: Vec<(bool, bool)> = pairs
-        .par_iter()
-        .map(|&(i, j)| {
-            if triangles_cross(g, tris[i], tris[j]) {
-                (
-                    circum_contains_any(g, tris[i], tris[j]),
-                    circum_contains_any(g, tris[j], tris[i]),
-                )
-            } else {
-                (false, false)
-            }
-        })
-        .collect();
-    let mut removed = vec![false; m];
-    for (&(i, j), &(ri, rj)) in pairs.iter().zip(&flags) {
-        removed[i] |= ri;
-        removed[j] |= rj;
-    }
-
-    let triangles: Vec<[usize; 3]> = tris
-        .iter()
-        .zip(&removed)
-        .filter(|(_, &r)| !r)
-        .map(|(&t, _)| t)
-        .collect();
-    let mut graph = g.same_vertices();
-    for &(u, v) in &raw.gabriel_edges {
-        graph.add_edge(u, v);
-    }
-    for &[a, b, c] in &triangles {
-        graph.add_edge(a, b);
-        graph.add_edge(b, c);
-        graph.add_edge(a, c);
-    }
-    LocalDelaunay {
-        graph,
-        triangles,
-        gabriel_edges: raw.gabriel_edges,
-    }
-}
-
-/// The PR 2–6 Gabriel stage: parallel keep-mask over the UDG edges.
-fn prev_gabriel_edge_list(g: &Graph) -> Vec<(usize, usize)> {
-    let edges: Vec<(usize, usize)> = g.edges().collect();
-    let keep: Vec<bool> = edges
-        .par_iter()
-        .map(|&(u, v)| {
-            let pu = g.position(u);
-            let pv = g.position(v);
-            !common_neighbors(g, u, v).any(|w| gabriel_test(pu, pv, g.position(w)))
-        })
-        .collect();
-    edges
-        .into_iter()
-        .zip(keep)
-        .filter_map(|(e, k)| k.then_some(e))
-        .collect()
-}
-
-/// The PR 2–6 Bowyer–Watson core, verbatim: per-call buffer allocation
-/// (triangle arena, marks, cavity/stack/boundary all rebuilt for every
-/// local triangulation), vertex positions fetched through the input
-/// slice, and ghost vertices found by scanning — the cost profile of
-/// `delaunay_triangles` the arena generation replaced. Frozen here so
-/// improvements to the live core cannot leak into the baseline side of
-/// the speedup measurement.
-mod prev_tri {
-    use super::{incircle, orient2d, CirclePosition, Orientation, Point};
-
-    const GHOST: usize = usize::MAX;
-    const NO_TRI: usize = usize::MAX;
-
-    #[derive(Debug, Clone, Copy)]
-    struct Tri {
-        v: [usize; 3],
-        n: [usize; 3],
-        alive: bool,
-    }
-
-    struct BoundaryEdge {
-        u: usize,
-        w: usize,
-        outside: usize,
-    }
-
-    fn check_distinct_finite(points: &[Point]) {
-        for p in points {
-            assert!(p.is_finite(), "non-finite coordinate");
-        }
-        if points.len() <= 48 {
-            for (i, p) in points.iter().enumerate() {
-                for q in points[..i].iter() {
-                    assert!(
-                        p.x.to_bits() != q.x.to_bits() || p.y.to_bits() != q.y.to_bits(),
-                        "distinct node positions"
-                    );
-                }
-            }
-            return;
-        }
-        let mut seen: std::collections::HashMap<(u64, u64), usize> =
-            std::collections::HashMap::with_capacity(points.len());
-        for (i, p) in points.iter().enumerate() {
-            assert!(
-                seen.insert((p.x.to_bits(), p.y.to_bits()), i).is_none(),
-                "distinct node positions"
-            );
-        }
-    }
-
-    /// The PR 2–6 `delaunay_triangles`: validate, run the core with
-    /// fresh buffers, collect the surviving real triangles.
-    pub fn delaunay_triangles(points: &[Point]) -> Vec<[usize; 3]> {
-        check_distinct_finite(points);
-        let core = Core::run(points);
-        if core.collinear_chain {
-            return Vec::new();
-        }
-        core.tris
-            .iter()
-            .filter(|t| t.alive && !t.v.contains(&GHOST))
-            .map(|t| t.v)
-            .collect()
-    }
-
-    struct Core<'a> {
-        pts: &'a [Point],
-        tris: Vec<Tri>,
-        last: usize,
-        collinear_chain: bool,
-        mark: Vec<(u32, bool)>,
-        epoch: u32,
-        cavity: Vec<usize>,
-        stack: Vec<usize>,
-        boundary: Vec<BoundaryEdge>,
-    }
-
-    impl<'a> Core<'a> {
-        fn run(points: &'a [Point]) -> Core<'a> {
-            let n = points.len();
-            let mut core = Core {
-                pts: points,
-                tris: Vec::new(),
-                last: NO_TRI,
-                collinear_chain: false,
-                mark: Vec::new(),
-                epoch: 0,
-                cavity: Vec::new(),
-                stack: Vec::new(),
-                boundary: Vec::new(),
-            };
-            if n < 3 {
-                core.collinear_chain = true;
-                return core;
-            }
-            let mut apex = None;
-            for k in 2..n {
-                if orient2d(points[0], points[1], points[k]) != Orientation::Collinear {
-                    apex = Some(k);
-                    break;
-                }
-            }
-            let Some(apex) = apex else {
-                core.collinear_chain = true;
-                return core;
-            };
-            core.init_triangle(0, 1, apex);
-            for i in 2..n {
-                if i == apex {
-                    continue;
-                }
-                core.insert(i);
-            }
-            core
-        }
-
-        fn init_triangle(&mut self, i: usize, j: usize, k: usize) {
-            let (a, b, c) = match orient2d(self.pts[i], self.pts[j], self.pts[k]) {
-                Orientation::CounterClockwise => (i, j, k),
-                Orientation::Clockwise => (i, k, j),
-                Orientation::Collinear => unreachable!("seed triangle is non-degenerate"),
-            };
-            self.tris.push(Tri {
-                v: [a, b, c],
-                n: [2, 3, 1],
-                alive: true,
-            });
-            self.tris.push(Tri {
-                v: [b, a, GHOST],
-                n: [3, 2, 0],
-                alive: true,
-            });
-            self.tris.push(Tri {
-                v: [c, b, GHOST],
-                n: [1, 3, 0],
-                alive: true,
-            });
-            self.tris.push(Tri {
-                v: [a, c, GHOST],
-                n: [2, 1, 0],
-                alive: true,
-            });
-            self.last = 0;
-        }
-
-        fn in_conflict(&self, t: usize, p: Point) -> bool {
-            let tri = &self.tris[t];
-            if let Some(k) = tri.v.iter().position(|&v| v == GHOST) {
-                let u = tri.v[(k + 1) % 3];
-                let w = tri.v[(k + 2) % 3];
-                match orient2d(self.pts[u], self.pts[w], p) {
-                    Orientation::CounterClockwise => true,
-                    Orientation::Clockwise => false,
-                    Orientation::Collinear => strictly_between(self.pts[u], self.pts[w], p),
-                }
-            } else {
-                let [a, b, c] = tri.v;
-                incircle(self.pts[a], self.pts[b], self.pts[c], p) == CirclePosition::Inside
-            }
-        }
-
-        fn locate(&self, p: Point) -> usize {
-            let mut t = self.last;
-            if t == NO_TRI || !self.tris[t].alive {
-                t = self
-                    .tris
-                    .iter()
-                    .position(|t| t.alive)
-                    .expect("no alive triangle");
-            }
-            if let Some(k) = self.tris[t].v.iter().position(|&v| v == GHOST) {
-                t = self.tris[t].n[k];
-            }
-            let limit = 4 * self.tris.len() + 16;
-            let mut steps = 0;
-            'walk: while steps < limit {
-                steps += 1;
-                let tri = &self.tris[t];
-                if tri.v.contains(&GHOST) {
-                    let mut g = t;
-                    for _ in 0..self.tris.len() + 1 {
-                        if self.in_conflict(g, p) {
-                            return g;
-                        }
-                        let k = self.tris[g]
-                            .v
-                            .iter()
-                            .position(|&v| v == GHOST)
-                            .expect("ghost triangle has a ghost vertex");
-                        g = self.tris[g].n[(k + 1) % 3];
-                    }
-                    break 'walk;
-                }
-                for i in 0..3 {
-                    let u = tri.v[(i + 1) % 3];
-                    let w = tri.v[(i + 2) % 3];
-                    if orient2d(self.pts[u], self.pts[w], p) == Orientation::Clockwise {
-                        t = tri.n[i];
-                        continue 'walk;
-                    }
-                }
-                return t;
-            }
-            (0..self.tris.len())
-                .find(|&t| self.tris[t].alive && self.in_conflict(t, p))
-                .expect("insertion point conflicts with no triangle")
-        }
-
-        fn insert(&mut self, pi: usize) {
-            let p = self.pts[pi];
-            let seed = self.locate(p);
-
-            self.epoch += 1;
-            let epoch = self.epoch;
-            if self.mark.len() < self.tris.len() {
-                self.mark.resize(self.tris.len(), (0, false));
-            }
-            let mut cavity = std::mem::take(&mut self.cavity);
-            cavity.clear();
-            cavity.push(seed);
-            self.mark[seed] = (epoch, true);
-            self.stack.clear();
-            self.stack.push(seed);
-            while let Some(t) = self.stack.pop() {
-                for i in 0..3 {
-                    let nb = self.tris[t].n[i];
-                    if nb == NO_TRI || self.mark[nb].0 == epoch {
-                        continue;
-                    }
-                    let c = self.in_conflict(nb, p);
-                    self.mark[nb] = (epoch, c);
-                    if c {
-                        cavity.push(nb);
-                        self.stack.push(nb);
-                    }
-                }
-            }
-
-            let mut boundary = std::mem::take(&mut self.boundary);
-            boundary.clear();
-            for &t in &cavity {
-                for i in 0..3 {
-                    let nb = self.tris[t].n[i];
-                    let nb_in = nb != NO_TRI && self.mark[nb] == (epoch, true);
-                    if !nb_in {
-                        boundary.push(BoundaryEdge {
-                            u: self.tris[t].v[(i + 1) % 3],
-                            w: self.tris[t].v[(i + 2) % 3],
-                            outside: nb,
-                        });
-                    }
-                }
-            }
-
-            for &t in &cavity {
-                self.tris[t].alive = false;
-            }
-            let base = self.tris.len();
-            for (off, e) in boundary.iter().enumerate() {
-                let idx = base + off;
-                self.tris.push(Tri {
-                    v: [pi, e.u, e.w],
-                    n: [e.outside, NO_TRI, NO_TRI],
-                    alive: true,
-                });
-                if e.outside != NO_TRI {
-                    let out = &mut self.tris[e.outside];
-                    for j in 0..3 {
-                        let a = out.v[(j + 1) % 3];
-                        let b = out.v[(j + 2) % 3];
-                        if (a == e.u && b == e.w) || (a == e.w && b == e.u) {
-                            out.n[j] = idx;
-                            break;
-                        }
-                    }
-                }
-            }
-            for (off, e) in boundary.iter().enumerate() {
-                let idx = base + off;
-                let across_wp = boundary
-                    .iter()
-                    .position(|e2| e2.u == e.w)
-                    .expect("cavity boundary is a closed fan");
-                let across_pu = boundary
-                    .iter()
-                    .position(|e2| e2.w == e.u)
-                    .expect("cavity boundary is a closed fan");
-                self.tris[idx].n[1] = base + across_wp;
-                self.tris[idx].n[2] = base + across_pu;
-            }
-            self.last = base;
-            self.cavity = cavity;
-            self.boundary = boundary;
-        }
-    }
-
-    fn strictly_between(a: Point, b: Point, p: Point) -> bool {
-        if p == a || p == b {
-            return false;
-        }
-        p.x >= a.x.min(b.x) && p.x <= a.x.max(b.x) && p.y >= a.y.min(b.y) && p.y <= a.y.max(b.y)
-    }
 }
 
 /// The seed's Bowyer–Watson implementation, verbatim: hash-map duplicate

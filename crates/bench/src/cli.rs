@@ -2,7 +2,7 @@
 //! flag parser, one output rule.
 //!
 //! ```text
-//! geospan-bench <experiment> [--quick] [--check] [--trials N] [--seed S] [--reps N] [--out DIR]
+//! geospan-bench <experiment> [--quick] [--check] [--trials N] [--seed S] [--out DIR]
 //! ```
 //!
 //! Each experiment declares which flags it takes; `--out` (default
@@ -13,7 +13,7 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::str::FromStr;
 
-use crate::{churn, extensions, paper, pipeline, scale, traffic, Scenario, Table};
+use crate::{churn, extensions, paper, traffic, Scenario, Table};
 
 /// Artifacts an experiment produced, as `(file name, contents)`.
 pub type Artifacts = Vec<(String, String)>;
@@ -43,8 +43,6 @@ pub struct Flags {
     pub trials: Option<usize>,
     /// `--seed S`: base seed.
     pub seed: Option<u64>,
-    /// `--reps N`: timing repetitions.
-    pub reps: Option<usize>,
     /// `--out DIR`: where the driver writes the artifacts.
     pub out: PathBuf,
 }
@@ -56,7 +54,6 @@ impl Default for Flags {
             check: false,
             trials: None,
             seed: None,
-            reps: None,
             out: PathBuf::from("results"),
         }
     }
@@ -93,11 +90,9 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "robustness", flags: SCENARIO, run: extensions::robustness },
     Experiment { name: "rdg_comparison", flags: SCENARIO, run: extensions::rdg_comparison },
     Experiment { name: "ldel_variants", flags: SCENARIO, run: extensions::ldel_variants },
-    Experiment { name: "pipeline_speedup", flags: &["--quick", "--check", "--seed"], run: pipeline::pipeline_speedup },
     Experiment { name: "traffic_load", flags: SWEEP, run: traffic::traffic_load },
     Experiment { name: "traffic_reliability", flags: SWEEP, run: traffic::traffic_reliability },
     Experiment { name: "traffic_saturation", flags: SWEEP, run: traffic::traffic_saturation },
-    Experiment { name: "traffic_scale", flags: &["--quick", "--check", "--seed", "--reps"], run: scale::traffic_scale },
     Experiment { name: "traffic_churn", flags: SWEEP, run: churn::traffic_churn },
 ];
 
@@ -135,7 +130,6 @@ pub fn parse(args: &[String]) -> Result<(&'static Experiment, Flags), String> {
             "--check" => flags.check = true,
             "--trials" => flags.trials = Some(value::<NonZeroUsize>(flag, rest.next())?.get()),
             "--seed" => flags.seed = Some(value(flag, rest.next())?),
-            "--reps" => flags.reps = Some(value::<NonZeroUsize>(flag, rest.next())?.get()),
             _ => flags.out = value(flag, rest.next())?,
         }
     }
@@ -183,7 +177,6 @@ mod tests {
                 check: true,
                 trials: Some(3),
                 seed: Some(9),
-                reps: None,
                 out: PathBuf::from("x"),
             }
         );

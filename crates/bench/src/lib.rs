@@ -17,8 +17,6 @@ pub mod churn;
 pub mod cli;
 pub mod extensions;
 pub mod paper;
-pub mod pipeline;
-pub mod scale;
 pub mod table;
 pub mod traffic;
 
@@ -26,7 +24,7 @@ pub use table::Table;
 
 use geospan_cds::build_cds;
 use geospan_core::{BackboneBuilder, BackboneConfig, ClusterRank};
-use geospan_graph::gen::{connected_unit_disk, UnitDiskBuilder};
+use geospan_graph::gen::connected_unit_disk;
 use geospan_graph::stats::degree_stats;
 use geospan_graph::stretch::{stretch_factors, StretchOptions, StretchReport};
 use geospan_graph::{Graph, Point};
@@ -308,11 +306,6 @@ pub(crate) fn mix_seed(base: u64, trial: u64, cell: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Builds a UDG directly (used by the Criterion benches).
-pub fn udg_of(pts: &[Point], radius: f64) -> Graph {
-    UnitDiskBuilder::new(radius).build(pts)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The one table writer behind every experiment: a header plus rows of
-//! cells that are already formatted, rendered as CSV, as an aligned
-//! console table, or as the row objects of a `BENCH_*.json` file.
+//! cells that are already formatted, rendered as CSV or as an aligned
+//! console table.
 //!
 //! Cells are formatted once, where the numbers are computed, so the
 //! CSV and the console show the same digits and an artifact's format
@@ -70,40 +70,6 @@ impl Table {
         }
         out
     }
-
-    /// The rows as a JSON array of objects keyed by the header, the
-    /// array's closing bracket at `indent` spaces. Cells must already be
-    /// JSON values (numbers, `true`/`false`, `null`, quoted strings).
-    pub fn json_rows(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent + 2);
-        let objects: Vec<String> = self
-            .rows
-            .iter()
-            .map(|cells| {
-                let fields = self
-                    .header
-                    .iter()
-                    .map(String::as_str)
-                    .zip(cells.iter().cloned());
-                format!("{pad}{}", json_object(fields, indent + 2))
-            })
-            .collect();
-        format!("[\n{}\n{}]", objects.join(",\n"), " ".repeat(indent))
-    }
-}
-
-/// One JSON object of `(key, value)` fields whose values are already
-/// JSON, its closing brace at `indent` spaces.
-pub fn json_object<'a>(
-    fields: impl IntoIterator<Item = (&'a str, String)>,
-    indent: usize,
-) -> String {
-    let pad = " ".repeat(indent + 2);
-    let lines: Vec<String> = fields
-        .into_iter()
-        .map(|(key, value)| format!("{pad}\"{key}\": {value}"))
-        .collect();
-    format!("{{\n{}\n{}}}", lines.join(",\n"), " ".repeat(indent))
 }
 
 #[cfg(test)]
@@ -129,17 +95,6 @@ mod tests {
             sample().render(),
             "name   value\nalpha   1.50\nb         10\n"
         );
-    }
-
-    #[test]
-    fn json_rows_key_every_cell_by_its_column() {
-        assert_eq!(
-            sample().json_rows(2),
-            "[\n    {\n      \"name\": alpha,\n      \"value\": 1.50\n    },\n    {\n      \
-             \"name\": b,\n      \"value\": 10\n    }\n  ]"
-        );
-        let top = json_object([("quick", "true".to_string()), ("rows", "[]".into())], 0);
-        assert_eq!(top, "{\n  \"quick\": true,\n  \"rows\": []\n}");
     }
 
     #[test]

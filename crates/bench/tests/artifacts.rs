@@ -6,11 +6,8 @@
 //!
 //! The digests were captured from the per-experiment binaries that
 //! preceded the `geospan-bench <experiment>` driver, so they pin the
-//! refactor — and every later change — to byte-identical output. In the
-//! two `BENCH_*.json` files the lines holding wall-clock timings and
-//! host facts (`*_ms`, `*speedup`, `events_per_sec`, `peak_rss_mb`,
-//! `threads`, `cores`) change from run to run and are left out of the
-//! digest. A deliberate change to an artifact regenerates its entry.
+//! refactor — and every later change — to byte-identical output. A
+//! deliberate change to an artifact regenerates its entry.
 
 use geospan_bench::cli::parse;
 
@@ -19,32 +16,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
-}
-
-/// Whether a `BENCH_*.json` key holds a timing or a host fact.
-fn varies_by_run(key: &str) -> bool {
-    key.ends_with("_ms")
-        || key.ends_with("speedup")
-        || ["events_per_sec", "peak_rss_mb", "threads", "cores"].contains(&key)
-}
-
-/// The digested form of an artifact: JSON files lose their timing and
-/// host lines (one `"key": value` per line), everything else is as is.
-fn canonical(name: &str, contents: &str) -> String {
-    if !name.ends_with(".json") {
-        return contents.to_string();
-    }
-    contents
-        .split('\n')
-        .filter(|line| {
-            let key = line
-                .trim_start()
-                .strip_prefix('"')
-                .and_then(|l| l.split_once("\":"));
-            !key.is_some_and(|(k, _)| varies_by_run(k))
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 /// Runs `command` (an experiment and its flags) and compares every
@@ -56,7 +27,7 @@ fn check(command: &str, golden: &[(&str, u64)]) {
     (experiment.run)(&flags, &mut artifacts).expect("no --check, no failure");
     let mut got: Vec<(String, u64)> = artifacts
         .iter()
-        .map(|(name, contents)| (name.clone(), fnv1a(canonical(name, contents).as_bytes())))
+        .map(|(name, contents)| (name.clone(), fnv1a(contents.as_bytes())))
         .collect();
     got.sort();
     let want: Vec<(String, u64)> = golden.iter().map(|&(n, d)| (n.to_string(), d)).collect();
@@ -135,9 +106,6 @@ golden! {
     ldel_variants: "ldel_variants --trials 1" => [
         "ldel_variants.csv" = 0xdaaa259c85b3653e,
     ];
-    pipeline_speedup: "pipeline_speedup --quick" => [
-        "BENCH_pipeline.json" = 0x5e44d445bbe82f76,
-    ];
     traffic_load: "traffic_load --quick" => [
         "traffic_load.csv" = 0x32a64ba64ba6913c,
     ];
@@ -146,9 +114,6 @@ golden! {
     ];
     traffic_saturation: "traffic_saturation --quick" => [
         "traffic_saturation.csv" = 0xe6f015cfb1734995,
-    ];
-    traffic_scale: "traffic_scale --quick" => [
-        "BENCH_traffic_scale.json" = 0x719cb7afcc279867,
     ];
     traffic_churn: "traffic_churn --quick" => [
         "traffic_churn.csv" = 0x5160cfb911f4336c,

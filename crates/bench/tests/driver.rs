@@ -20,14 +20,6 @@ fn bad_input_exits_nonzero_with_a_message_and_no_panic() {
         (&["table1", "--trials"], "--trials needs a value"),
         (&["table1", "--seed", "x"], "--seed: invalid value `x`"),
         (&["table1", "--trials", "0"], "--trials: invalid value `0`"),
-        (
-            &["traffic_load", "--reps", "2"],
-            "traffic_load does not take --reps",
-        ),
-        (
-            &["traffic_scale", "--reps", "-1"],
-            "--reps: invalid value `-1`",
-        ),
         (&["table1", "--out"], "--out needs a value"),
         (&[], "no experiment given"),
     ] {

@@ -9,6 +9,12 @@ use geospan_graph::stretch::{stretch_factors, StretchOptions};
 use geospan_graph::Graph;
 use geospan_topology::ldel;
 
+/// Largest UDG whose crossings the seed's `O(m²)` count is compared at.
+const SEED_CROSSING_MAX_N: usize = 2_000;
+
+/// Asserts that the live `LDel¹ → PLDel` pipeline reproduces the seed's
+/// output exactly, and that `PLDel` is a plane subgraph of `udg` with the
+/// same components and a lossless freeze/thaw round trip.
 fn assert_pipeline_matches_seed(udg: &Graph, label: &str) {
     let raw_new = ldel::ldel1(udg);
     let raw_seed = seed_ldel1(udg);
@@ -27,11 +33,45 @@ fn assert_pipeline_matches_seed(udg: &Graph, label: &str) {
     let pl_seed = seed_planarize(udg, raw_seed);
     assert_eq!(pl_new, pl_seed, "{label}: PLDel");
 
+    if udg.node_count() <= SEED_CROSSING_MAX_N {
+        assert_eq!(
+            crossing_count(udg),
+            seed_crossing_count(udg),
+            "{label}: crossing count"
+        );
+    }
+
+    let pldel = &pl_new.graph;
+    for (u, v) in pldel.edges() {
+        assert!(
+            udg.has_edge(u, v),
+            "{label}: PLDel edge ({u},{v}) not in UDG"
+        );
+    }
+    assert_eq!(crossing_count(pldel), 0, "{label}: PLDel is not plane");
     assert_eq!(
-        crossing_count(udg),
-        seed_crossing_count(udg),
-        "{label}: crossing count"
+        pldel.components().len(),
+        udg.components().len(),
+        "{label}: PLDel broke connectivity"
     );
+    assert_eq!(
+        &pldel.freeze().thaw(),
+        pldel,
+        "{label}: freeze/thaw round trip"
+    );
+}
+
+/// The seed comparison and the scale invariants at the paper's Table I
+/// density (side `200·√(n/100)`, radius 60), up to n = 10 000. Run with
+/// `cargo test --release -p geospan-bench --test pipeline_equivalence -- --ignored`.
+#[test]
+#[ignore = "n = 10 000 runs the seed's serial Bowyer–Watson; use --release"]
+fn optimized_pipeline_matches_seed_at_table1_density() {
+    for n in [200, 500, 10_000] {
+        let side = 200.0 * (n as f64 / 100.0).sqrt();
+        let (_pts, udg, _s) = connected_unit_disk(n, side, 60.0, 1);
+        assert_pipeline_matches_seed(&udg, &format!("n = {n}"));
+    }
 }
 
 #[test]

@@ -14,12 +14,9 @@
 //! is preserved exactly (ascending), so any traversal is bit-identical
 //! on either representation.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::collections::VecDeque;
-
 use geospan_geometry::Point;
 
+use crate::paths::{bfs_hops_over, dijkstra_lengths_over};
 use crate::Graph;
 
 /// A read-only graph in CSR layout: `neighbors(v)` is the slice
@@ -133,50 +130,6 @@ impl CsrGraph {
         })
     }
 
-    /// Heap bytes held by this structure (points + offsets + targets):
-    /// the bytes-per-node accounting the scale benchmark reports.
-    pub fn memory_bytes(&self) -> usize {
-        self.points.len() * std::mem::size_of::<Point>()
-            + self.offsets.len() * std::mem::size_of::<u32>()
-            + self.targets.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Decomposition statistics of this adjacency under a node→shard
-    /// assignment: how many nodes and internal edges each shard owns,
-    /// and how many edges cross shard boundaries. The cut edges are
-    /// exactly the links over which a sharded traffic engine must
-    /// exchange boundary messages, so `cut_fraction` bounds its
-    /// communication-to-computation ratio.
-    ///
-    /// # Panics
-    /// Panics if `shard_of` does not cover every node or names a shard
-    /// `>= shards`.
-    pub fn shard_cut(&self, shard_of: &[u32], shards: usize) -> ShardCut {
-        let n = self.node_count();
-        assert_eq!(shard_of.len(), n, "shard_of must assign every node");
-        let mut per_shard_nodes = vec![0usize; shards];
-        let mut per_shard_edges = vec![0usize; shards];
-        let mut cut_edges = 0usize;
-        for (v, &shard) in shard_of.iter().enumerate() {
-            let s = shard as usize;
-            assert!(s < shards, "node {v} assigned to shard {s} >= {shards}");
-            per_shard_nodes[s] += 1;
-        }
-        for (u, v) in self.edges() {
-            if shard_of[u] == shard_of[v] {
-                per_shard_edges[shard_of[u] as usize] += 1;
-            } else {
-                cut_edges += 1;
-            }
-        }
-        ShardCut {
-            per_shard_nodes,
-            per_shard_edges,
-            cut_edges,
-            total_edges: self.edge_count,
-        }
-    }
-
     /// Thaws back into a mutable [`Graph`] (exact inverse of
     /// [`Graph::freeze`]).
     pub fn thaw(&self) -> Graph {
@@ -185,131 +138,23 @@ impl CsrGraph {
     }
 
     /// Hop distance from `src` to every node (`None` for unreachable
-    /// nodes). Identical output to [`crate::paths::bfs_hops`] on the
-    /// thawed graph.
+    /// nodes): the search of [`crate::paths::bfs_hops`] over the CSR
+    /// adjacency.
     ///
     /// # Panics
     /// Panics if `src` is out of bounds.
     pub fn bfs_hops(&self, src: usize) -> Vec<Option<u32>> {
-        let n = self.node_count();
-        assert!(src < n, "source {src} out of bounds for {n} nodes");
-        let mut dist = vec![None; n];
-        dist[src] = Some(0);
-        let mut q = VecDeque::with_capacity(n);
-        q.push_back(src);
-        while let Some(u) = q.pop_front() {
-            let du = dist[u].expect("queued nodes have distances");
-            for &v in self.neighbors(u) {
-                let v = v as usize;
-                if dist[v].is_none() {
-                    dist[v] = Some(du + 1);
-                    q.push_back(v);
-                }
-            }
-        }
-        dist
+        bfs_hops_over(self.node_count(), src, |u| self.neighbors(u))
     }
 
     /// Euclidean-length distance from `src` to every node (`None` for
-    /// unreachable nodes). Identical output to
-    /// [`crate::paths::dijkstra_lengths`] on the thawed graph.
+    /// unreachable nodes): the search of
+    /// [`crate::paths::dijkstra_lengths`] over the CSR adjacency.
     ///
     /// # Panics
     /// Panics if `src` is out of bounds.
     pub fn dijkstra_lengths(&self, src: usize) -> Vec<Option<f64>> {
-        let n = self.node_count();
-        assert!(src < n, "source {src} out of bounds for {n} nodes");
-        let mut dist: Vec<Option<f64>> = vec![None; n];
-        let mut done = vec![false; n];
-        let mut heap = BinaryHeap::with_capacity(n);
-        dist[src] = Some(0.0);
-        heap.push(CsrHeapEntry {
-            dist: 0.0,
-            node: src,
-        });
-        while let Some(CsrHeapEntry { dist: du, node: u }) = heap.pop() {
-            if done[u] {
-                continue;
-            }
-            done[u] = true;
-            for &v in self.neighbors(u) {
-                let v = v as usize;
-                if done[v] {
-                    continue;
-                }
-                let cand = du + self.edge_length(u, v);
-                if dist[v].is_none_or(|dv| cand < dv) {
-                    dist[v] = Some(cand);
-                    heap.push(CsrHeapEntry {
-                        dist: cand,
-                        node: v,
-                    });
-                }
-            }
-        }
-        dist
-    }
-}
-
-/// What a node→shard assignment does to this graph's edges — see
-/// [`CsrGraph::shard_cut`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardCut {
-    per_shard_nodes: Vec<usize>,
-    per_shard_edges: Vec<usize>,
-    cut_edges: usize,
-    total_edges: usize,
-}
-
-impl ShardCut {
-    /// Nodes owned by each shard.
-    pub fn per_shard_nodes(&self) -> &[usize] {
-        &self.per_shard_nodes
-    }
-
-    /// Edges internal to each shard (both endpoints owned by it).
-    pub fn per_shard_edges(&self) -> &[usize] {
-        &self.per_shard_edges
-    }
-
-    /// Edges whose endpoints live on different shards.
-    pub fn cut_edges(&self) -> usize {
-        self.cut_edges
-    }
-
-    /// Fraction of all edges crossing a shard boundary (`0.0` on an
-    /// edgeless graph).
-    pub fn cut_fraction(&self) -> f64 {
-        if self.total_edges == 0 {
-            0.0
-        } else {
-            self.cut_edges as f64 / self.total_edges as f64
-        }
-    }
-}
-
-/// Max-heap entry ordered by *smallest* distance first (same tie rule as
-/// `paths::HeapEntry`, so traversal order matches the unfrozen path).
-#[derive(PartialEq)]
-struct CsrHeapEntry {
-    dist: f64,
-    node: usize,
-}
-
-impl Eq for CsrHeapEntry {}
-
-impl Ord for CsrHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for CsrHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+        dijkstra_lengths_over(&self.points, src, |u| self.neighbors(u))
     }
 }
 
@@ -368,36 +213,6 @@ mod tests {
         assert!(c.has_edge(0, 1) && c.has_edge(1, 0));
         assert!(!c.has_edge(0, 2));
         assert_eq!(c.edge_length(0, 1), 5.0);
-        assert!(c.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn shard_cut_accounts_for_every_edge() {
-        let pts = uniform_points(90, 150.0, 7);
-        let g = UnitDiskBuilder::new(40.0).build(&pts);
-        let c = g.freeze();
-        // Split by x coordinate into two halves.
-        let shard_of: Vec<u32> = pts.iter().map(|p| u32::from(p.x > 75.0)).collect();
-        let cut = c.shard_cut(&shard_of, 2);
-        assert_eq!(cut.per_shard_nodes().iter().sum::<usize>(), 90);
-        assert_eq!(
-            cut.per_shard_edges().iter().sum::<usize>() + cut.cut_edges(),
-            c.edge_count()
-        );
-        assert!(cut.cut_edges() > 0, "a geometric split cuts something");
-        assert!(cut.cut_fraction() > 0.0 && cut.cut_fraction() < 1.0);
-        // One shard owns everything: nothing is cut.
-        let all = c.shard_cut(&vec![0u32; 90], 1);
-        assert_eq!(all.cut_edges(), 0);
-        assert_eq!(all.per_shard_edges()[0], c.edge_count());
-        assert_eq!(all.cut_fraction(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "assigned to shard")]
-    fn shard_cut_rejects_out_of_range_shards() {
-        let g = Graph::with_edges(vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)], [(0, 1)]);
-        let _ = g.freeze().shard_cut(&[0, 5], 2);
     }
 
     #[test]

@@ -27,7 +27,10 @@ use crate::Graph;
 /// assert_eq!(a, b); // deterministic
 /// ```
 pub fn uniform_points(n: usize, side: f64, seed: u64) -> Vec<Point> {
-    assert!(side > 0.0, "square side must be positive");
+    assert!(
+        side > 0.0 && side.is_finite(),
+        "square side must be positive and finite"
+    );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pts: Vec<Point> = Vec::with_capacity(n);
     let mut seen = std::collections::HashSet::with_capacity(n);
@@ -236,27 +239,52 @@ impl UnitDiskBuilder {
 /// them.
 ///
 /// # Panics
-/// Panics after 10 000 failed attempts — the parameters are then below
-/// the connectivity regime and the experiment configuration is wrong.
+/// Panics where [`try_connected_unit_disk`] returns an error: the
+/// parameters are then out of range or below the connectivity regime,
+/// and the experiment configuration is wrong.
 pub fn connected_unit_disk(
     n: usize,
     side: f64,
     radius: f64,
     seed: u64,
 ) -> (Vec<Point>, Graph, u64) {
+    // geospan-analyze: allow(D11, documented panic on author-set scenario parameters; try_connected_unit_disk is the fallible entry for outside input)
+    try_connected_unit_disk(n, side, radius, seed).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`connected_unit_disk`] for parameters from outside the program.
+///
+/// # Errors
+/// When `side` is not positive and finite, when `radius` is not
+/// positive with a finite square, or when 10 000 consecutive seeds give
+/// no connected deployment (the parameters are below the connectivity
+/// threshold).
+pub fn try_connected_unit_disk(
+    n: usize,
+    side: f64,
+    radius: f64,
+    seed: u64,
+) -> Result<(Vec<Point>, Graph, u64), String> {
+    if !(side > 0.0 && side.is_finite()) {
+        return Err(format!("side must be positive and finite, got {side}"));
+    }
+    if !(radius > 0.0 && (radius * radius).is_finite()) {
+        return Err(format!(
+            "radius must be positive, with a finite square, got {radius}"
+        ));
+    }
     let builder = UnitDiskBuilder::new(radius);
-    for s in seed..seed + 10_000 {
+    for s in (0..10_000).map(|k| seed.wrapping_add(k)) {
         let pts = uniform_points(n, side, s);
         let g = builder.build(&pts);
         if g.is_connected() {
-            return (pts, g, s);
+            return Ok((pts, g, s));
         }
     }
-    // geospan-analyze: allow(D11, documented connectivity-threshold panic: scenario parameters are author errors caught at generation time)
-    panic!(
+    Err(format!(
         "no connected deployment found for n={n}, side={side}, radius={radius} \
          after 10000 attempts: parameters are below the connectivity threshold"
-    );
+    ))
 }
 
 #[cfg(test)]

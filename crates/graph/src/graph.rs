@@ -337,18 +337,6 @@ impl Graph {
     pub fn total_edge_length(&self) -> f64 {
         self.edges().map(|(u, v)| self.edge_length(u, v)).sum()
     }
-
-    /// Heap bytes held by this structure (points + adjacency capacity),
-    /// comparable with [`crate::CsrGraph::memory_bytes`].
-    pub fn memory_bytes(&self) -> usize {
-        self.points.len() * std::mem::size_of::<Point>()
-            + self.adjacency.capacity() * std::mem::size_of::<Vec<usize>>()
-            + self
-                .adjacency
-                .iter()
-                .map(|row| row.capacity() * std::mem::size_of::<usize>())
-                .sum::<usize>()
-    }
 }
 
 #[cfg(test)]
@@ -471,7 +459,6 @@ mod tests {
         for v in 0..bulk.node_count() {
             assert!(bulk.neighbors(v).windows(2).all(|w| w[0] < w[1]));
         }
-        assert!(bulk.memory_bytes() > 0);
     }
 
     #[test]

@@ -45,6 +45,6 @@ pub mod stats;
 pub mod stretch;
 pub mod svg;
 
-pub use csr::{CsrGraph, ShardCut};
+pub use csr::CsrGraph;
 pub use geospan_geometry::Point;
 pub use graph::Graph;

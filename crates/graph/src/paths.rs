@@ -9,6 +9,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
+use geospan_geometry::Point;
+
 use crate::Graph;
 
 /// Hop distance from `src` to every node (`None` for unreachable nodes).
@@ -28,7 +30,41 @@ use crate::Graph;
 /// assert_eq!(d, vec![Some(0), Some(1), Some(2)]);
 /// ```
 pub fn bfs_hops(g: &Graph, src: usize) -> Vec<Option<u32>> {
-    let n = g.node_count();
+    bfs_hops_over(g.node_count(), src, |u| g.neighbors(u))
+}
+
+/// A node id as an adjacency slice stores it: `usize` in a [`Graph`],
+/// `u32` in a [`crate::CsrGraph`].
+pub(crate) trait NodeId: Copy {
+    /// The id as an index.
+    fn index(self) -> usize;
+}
+
+impl NodeId for usize {
+    #[inline]
+    fn index(self) -> usize {
+        self
+    }
+}
+
+impl NodeId for u32 {
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// The one BFS behind [`bfs_hops`] and [`crate::CsrGraph::bfs_hops`]:
+/// hop distances from `src` over `n` nodes whose sorted neighbor slices
+/// `neighbors` returns.
+///
+/// # Panics
+/// Panics if `src >= n`.
+pub(crate) fn bfs_hops_over<'g, I: NodeId + 'g>(
+    n: usize,
+    src: usize,
+    neighbors: impl Fn(usize) -> &'g [I],
+) -> Vec<Option<u32>> {
     assert!(src < n, "source {src} out of bounds for {n} nodes");
     let mut dist = vec![None; n];
     dist[src] = Some(0);
@@ -36,7 +72,8 @@ pub fn bfs_hops(g: &Graph, src: usize) -> Vec<Option<u32>> {
     q.push_back(src);
     while let Some(u) = q.pop_front() {
         let du = dist[u].expect("queued nodes have distances");
-        for &v in g.neighbors(u) {
+        for &v in neighbors(u) {
+            let v = v.index();
             if dist[v].is_none() {
                 dist[v] = Some(du + 1);
                 q.push_back(v);
@@ -77,7 +114,22 @@ impl PartialOrd for HeapEntry {
 /// # Panics
 /// Panics if `src` is out of bounds.
 pub fn dijkstra_lengths(g: &Graph, src: usize) -> Vec<Option<f64>> {
-    let n = g.node_count();
+    dijkstra_lengths_over(g.points(), src, |u| g.neighbors(u))
+}
+
+/// The one Dijkstra behind [`dijkstra_lengths`] and
+/// [`crate::CsrGraph::dijkstra_lengths`]: Euclidean distances from `src`
+/// over the nodes at `points`, whose sorted neighbor slices `neighbors`
+/// returns.
+///
+/// # Panics
+/// Panics if `src` is out of bounds.
+pub(crate) fn dijkstra_lengths_over<'g, I: NodeId + 'g>(
+    points: &[Point],
+    src: usize,
+    neighbors: impl Fn(usize) -> &'g [I],
+) -> Vec<Option<f64>> {
+    let n = points.len();
     assert!(src < n, "source {src} out of bounds for {n} nodes");
     let mut dist: Vec<Option<f64>> = vec![None; n];
     let mut done = vec![false; n];
@@ -92,11 +144,12 @@ pub fn dijkstra_lengths(g: &Graph, src: usize) -> Vec<Option<f64>> {
             continue;
         }
         done[u] = true;
-        for &v in g.neighbors(u) {
+        for &v in neighbors(u) {
+            let v = v.index();
             if done[v] {
                 continue;
             }
-            let cand = du + g.edge_length(u, v);
+            let cand = du + points[u].distance(points[v]);
             if dist[v].is_none_or(|dv| cand < dv) {
                 dist[v] = Some(cand);
                 heap.push(HeapEntry {

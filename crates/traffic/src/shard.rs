@@ -416,6 +416,7 @@ pub(crate) fn drive_threaded<'a>(
 mod tests {
     use super::*;
     use crate::{AdmissionPolicy, Workload};
+    use geospan_core::{BackboneBuilder, BackboneConfig};
     use geospan_graph::gen::{uniform_points, UnitDiskBuilder};
     use geospan_graph::Point;
     use geospan_sim::ReliabilityConfig;
@@ -470,7 +471,8 @@ mod tests {
 
     /// The crown invariant on a generic lossy, contended, retransmitting,
     /// overload-controlled, admission-paced network: every shard count
-    /// and thread count produces the identical outcome struct.
+    /// and thread count produces the identical outcome struct, under
+    /// greedy and under `LDel(ICDS)` backbone forwarding.
     #[test]
     fn every_shard_and_thread_count_is_bit_identical() {
         let g = net(60, 150.0, 40.0, 7);
@@ -487,18 +489,27 @@ mod tests {
             record_paths: true,
             ..TrafficConfig::default()
         };
-        let fw = Forwarding::Greedy(&g);
-        let reference = ShardedEngine::new(1)
-            .with_threads(1)
-            .run(&fw, &g, &arrivals, &plan, &cfg);
-        assert!(reference.report.delivered > 0);
-        assert!(reference.report.drops.total() > 0, "losses should occur");
-        for shards in [2, 4, 8] {
-            for threads in [1, 2, 4] {
-                let out = ShardedEngine::new(shards)
-                    .with_threads(threads)
-                    .run(&fw, &g, &arrivals, &plan, &cfg);
-                assert_eq!(out, reference, "shards={shards} threads={threads}");
+        let backbone = BackboneBuilder::new(BackboneConfig::new(40.0))
+            .build(&g)
+            .expect("a valid unit disk graph builds");
+        let backbone_fw = Forwarding::Backbone {
+            backbone: &backbone,
+            udg: &g,
+        };
+        for fw in [Forwarding::Greedy(&g), backbone_fw] {
+            let label = fw.label();
+            let reference = ShardedEngine::new(1)
+                .with_threads(1)
+                .run(&fw, &g, &arrivals, &plan, &cfg);
+            assert!(reference.report.delivered > 0, "{label}");
+            assert!(reference.report.drops.total() > 0, "{label}: losses");
+            for shards in [2, 4, 8] {
+                for threads in [1, 2, 4] {
+                    let out = ShardedEngine::new(shards)
+                        .with_threads(threads)
+                        .run(&fw, &g, &arrivals, &plan, &cfg);
+                    assert_eq!(out, reference, "{label} shards={shards} threads={threads}");
+                }
             }
         }
     }

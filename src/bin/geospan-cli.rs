@@ -15,7 +15,7 @@ use std::process::ExitCode;
 use geospan::cds::Role;
 use geospan::core::routing::backbone_route;
 use geospan::core::{validate_positions, verify, BackboneBuilder, BackboneConfig};
-use geospan::graph::gen::UnitDiskBuilder;
+use geospan::graph::gen::{try_connected_unit_disk, UnitDiskBuilder};
 use geospan::graph::svg::{render_svg, NodeRole, SvgOptions};
 use geospan::graph::{Graph, Point};
 use geospan::sim::{ChurnMix, ChurnPlan, FaultPlan, OverloadConfig, ReliabilityConfig};
@@ -195,7 +195,7 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     let side: f64 = flags.get("side")?;
     let radius: f64 = flags.get("radius")?;
     let seed: u64 = flags.get_or("seed", 1)?;
-    let (pts, udg, used) = geospan::graph::gen::connected_unit_disk(n, side, radius, seed);
+    let (pts, udg, used) = try_connected_unit_disk(n, side, radius, seed)?;
     let mut out = String::from("x,y\n");
     for p in &pts {
         out.push_str(&format!("{},{}\n", p.x, p.y));
@@ -320,7 +320,7 @@ fn cmd_traffic(flags: &Flags) -> Result<(), String> {
         let side: f64 = flags.get("side")?;
         let radius: f64 = flags.get("radius")?;
         let seed: u64 = flags.get_or("seed", 1)?;
-        geospan::graph::gen::connected_unit_disk(n, side, radius, seed).0
+        try_connected_unit_disk(n, side, radius, seed)?.0
     };
     let (udg, radius) = udg_of(flags, &pts)?;
     let n = udg.node_count();
@@ -342,7 +342,11 @@ fn cmd_traffic(flags: &Flags) -> Result<(), String> {
             if sink >= n {
                 return Err(format!("sink must be < {n}"));
             }
-            Workload::hotspot(sink, flags.get_or("bias", 0.8)?, rate, duration)
+            let bias: f64 = flags.get_or("bias", 0.8)?;
+            if !(0.0..=1.0).contains(&bias) {
+                return Err("bias must be in [0, 1]".into());
+            }
+            Workload::hotspot(sink, bias, rate, duration)
         }
         "bursty" => Workload::bursty(flags.get_or("burst", 8)?, rate, duration),
         other => return Err(format!("unknown workload `{other}`")),
@@ -357,6 +361,9 @@ fn cmd_traffic(flags: &Flags) -> Result<(), String> {
     }
 
     let loss: f64 = flags.get_or("loss", 0.0)?;
+    if !(0.0..=1.0).contains(&loss) {
+        return Err("loss must be in [0, 1]".into());
+    }
     let faults = if loss > 0.0 {
         FaultPlan::new(seed ^ 0x7a_f1c0).with_loss(loss)
     } else {
@@ -412,6 +419,9 @@ fn cmd_traffic(flags: &Flags) -> Result<(), String> {
         // file's bounding box).
         let side: f64 =
             flags.get_or("side", pts.iter().fold(radius, |m, p| m.max(p.x).max(p.y)))?;
+        if !(side > 0.0 && side.is_finite()) {
+            return Err(format!("side must be positive and finite, got {side}"));
+        }
         let churn_seed: u64 = flags.get_or("churn-seed", seed ^ 0xc4u64)?;
         let events = ((churn_rate * duration as f64).round() as usize).max(1);
         let plan = ChurnPlan::generate(churn_seed, n, side, events, duration, ChurnMix::balanced());

@@ -1,6 +1,7 @@
 //! Hostile point sets — duplicates, non-finite coordinates, exact
 //! lattices — through the builder, `MobileBackbone` maintenance and the
-//! CLI's CSV path: an error or a valid backbone, never a panic.
+//! CLI's CSV path, and out-of-range CLI parameters: an error or a valid
+//! backbone, never a panic or a hang.
 
 use std::process::Command;
 
@@ -265,4 +266,61 @@ fn cli_rejects_radius_with_infinite_square() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(stderr.contains("finite square"), "{stderr}");
+}
+
+/// Out-of-range parameters exit 1 with a message naming the problem:
+/// none panics in the generator, the fault plan or the workload, and
+/// none hangs the generator.
+#[test]
+fn cli_rejects_out_of_range_parameters() {
+    let dir = std::env::temp_dir().join(format!("geospan-hostile-{}-params", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let nodes = dir.join("nodes.csv");
+    let csv: String = uniform_points(60, 150.0, 1)
+        .iter()
+        .map(|p| format!("{},{}\n", p.x, p.y))
+        .collect();
+    std::fs::write(&nodes, csv).unwrap();
+    let traffic = format!(
+        "traffic --nodes {} --radius 45 --duration 50",
+        nodes.display()
+    );
+    for (args, msg) in [
+        (format!("{traffic} --loss 2"), "loss must be in [0, 1]"),
+        (format!("{traffic} --loss NaN"), "loss must be in [0, 1]"),
+        (
+            format!("{traffic} --workload hotspot --bias 3"),
+            "bias must be in [0, 1]",
+        ),
+        (
+            format!("{traffic} --churn-rate 0.01 --side -5"),
+            "side must be positive and finite",
+        ),
+        (
+            "traffic --n 5 --side -1 --radius 5".into(),
+            "side must be positive and finite",
+        ),
+        (
+            "generate --n 10 --side 0 --radius 5".into(),
+            "side must be positive and finite",
+        ),
+        (
+            "generate --n 10 --side inf --radius 5".into(),
+            "side must be positive and finite",
+        ),
+        (
+            "generate --n 10 --side 10 --radius 0.001".into(),
+            "no connected deployment found",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_geospan-cli"))
+            .args(args.split_whitespace())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args}: {stderr}");
+        assert!(stderr.contains(msg), "{args}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
