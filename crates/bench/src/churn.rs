@@ -5,59 +5,51 @@
 //! traffic horizon) and serves the same packet workload twice per
 //! cell: once with the paper's localized repair maintaining the
 //! backbone, once with a full reconstruction on every event. Both
-//! arms see the identical [`ChurnPlan`], arrivals, and fault rolls,
-//! so rows are paired comparisons of the *maintenance* scheme alone:
+//! arms see the identical [`ChurnPlan`] and arrivals over loss-free
+//! links, so rows are paired comparisons of the *maintenance* scheme alone:
 //! how far delivery dips around churn, and what the repair messages
 //! cost.
 //!
-//! Cells (trial × churn level × arm) are independent and run in
-//! parallel; results fold in deterministic order, so the CSV is
-//! byte-identical for every thread count.
+//! Cells (trial × arm × churn level) run in parallel through the
+//! traffic sweeps' [`grid`] and fold through their [`Tally`], so the
+//! CSV is byte-identical for every thread count.
 
 use geospan_sim::{ChurnMix, ChurnPlan, FaultPlan};
-use geospan_traffic::{ChurnEngine, ChurnOutcome, RepairStrategy, TrafficConfig, Workload};
-use rayon::prelude::*;
+use geospan_traffic::{ChurnEngine, RepairStrategy, Workload};
 
 use crate::cli::{publish, Artifacts, Flags};
+use crate::traffic::{
+    column_cells, column_headers, grid, quick_scenario, serving, standard_scenario, trials_of,
+    Column, Tally, DELIVERED, DELIVERY_RATIO, OFFERED,
+};
 use crate::{mix_seed, Scenario, Table};
 
-/// Configuration of the churn sweep.
+/// Offered load in expected packets per tick.
+const LOAD: f64 = 0.2;
+
+/// Configuration of the churn sweep. Plans mix joins, leaves and moves
+/// in equal proportion; links are loss-free.
 #[derive(Debug, Clone)]
 pub struct ChurnSweepConfig {
     /// Deployment parameters (`n`, `side`, `radius`, `trials`, `seed`).
     pub scenario: Scenario,
     /// Churn intensities to sweep: total events over the horizon.
     pub levels: Vec<usize>,
-    /// Relative join/leave/move weights of the generated plans.
-    pub mix: ChurnMix,
-    /// Offered load in expected packets per tick.
-    pub load: f64,
     /// Ticks over which the workload offers packets; churn events land
     /// in `1..=duration`.
     pub duration: u64,
-    /// Per-link delivery loss probability.
-    pub loss: f64,
     /// Delivery-window length in ticks for the dip measurement.
     pub window: u64,
 }
 
 impl ChurnSweepConfig {
     /// The default sweep: the Table I deployment under four churn
-    /// intensities, balanced join/leave/move mix.
+    /// intensities.
     pub fn standard() -> Self {
         ChurnSweepConfig {
-            scenario: Scenario {
-                n: 100,
-                side: 200.0,
-                radius: 60.0,
-                trials: 3,
-                seed: 1,
-            },
+            scenario: standard_scenario(),
             levels: vec![0, 30, 90, 180],
-            mix: ChurnMix::balanced(),
-            load: 0.2,
             duration: 1_500,
-            loss: 0.0,
             window: 150,
         }
     }
@@ -65,18 +57,9 @@ impl ChurnSweepConfig {
     /// The CI smoke sweep: a small field at two churn levels.
     pub fn quick() -> Self {
         ChurnSweepConfig {
-            scenario: Scenario {
-                n: 40,
-                side: 120.0,
-                radius: 45.0,
-                trials: 1,
-                seed: 1,
-            },
+            scenario: quick_scenario(),
             levels: vec![0, 20],
-            mix: ChurnMix::balanced(),
-            load: 0.2,
             duration: 400,
-            loss: 0.0,
             window: 100,
         }
     }
@@ -106,30 +89,11 @@ pub struct ChurnRow {
     pub repair_cost: u64,
     /// Ticks spent routing over a stale (kept-under-drift) topology.
     pub staleness_ticks: u64,
-    /// Packets offered across trials.
-    pub offered: usize,
-    /// Packets delivered.
-    pub delivered: usize,
-    /// Packets lost to departed nodes.
-    pub drop_departed: usize,
-    /// All other drops (stuck, queue, loss, crash, hop limit, shed).
-    pub drop_other: usize,
-    /// Mean over trials of the median delivery latency.
-    pub latency_p50: f64,
     /// Mean over trials of the worst delivery window's delivery ratio —
     /// the depth of the churn dip (1.0 = no dip anywhere).
     pub min_window_delivery: f64,
-}
-
-impl ChurnRow {
-    /// Delivered fraction of offered packets.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.offered == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.offered as f64
-        }
-    }
+    /// The traffic measurements.
+    pub tally: Tally,
 }
 
 /// The two maintenance arms, in row order.
@@ -138,7 +102,7 @@ const ARMS: [(&str, RepairStrategy); 2] = [
     ("full-rebuild", RepairStrategy::FullRebuild),
 ];
 
-/// Runs the sweep: every (trial, level, arm) cell in parallel, then a
+/// Runs the sweep: every (trial, arm, level) cell in parallel, then a
 /// deterministic fold into one row per (arm, level).
 ///
 /// # Panics
@@ -147,101 +111,90 @@ pub fn churn_rows(cfg: &ChurnSweepConfig) -> Vec<ChurnRow> {
     assert!(cfg.scenario.trials > 0, "sweep needs at least one trial");
     assert!(!cfg.levels.is_empty(), "sweep needs at least one level");
     let instances = cfg.scenario.instances();
-
-    // Cell grid: trial-major, then level, then arm.
-    let cells: Vec<(usize, usize, usize)> = (0..instances.len())
-        .flat_map(|t| {
-            (0..cfg.levels.len()).flat_map(move |l| (0..ARMS.len()).map(move |a| (t, l, a)))
-        })
+    let cells: Vec<(&'static str, RepairStrategy, usize)> = ARMS
+        .into_iter()
+        .flat_map(|(arm, strategy)| (0..cfg.levels.len()).map(move |l| (arm, strategy, l)))
         .collect();
-    let outcomes: Vec<ChurnOutcome> = cells
-        .par_iter()
-        .map(|&(t, l, a)| {
-            let (pts, _udg) = &instances[t];
-            let seed = mix_seed(cfg.scenario.seed, t as u64, l as u64);
-            let plan = if cfg.levels[l] == 0 {
-                ChurnPlan::none(cfg.scenario.n)
-            } else {
-                ChurnPlan::generate(
-                    seed ^ 0x6368_7572_6e21,
-                    cfg.scenario.n,
-                    cfg.scenario.side,
-                    cfg.levels[l],
-                    cfg.duration,
-                    cfg.mix,
-                )
-            };
-            // Both arms of a cell share the plan, arrivals, and fault
-            // rolls: the workload targets the whole universe, so
-            // traffic to joiners-to-be and leavers is part of the
-            // scenario, identically in both arms.
-            let arrivals =
-                Workload::uniform(cfg.load, cfg.duration).generate(plan.universe(), seed);
-            let faults = FaultPlan::new(seed ^ 0x5a70_ca7e).with_loss(cfg.loss);
-            let engine_cfg = TrafficConfig {
-                max_hops: (50 * cfg.scenario.n) as u32,
-                ..TrafficConfig::default()
-            };
-            ChurnEngine::new(1)
-                .with_threads(1)
-                .with_window(cfg.window)
-                .run(
-                    pts,
-                    cfg.scenario.radius,
-                    &plan,
-                    &arrivals,
-                    &faults,
-                    &engine_cfg,
-                    ARMS[a].1,
-                )
-                .expect("churn run on a generated connected instance")
-        })
-        .collect();
+    let outcomes = grid(&instances, cells.len(), |t, (pts, _udg), c| {
+        let (_, strategy, l) = cells[c];
+        let seed = mix_seed(cfg.scenario.seed, t as u64, l as u64);
+        let plan = if cfg.levels[l] == 0 {
+            ChurnPlan::none(cfg.scenario.n)
+        } else {
+            ChurnPlan::generate(
+                seed ^ 0x6368_7572_6e21,
+                cfg.scenario.n,
+                cfg.scenario.side,
+                cfg.levels[l],
+                cfg.duration,
+                ChurnMix::balanced(),
+            )
+        };
+        // Both arms of a cell share the plan and arrivals: the workload
+        // targets the whole universe, so traffic to joiners-to-be and
+        // leavers is part of the scenario, identically in both arms.
+        let arrivals = Workload::uniform(LOAD, cfg.duration).generate(plan.universe(), seed);
+        ChurnEngine::new(1)
+            .with_threads(1)
+            .with_window(cfg.window)
+            .run(
+                pts,
+                cfg.scenario.radius,
+                &plan,
+                &arrivals,
+                &FaultPlan::none(),
+                &serving(cfg.scenario.n),
+                strategy,
+            )
+            .expect("churn run on a generated connected instance")
+    });
 
-    let mut rows = Vec::with_capacity(cfg.levels.len() * ARMS.len());
-    for (a, (arm, _)) in ARMS.iter().enumerate() {
-        for (l, &level) in cfg.levels.iter().enumerate() {
-            let mut row = ChurnRow {
-                arm,
-                level,
-                ..ChurnRow::default()
-            };
-            for t in 0..instances.len() {
-                let idx = (t * cfg.levels.len() + l) * ARMS.len() + a;
-                let out = &outcomes[idx];
-                let c = &out.churn;
-                row.joins += c.joins;
-                row.leaves += c.leaves;
-                row.moves += c.moves;
-                row.kept += c.kept;
-                row.local_repairs += c.local_repairs;
-                row.full_rebuilds += c.full_rebuilds;
-                row.repair_cost += c.repair_cost;
-                row.staleness_ticks += c.staleness_ticks;
-                let r = &out.traffic.report;
-                row.offered += r.offered;
-                row.delivered += r.delivered;
-                row.drop_departed += r.drops.node_departed;
-                row.drop_other += r.drops.total() - r.drops.node_departed;
-                row.latency_p50 += r.latency_p50 as f64;
-                row.min_window_delivery += c
-                    .windows
-                    .iter()
-                    .map(|w| w.delivery_ratio())
-                    .fold(1.0, f64::min);
-            }
-            let t = instances.len() as f64;
-            row.latency_p50 /= t;
-            row.min_window_delivery /= t;
-            rows.push(row);
+    let mut rows = Vec::with_capacity(cells.len());
+    for (c, &(arm, _, l)) in cells.iter().enumerate() {
+        let mut row = ChurnRow {
+            arm,
+            level: cfg.levels[l],
+            tally: Tally::over(trials_of(&outcomes, cells.len(), c).map(|o| &o.traffic.report)),
+            ..ChurnRow::default()
+        };
+        for out in trials_of(&outcomes, cells.len(), c) {
+            let ch = &out.churn;
+            row.joins += ch.joins;
+            row.leaves += ch.leaves;
+            row.moves += ch.moves;
+            row.kept += ch.kept;
+            row.local_repairs += ch.local_repairs;
+            row.full_rebuilds += ch.full_rebuilds;
+            row.repair_cost += ch.repair_cost;
+            row.staleness_ticks += ch.staleness_ticks;
+            row.min_window_delivery += ch
+                .windows
+                .iter()
+                .map(|w| w.delivery_ratio())
+                .fold(1.0, f64::min);
         }
+        row.min_window_delivery /= instances.len() as f64;
+        rows.push(row);
     }
     rows
 }
 
+/// The `traffic_churn.csv` traffic columns, between the maintenance
+/// ledger and `min_window_delivery`.
+const TRAFFIC_COLUMNS: &[&[Column]] = &[&[
+    OFFERED,
+    DELIVERED,
+    DELIVERY_RATIO,
+    ("drop_departed", |t| t.drops.node_departed.to_string()),
+    ("drop_other", |t| {
+        (t.drops.total() - t.drops.node_departed).to_string()
+    }),
+    ("latency_p50", |t| format!("{:.2}", t.latency_p50)),
+]];
+
 /// The `traffic_churn.csv` table.
 pub fn churn_table(rows: &[ChurnRow]) -> Table {
-    let mut table = Table::new([
+    let keys = [
         "arm",
         "level",
         "joins",
@@ -252,16 +205,14 @@ pub fn churn_table(rows: &[ChurnRow]) -> Table {
         "full_rebuilds",
         "repair_cost",
         "staleness_ticks",
-        "offered",
-        "delivered",
-        "delivery_ratio",
-        "drop_departed",
-        "drop_other",
-        "latency_p50",
-        "min_window_delivery",
-    ]);
+    ];
+    let mut table = Table::new(
+        keys.into_iter()
+            .chain(column_headers(TRAFFIC_COLUMNS))
+            .chain(["min_window_delivery"]),
+    );
     for r in rows {
-        table.row(vec![
+        let key = [
             r.arm.to_string(),
             r.level.to_string(),
             r.joins.to_string(),
@@ -272,14 +223,13 @@ pub fn churn_table(rows: &[ChurnRow]) -> Table {
             r.full_rebuilds.to_string(),
             r.repair_cost.to_string(),
             r.staleness_ticks.to_string(),
-            r.offered.to_string(),
-            r.delivered.to_string(),
-            format!("{:.6}", r.delivery_ratio()),
-            r.drop_departed.to_string(),
-            r.drop_other.to_string(),
-            format!("{:.2}", r.latency_p50),
-            format!("{:.6}", r.min_window_delivery),
-        ]);
+        ];
+        table.row(
+            key.into_iter()
+                .chain(column_cells(TRAFFIC_COLUMNS, &r.tally))
+                .chain([format!("{:.6}", r.min_window_delivery)])
+                .collect(),
+        );
     }
     table
 }
@@ -290,13 +240,12 @@ pub fn churn_table(rows: &[ChurnRow]) -> Table {
 /// membership event; and both arms' ledgers balance.
 pub fn check_repair_advantage(rows: &[ChurnRow]) -> Result<(), String> {
     for r in rows {
-        if r.offered != r.delivered + r.drop_departed + r.drop_other {
+        let t = &r.tally;
+        let accounted = t.delivered + t.drops.total() + t.refused;
+        if t.offered != accounted {
             return Err(format!(
-                "{} level {}: ledger does not balance ({} offered, {} accounted)",
-                r.arm,
-                r.level,
-                r.offered,
-                r.delivered + r.drop_departed + r.drop_other
+                "{} level {}: ledger does not balance ({} offered, {accounted} accounted)",
+                r.arm, r.level, t.offered
             ));
         }
     }
@@ -343,13 +292,12 @@ pub fn traffic_churn(flags: &Flags, out: &mut Artifacts) -> Result<(), String> {
     cfg.scenario = flags.scenario(cfg.scenario);
     println!(
         "Delivery through churn: n={}, R={}, {} trials, {} ticks, churn levels {:?}, \
-         load {} pkt/tick, {}-tick delivery windows\n",
+         load {LOAD} pkt/tick, {}-tick delivery windows\n",
         cfg.scenario.n,
         cfg.scenario.radius,
         cfg.scenario.trials,
         cfg.duration,
         cfg.levels,
-        cfg.load,
         cfg.window
     );
     let rows = churn_rows(&cfg);
@@ -386,11 +334,13 @@ mod tests {
         for r in rows.iter().filter(|r| r.level == 0) {
             assert_eq!(r.kept + r.local_repairs + r.full_rebuilds, 0);
             assert_eq!(r.repair_cost, 0);
-            assert_eq!(r.drop_departed, 0);
+            assert_eq!(r.tally.drops.node_departed, 0);
         }
         let zero: Vec<_> = rows.iter().filter(|r| r.level == 0).collect();
-        assert_eq!(zero[0].delivered, zero[1].delivered);
+        assert_eq!(zero[0].tally.delivered, zero[1].tally.delivered);
         // Churn bites: departures cost packets in at least one arm.
-        assert!(rows.iter().any(|r| r.level > 0 && r.drop_departed > 0));
+        assert!(rows
+            .iter()
+            .any(|r| r.level > 0 && r.tally.drops.node_departed > 0));
     }
 }

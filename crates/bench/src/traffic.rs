@@ -1,4 +1,4 @@
-//! The traffic-load sweep: serve packet workloads over UDG, CDS', and
+//! The traffic sweeps: serve packet workloads over UDG, CDS', and
 //! `LDel(ICDS)` across offered-load levels and measure delivery,
 //! latency, stretch, and queue behavior under congestion.
 //!
@@ -7,12 +7,12 @@
 //! of localized-spanner workload studies (throughput/stretch under
 //! sustained load) rather than static all-pairs tables.
 //!
-//! Cells (trial × load × topology) are independent and run in parallel;
-//! results are folded in deterministic order, so the CSV is
-//! byte-identical for every thread count.
-//!
 //! Three experiments live here: E16 `traffic_load`, E17
-//! `traffic_reliability` and E18 `traffic_saturation`.
+//! `traffic_reliability` and E18 `traffic_saturation`; E21
+//! (`crate::churn`) shares their skeleton. Each trial's topologies are
+//! built once, every (trial, cell) pair is served in parallel by
+//! [`grid`], and each cell's [`Tally`] folds its trials in index order,
+//! so the CSVs are byte-identical for every thread count.
 
 use geospan_core::{Backbone, BackboneBuilder, BackboneConfig, ClusterRank};
 use geospan_graph::Graph;
@@ -26,28 +26,219 @@ use rayon::prelude::*;
 use crate::cli::{publish, Artifacts, Flags};
 use crate::{mix_seed, Scenario, Table};
 
-/// The per-cause drop columns every traffic artifact carries, in order.
-const DROP_COLUMNS: [&str; 6] = [
-    "drop_stuck",
-    "drop_queue",
-    "drop_loss",
-    "drop_crash",
-    "drop_hop_limit",
-    "drop_retry_shed",
+/// The queue disciplines E17 and E18 sweep, in row order.
+const DISCIPLINES: [Discipline; 3] = [
+    Discipline::Fifo,
+    Discipline::NearestFirst,
+    Discipline::Drr { quantum: 2 },
 ];
 
-/// The cells of [`DROP_COLUMNS`] (departures never happen in these
-/// sweeps and have no column).
-fn drop_cells(drops: &DropCounts) -> [String; 6] {
-    [
-        drops.stuck,
-        drops.queue_full,
-        drops.link_loss,
-        drops.node_crash,
-        drops.hop_limit,
-        drops.retry_shed,
-    ]
-    .map(|d| d.to_string())
+/// E17's offered loads: a low one, which anchors the recovery and
+/// delivery checks, and a saturating one.
+const RELIABILITY_LOADS: [f64; 2] = [0.05, 0.4];
+/// E17's per-link loss probability: the noise retransmit fights.
+const RELIABILITY_LOSS: f64 = 0.05;
+/// E18's per-link loss probability: the retransmit layer's pressure
+/// source.
+const SATURATION_LOSS: f64 = 0.1;
+/// E18's hotspot sink bias (sink node 0): the fraction of traffic
+/// funneled through the sink's ingress relay, the resource that
+/// saturates.
+const SINK_BIAS: f64 = 0.7;
+
+/// One sweep cell's reports folded over the trials, in trial order:
+/// counts and drops summed, latencies and stretches averaged, the queue
+/// peak maxed.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Tally {
+    /// Packets offered.
+    pub offered: usize,
+    /// Packets delivered.
+    pub delivered: usize,
+    /// Packets refused admission at their source.
+    pub refused: usize,
+    /// Drops by cause.
+    pub drops: DropCounts,
+    /// Link-layer retransmissions spent.
+    pub retransmissions: usize,
+    /// Median delivery latency, averaged over trials.
+    pub latency_p50: f64,
+    /// 99th-percentile delivery latency, averaged over trials.
+    pub latency_p99: f64,
+    /// Mean delivery latency, averaged over trials.
+    pub latency_mean: f64,
+    /// Average hop stretch vs. the UDG, averaged over trials.
+    pub hop_stretch_avg: f64,
+    /// Average length stretch vs. the UDG, averaged over trials.
+    pub length_stretch_avg: f64,
+    /// Worst queue occupancy any node reached in any trial.
+    pub queue_peak_max: usize,
+}
+
+impl Tally {
+    /// Folds one cell's per-trial reports, in the order given.
+    pub fn over<'a>(reports: impl IntoIterator<Item = &'a TrafficReport>) -> Tally {
+        let mut tally = Tally::default();
+        let mut trials = 0;
+        for r in reports {
+            trials += 1;
+            tally.offered += r.offered;
+            tally.delivered += r.delivered;
+            tally.refused += r.refused;
+            tally.drops += r.drops;
+            tally.retransmissions += r.retransmissions;
+            tally.latency_p50 += r.latency_p50 as f64;
+            tally.latency_p99 += r.latency_p99 as f64;
+            tally.latency_mean += r.latency_mean;
+            tally.hop_stretch_avg += r.hop_stretch_avg;
+            tally.length_stretch_avg += r.length_stretch_avg;
+            tally.queue_peak_max = tally.queue_peak_max.max(r.queue_peak_max);
+        }
+        let t = trials as f64;
+        tally.latency_p50 /= t;
+        tally.latency_p99 /= t;
+        tally.latency_mean /= t;
+        tally.hop_stretch_avg /= t;
+        tally.length_stretch_avg /= t;
+        tally
+    }
+
+    /// Packets that entered the network: offered minus refusals.
+    pub fn admitted(&self) -> usize {
+        self.offered - self.refused
+    }
+
+    /// Delivered fraction of *admitted* packets (1.0 when nothing was
+    /// admitted). An admission gate is judged on what it let in, a
+    /// watermark on what it kept flowing; without a gate
+    /// `admitted == offered`.
+    pub fn delivery_ratio(&self) -> f64 {
+        if self.admitted() == 0 {
+            1.0
+        } else {
+            self.delivered as f64 / self.admitted() as f64
+        }
+    }
+}
+
+/// Runs `serve(t, &trials[t], c)` for every trial `t` and cell `c` in
+/// parallel; the results come back trial-major, at `t * cells + c`.
+pub(crate) fn grid<T: Sync, R: Send>(
+    trials: &[T],
+    cells: usize,
+    serve: impl Fn(usize, &T, usize) -> R + Sync,
+) -> Vec<R> {
+    (0..trials.len() * cells)
+        .into_par_iter()
+        .map(|i| serve(i / cells, &trials[i / cells], i % cells))
+        .collect()
+}
+
+/// Cell `c`'s results in a trial-major [`grid`], in trial order.
+pub(crate) fn trials_of<R>(results: &[R], cells: usize, c: usize) -> impl Iterator<Item = &R> {
+    results.iter().skip(c).step_by(cells)
+}
+
+/// The engine configuration every sweep starts from: the defaults with
+/// a hop budget of 50 hops per node.
+pub(crate) fn serving(n: usize) -> TrafficConfig {
+    TrafficConfig {
+        max_hops: (50 * n) as u32,
+        ..TrafficConfig::default()
+    }
+}
+
+/// The skeleton of E16–E18: builds each trial's UDG and backbone once,
+/// serves every (trial, cell) pair in parallel through
+/// `serve(trial, udg, backbone, cell)`, and tallies each cell over the
+/// trials.
+///
+/// # Panics
+/// Panics if the scenario yields no trials or there are no cells.
+fn sweep<C: Sync>(
+    scenario: &Scenario,
+    cells: &[C],
+    serve: impl Fn(u64, &Graph, &Backbone, &C) -> TrafficReport + Sync,
+) -> Vec<Tally> {
+    assert!(scenario.trials > 0, "sweep needs at least one trial");
+    assert!(!cells.is_empty(), "sweep needs at least one cell");
+    let trials: Vec<(Graph, Backbone)> = scenario
+        .instances()
+        .into_par_iter()
+        .map(|(_pts, udg)| {
+            let backbone = BackboneBuilder::new(
+                BackboneConfig::new(scenario.radius).with_rank(ClusterRank::LowestId),
+            )
+            .build(&udg)
+            .expect("centralized build cannot fail on a valid UDG");
+            (udg, backbone)
+        })
+        .collect();
+    let reports = grid(&trials, cells.len(), |t, (udg, backbone), c| {
+        serve(t as u64, udg, backbone, &cells[c])
+    });
+    (0..cells.len())
+        .map(|c| Tally::over(trials_of(&reports, cells.len(), c)))
+        .collect()
+}
+
+/// A column of a sweep table: its header and how a tally fills it.
+pub(crate) type Column = (&'static str, fn(&Tally) -> String);
+
+/// The headers of `columns`, a list of column groups.
+pub(crate) fn column_headers<'a>(
+    columns: &'a [&'a [Column]],
+) -> impl Iterator<Item = &'static str> + 'a {
+    columns.iter().copied().flatten().map(|c| c.0)
+}
+
+/// The cells of `columns`, a list of column groups, for one tally.
+pub(crate) fn column_cells<'a>(
+    columns: &'a [&'a [Column]],
+    tally: &'a Tally,
+) -> impl Iterator<Item = String> + 'a {
+    columns.iter().copied().flatten().map(move |c| (c.1)(tally))
+}
+
+pub(crate) const OFFERED: Column = ("offered", |t| t.offered.to_string());
+pub(crate) const DELIVERED: Column = ("delivered", |t| t.delivered.to_string());
+pub(crate) const DELIVERY_RATIO: Column =
+    ("delivery_ratio", |t| format!("{:.6}", t.delivery_ratio()));
+const ADMITTED: Column = ("admitted", |t| t.admitted().to_string());
+const REFUSED: Column = ("refused", |t| t.refused.to_string());
+const RETRANSMISSIONS: Column = ("retransmissions", |t| t.retransmissions.to_string());
+const LATENCY_P50: Column = ("latency_p50", |t| format!("{:.3}", t.latency_p50));
+const LATENCY_P99: Column = ("latency_p99", |t| format!("{:.3}", t.latency_p99));
+const LATENCY_MEAN: Column = ("latency_mean", |t| format!("{:.4}", t.latency_mean));
+const QUEUE_PEAK_MAX: Column = ("queue_peak_max", |t| t.queue_peak_max.to_string());
+/// The per-cause drop columns of E16–E18, in order (departures never
+/// happen there and have no column).
+const DROPS: &[Column] = &[
+    ("drop_stuck", |t| t.drops.stuck.to_string()),
+    ("drop_queue", |t| t.drops.queue_full.to_string()),
+    ("drop_loss", |t| t.drops.link_loss.to_string()),
+    ("drop_crash", |t| t.drops.node_crash.to_string()),
+    ("drop_hop_limit", |t| t.drops.hop_limit.to_string()),
+    ("drop_retry_shed", |t| t.drops.retry_shed.to_string()),
+];
+
+/// The deployment of every default sweep: Table I's, over three trials.
+pub(crate) fn standard_scenario() -> Scenario {
+    Scenario {
+        trials: 3,
+        ..Scenario::table1()
+    }
+}
+
+/// The deployment of every CI smoke sweep: a small field, one trial.
+pub(crate) fn quick_scenario() -> Scenario {
+    Scenario {
+        n: 40,
+        side: 120.0,
+        radius: 45.0,
+        trials: 1,
+        seed: 1,
+    }
 }
 
 /// `"on"` or `"off"`.
@@ -55,7 +246,7 @@ fn on_off(b: bool) -> String {
     if b { "on" } else { "off" }.to_string()
 }
 
-/// Configuration of one traffic sweep.
+/// Configuration of the load sweep (E16).
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Deployment parameters (`n`, `side`, `radius`, `trials`, `seed`).
@@ -64,13 +255,6 @@ pub struct SweepConfig {
     pub loads: Vec<f64>,
     /// Ticks over which each workload offers packets.
     pub duration: u64,
-    /// Per-node transmit queue capacity.
-    pub queue_capacity: usize,
-    /// Ticks per transmission.
-    pub service_time: u64,
-    /// Per-link delivery loss probability (0 for a congestion-only
-    /// sweep); seeded from the scenario seed.
-    pub loss: f64,
 }
 
 impl SweepConfig {
@@ -78,43 +262,24 @@ impl SweepConfig {
     /// load levels.
     pub fn standard() -> Self {
         SweepConfig {
-            scenario: Scenario {
-                n: 100,
-                side: 200.0,
-                radius: 60.0,
-                trials: 3,
-                seed: 1,
-            },
+            scenario: standard_scenario(),
             loads: vec![0.05, 0.1, 0.2, 0.4, 0.8],
             duration: 2_000,
-            queue_capacity: 64,
-            service_time: 1,
-            loss: 0.0,
         }
     }
 
     /// The CI smoke sweep: a small field at two load levels.
     pub fn quick() -> Self {
         SweepConfig {
-            scenario: Scenario {
-                n: 40,
-                side: 120.0,
-                radius: 45.0,
-                trials: 1,
-                seed: 1,
-            },
+            scenario: quick_scenario(),
             loads: vec![0.05, 0.4],
             duration: 500,
-            queue_capacity: 64,
-            service_time: 1,
-            loss: 0.0,
         }
     }
 }
 
-/// One aggregated sweep row: a (topology, load) cell averaged over the
-/// scenario's trials.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// One load-sweep row: a (topology, load) cell over the trials.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficRow {
     /// Topology served.
     pub topology: &'static str,
@@ -122,215 +287,79 @@ pub struct TrafficRow {
     pub policy: &'static str,
     /// Offered load in packets per tick.
     pub load: f64,
-    /// Total packets offered across trials.
-    pub offered: usize,
-    /// Total packets delivered across trials.
-    pub delivered: usize,
-    /// Drop totals across trials, by cause (`retry_shed` is always 0
-    /// here: this sweep runs without overload control; the column keeps
-    /// the drop breakdown schema uniform across traffic artifacts).
-    pub drops: DropCounts,
-    /// Refused admission at sources (always 0 here, same reason).
-    pub refused: usize,
-    /// Mean over trials of the median delivery latency.
-    pub latency_p50: f64,
-    /// Mean over trials of the 99th-percentile delivery latency.
-    pub latency_p99: f64,
-    /// Mean over trials of the mean delivery latency.
-    pub latency_mean: f64,
-    /// Mean over trials of the average hop stretch vs. the UDG.
-    pub hop_stretch_avg: f64,
-    /// Mean over trials of the average length stretch vs. the UDG.
-    pub length_stretch_avg: f64,
-    /// Worst queue occupancy any node reached in any trial.
-    pub queue_peak_max: usize,
+    /// The cell's measurements.
+    pub tally: Tally,
 }
 
-impl TrafficRow {
-    /// Delivered fraction of offered packets.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.offered == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.offered as f64
-        }
-    }
-}
-
-/// The topologies a sweep serves, built once per trial.
-struct TrialTopologies {
-    udg: Graph,
-    cds_prime: Graph,
-    backbone: Backbone,
-}
-
-/// The three (topology, policy) pairs of the sweep, in row order.
+/// The three (topology, policy) pairs of the load sweep, in row order.
 const TOPOLOGIES: [(&str, &str); 3] = [
     ("UDG", "greedy"),
     ("CDS'", "gpsr"),
     ("LDel(ICDS)", "backbone"),
 ];
 
-/// Runs the sweep: every (trial, load, topology) cell in parallel, then
-/// a deterministic fold into one row per (topology, load).
+/// Runs the load sweep: one row per (load, topology), FIFO queues, no
+/// retransmit, no loss.
 ///
 /// # Panics
 /// Panics if the scenario yields no trials or no loads are configured.
 pub fn traffic_rows(cfg: &SweepConfig) -> Vec<TrafficRow> {
-    assert!(cfg.scenario.trials > 0, "sweep needs at least one trial");
-    assert!(!cfg.loads.is_empty(), "sweep needs at least one load");
-    let instances = cfg.scenario.instances();
-    let trials: Vec<TrialTopologies> = instances
-        .into_par_iter()
-        .map(|(_pts, udg)| {
-            let backbone = BackboneBuilder::new(
-                BackboneConfig::new(cfg.scenario.radius).with_rank(ClusterRank::LowestId),
-            )
-            .build(&udg)
-            .expect("centralized build cannot fail on a valid UDG");
-            let cds_prime = geospan_cds::build_cds(&udg, &ClusterRank::LowestId)
-                .cds_prime
-                .clone();
-            TrialTopologies {
-                udg,
-                cds_prime,
-                backbone,
-            }
-        })
+    let cells: Vec<(usize, usize)> = (0..cfg.loads.len())
+        .flat_map(|l| (0..TOPOLOGIES.len()).map(move |k| (l, k)))
         .collect();
-
-    // One engine configuration for the whole sweep: FIFO queues, no
-    // retransmit — the historical regime, kept so the artifact stays
-    // byte-identical (the reliability sweep varies both knobs).
-    let engine_cfg = TrafficConfig {
-        queue_capacity: cfg.queue_capacity,
-        service_time: cfg.service_time,
-        max_hops: (50 * cfg.scenario.n) as u32,
-        ticks_per_round: 1,
-        record_paths: false,
-        discipline: Discipline::Fifo,
-        reliability: None,
-        overload: None,
-        admission: AdmissionPolicy::Open,
-        shards: 1,
-    };
-
-    // Cell grid: trial-major, then load, then topology.
-    let cells: Vec<(usize, usize, usize)> = (0..trials.len())
-        .flat_map(|t| {
-            (0..cfg.loads.len()).flat_map(move |l| (0..TOPOLOGIES.len()).map(move |k| (t, l, k)))
+    let engine_cfg = serving(cfg.scenario.n);
+    let tallies = sweep(&cfg.scenario, &cells, |t, udg, backbone, &(l, k)| {
+        let arrivals = Workload::uniform(cfg.loads[l], cfg.duration)
+            .generate(cfg.scenario.n, mix_seed(cfg.scenario.seed, t, l as u64));
+        let forwarding = match k {
+            0 => Forwarding::Greedy(udg),
+            1 => Forwarding::Gpsr(&backbone.cds_graphs().cds_prime),
+            _ => Forwarding::Backbone { backbone, udg },
+        };
+        run(&forwarding, udg, &arrivals, &FaultPlan::none(), &engine_cfg).report
+    });
+    cells
+        .iter()
+        .zip(tallies)
+        .map(|(&(l, k), tally)| TrafficRow {
+            topology: TOPOLOGIES[k].0,
+            policy: TOPOLOGIES[k].1,
+            load: cfg.loads[l],
+            tally,
         })
-        .collect();
-    let reports: Vec<TrafficReport> = cells
-        .par_iter()
-        .map(|&(t, l, k)| {
-            let topo = &trials[t];
-            let arrivals = Workload::uniform(cfg.loads[l], cfg.duration).generate(
-                cfg.scenario.n,
-                mix_seed(cfg.scenario.seed, t as u64, l as u64),
-            );
-            let faults = if cfg.loss > 0.0 {
-                FaultPlan::new(mix_seed(
-                    cfg.scenario.seed ^ 0x5bf0_3635,
-                    t as u64,
-                    l as u64,
-                ))
-                .with_loss(cfg.loss)
-            } else {
-                FaultPlan::none()
-            };
-            let forwarding = match k {
-                0 => Forwarding::Greedy(&topo.udg),
-                1 => Forwarding::Gpsr(&topo.cds_prime),
-                _ => Forwarding::Backbone {
-                    backbone: &topo.backbone,
-                    udg: &topo.udg,
-                },
-            };
-            run(&forwarding, &topo.udg, &arrivals, &faults, &engine_cfg).report
-        })
-        .collect();
-
-    // Fold trial-major cells into (topology, load) rows, trials averaged
-    // in index order.
-    let mut rows = Vec::with_capacity(cfg.loads.len() * TOPOLOGIES.len());
-    for (l, &load) in cfg.loads.iter().enumerate() {
-        for (k, &(topology, policy)) in TOPOLOGIES.iter().enumerate() {
-            let mut row = TrafficRow {
-                topology,
-                policy,
-                load,
-                ..TrafficRow::default()
-            };
-            for t in 0..trials.len() {
-                let r = &reports[(t * cfg.loads.len() + l) * TOPOLOGIES.len() + k];
-                row.offered += r.offered;
-                row.delivered += r.delivered;
-                row.drops += r.drops;
-                row.refused += r.refused;
-                row.latency_p50 += r.latency_p50 as f64;
-                row.latency_p99 += r.latency_p99 as f64;
-                row.latency_mean += r.latency_mean;
-                row.hop_stretch_avg += r.hop_stretch_avg;
-                row.length_stretch_avg += r.length_stretch_avg;
-                row.queue_peak_max = row.queue_peak_max.max(r.queue_peak_max);
-            }
-            let t = trials.len() as f64;
-            row.latency_p50 /= t;
-            row.latency_p99 /= t;
-            row.latency_mean /= t;
-            row.hop_stretch_avg /= t;
-            row.length_stretch_avg /= t;
-            rows.push(row);
-        }
-    }
-    rows
+        .collect()
 }
+
+/// The `traffic_load.csv` columns after the row key.
+const LOAD_COLUMNS: &[&[Column]] = &[
+    &[OFFERED, DELIVERED, DELIVERY_RATIO],
+    DROPS,
+    &[REFUSED, LATENCY_P50, LATENCY_P99, LATENCY_MEAN],
+    &[
+        ("hop_stretch_avg", |t| format!("{:.4}", t.hop_stretch_avg)),
+        ("length_stretch_avg", |t| {
+            format!("{:.4}", t.length_stretch_avg)
+        }),
+        QUEUE_PEAK_MAX,
+    ],
+];
 
 /// The `traffic_load.csv` table (stable column order and formatting:
 /// the artifact is byte-identical for a given seed).
 pub fn traffic_table(rows: &[TrafficRow]) -> Table {
-    let mut table = Table::new(
-        [
-            "topology",
-            "policy",
-            "load",
-            "offered",
-            "delivered",
-            "delivery_ratio",
-        ]
-        .into_iter()
-        .chain(DROP_COLUMNS)
-        .chain([
-            "refused",
-            "latency_p50",
-            "latency_p99",
-            "latency_mean",
-            "hop_stretch_avg",
-            "length_stretch_avg",
-            "queue_peak_max",
-        ]),
-    );
+    let keys = ["topology", "policy", "load"];
+    let mut table = Table::new(keys.into_iter().chain(column_headers(LOAD_COLUMNS)));
     for r in rows {
-        let mut cells = vec![
+        let key = [
             r.topology.to_string(),
             r.policy.to_string(),
             format!("{:.3}", r.load),
-            r.offered.to_string(),
-            r.delivered.to_string(),
-            format!("{:.6}", r.delivery_ratio()),
         ];
-        cells.extend(drop_cells(&r.drops));
-        cells.extend([
-            r.refused.to_string(),
-            format!("{:.3}", r.latency_p50),
-            format!("{:.3}", r.latency_p99),
-            format!("{:.4}", r.latency_mean),
-            format!("{:.4}", r.hop_stretch_avg),
-            format!("{:.4}", r.length_stretch_avg),
-            r.queue_peak_max.to_string(),
-        ]);
-        table.row(cells);
+        table.row(
+            key.into_iter()
+                .chain(column_cells(LOAD_COLUMNS, &r.tally))
+                .collect(),
+        );
     }
     table
 }
@@ -345,121 +374,61 @@ pub fn check_low_load_delivery(rows: &[TrafficRow]) -> Result<(), String> {
         .iter()
         .find(|r| r.load == low && r.policy == "backbone")
         .ok_or_else(|| "no backbone row at the lowest load".to_string())?;
-    if row.delivery_ratio() >= 0.99 {
+    if row.tally.delivery_ratio() >= 0.99 {
         Ok(())
     } else {
         Err(format!(
             "backbone delivery at load {:.3} is {:.4} (< 0.99): {} of {} delivered",
             row.load,
-            row.delivery_ratio(),
-            row.delivered,
-            row.offered
+            row.tally.delivery_ratio(),
+            row.tally.delivered,
+            row.tally.offered
         ))
     }
 }
 
-/// Configuration of the reliability sweep: hotspot and bursty workloads
-/// served over the backbone across queue disciplines, with and without
-/// link-layer retransmit, under seeded radio loss.
+/// Configuration of the reliability sweep (E17): hotspot and bursty
+/// workloads served over the backbone across queue disciplines, with
+/// and without link-layer retransmit, under seeded radio loss.
 #[derive(Debug, Clone)]
 pub struct ReliabilitySweepConfig {
     /// Deployment parameters (`n`, `side`, `radius`, `trials`, `seed`).
     pub scenario: Scenario,
-    /// Offered loads to sweep, in expected packets per tick. The lowest
-    /// load anchors the recovery and delivery checks.
-    pub loads: Vec<f64>,
     /// Ticks over which each workload offers packets.
     pub duration: u64,
-    /// Per-node transmit queue capacity.
-    pub queue_capacity: usize,
-    /// Ticks per transmission.
-    pub service_time: u64,
-    /// Per-link delivery loss probability (the noise retransmit fights).
-    pub loss: f64,
     /// Hotspot sink biases to sweep (each is one workload, sink node 0).
     pub hotspot_biases: Vec<f64>,
     /// Burst sizes to sweep (each is one workload).
     pub burst_sizes: Vec<usize>,
-    /// DRR quantum (packets per flow per round-robin visit).
-    pub quantum: u32,
-    /// The retransmit scheme of the `retx = on` half of the sweep.
-    pub reliability: ReliabilityConfig,
 }
 
 impl ReliabilitySweepConfig {
-    /// The default sweep: the Table I deployment under 5% loss, two
-    /// biases and two burst sizes, at a low and a saturating load.
+    /// The default sweep: the Table I deployment, two biases and two
+    /// burst sizes.
     pub fn standard() -> Self {
         ReliabilitySweepConfig {
-            scenario: Scenario {
-                n: 100,
-                side: 200.0,
-                radius: 60.0,
-                trials: 3,
-                seed: 1,
-            },
-            loads: vec![0.05, 0.4],
+            scenario: standard_scenario(),
             duration: 2_000,
-            queue_capacity: 64,
-            service_time: 1,
-            loss: 0.05,
             hotspot_biases: vec![0.5, 0.9],
             burst_sizes: vec![4, 16],
-            quantum: 2,
-            reliability: ReliabilityConfig::default(),
         }
     }
 
     /// The CI smoke sweep: a small field, one bias, one burst size.
     pub fn quick() -> Self {
         ReliabilitySweepConfig {
-            scenario: Scenario {
-                n: 40,
-                side: 120.0,
-                radius: 45.0,
-                trials: 1,
-                seed: 1,
-            },
-            loads: vec![0.05, 0.4],
+            scenario: quick_scenario(),
             duration: 500,
-            queue_capacity: 64,
-            service_time: 1,
-            loss: 0.05,
             hotspot_biases: vec![0.8],
             burst_sizes: vec![8],
-            quantum: 2,
-            reliability: ReliabilityConfig::default(),
         }
-    }
-
-    /// The swept workloads in row order: hotspot biases, then bursts.
-    fn workloads(&self, load: f64) -> Vec<Workload> {
-        self.hotspot_biases
-            .iter()
-            .map(|&bias| Workload::hotspot(0, bias, load, self.duration))
-            .chain(
-                self.burst_sizes
-                    .iter()
-                    .map(|&burst| Workload::bursty(burst, load, self.duration)),
-            )
-            .collect()
-    }
-
-    /// The swept disciplines in row order.
-    fn disciplines(&self) -> [Discipline; 3] {
-        [
-            Discipline::Fifo,
-            Discipline::NearestFirst,
-            Discipline::Drr {
-                quantum: self.quantum,
-            },
-        ]
     }
 }
 
-/// One aggregated reliability-sweep row: a (workload, load, discipline,
-/// retx) cell summed/averaged over the scenario's trials.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// One reliability-sweep row: a (workload, load, discipline, retx) cell
+/// over the trials. `link_loss` drops count losses after the retransmit
+/// budget, when enabled.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityRow {
     /// Workload shape ("hotspot" or "bursty").
     pub workload: &'static str,
@@ -471,43 +440,12 @@ pub struct ReliabilityRow {
     pub retx: bool,
     /// Offered load in packets per tick.
     pub load: f64,
-    /// Total packets offered across trials.
-    pub offered: usize,
-    /// Total packets delivered across trials.
-    pub delivered: usize,
-    /// Drop totals across trials, by cause (`link_loss` counts losses
-    /// after the retransmit budget, when enabled; `retry_shed` is
-    /// always 0 here: this sweep runs without overload control).
-    pub drops: DropCounts,
-    /// Refused admission at sources (always 0 here, same reason).
-    pub refused: usize,
-    /// Link-layer retransmissions spent across trials.
-    pub retransmissions: usize,
-    /// Mean over trials of the median delivery latency.
-    pub latency_p50: f64,
-    /// Mean over trials of the 99th-percentile delivery latency.
-    pub latency_p99: f64,
-    /// Mean over trials of the mean delivery latency.
-    pub latency_mean: f64,
-    /// Worst queue occupancy any node reached in any trial.
-    pub queue_peak_max: usize,
+    /// The cell's measurements.
+    pub tally: Tally,
 }
 
-impl ReliabilityRow {
-    /// Delivered fraction of offered packets.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.offered == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.offered as f64
-        }
-    }
-}
-
-/// Runs the reliability sweep: every (trial, workload, load, discipline,
-/// retx) cell in parallel over the backbone forwarding scheme, then a
-/// deterministic fold into one row per (workload, load, discipline,
-/// retx).
+/// Runs the reliability sweep over backbone forwarding: one row per
+/// (workload, load, discipline, retx).
 ///
 /// The arrival schedule and fault seed of a cell depend only on (trial,
 /// workload, load) — the discipline and retransmit halves of the sweep
@@ -515,165 +453,83 @@ impl ReliabilityRow {
 /// paired comparisons, not independent samples.
 ///
 /// # Panics
-/// Panics if the scenario yields no trials, or no loads or workloads
-/// are configured.
+/// Panics if the scenario yields no trials or no workloads are
+/// configured.
 pub fn reliability_rows(cfg: &ReliabilitySweepConfig) -> Vec<ReliabilityRow> {
-    assert!(cfg.scenario.trials > 0, "sweep needs at least one trial");
-    assert!(!cfg.loads.is_empty(), "sweep needs at least one load");
-    assert!(
-        !cfg.hotspot_biases.is_empty() || !cfg.burst_sizes.is_empty(),
-        "sweep needs at least one workload"
-    );
-    let instances = cfg.scenario.instances();
-    let trials: Vec<(Graph, Backbone)> = instances
-        .into_par_iter()
-        .map(|(_pts, udg)| {
-            let backbone = BackboneBuilder::new(
-                BackboneConfig::new(cfg.scenario.radius).with_rank(ClusterRank::LowestId),
-            )
-            .build(&udg)
-            .expect("centralized build cannot fail on a valid UDG");
-            (udg, backbone)
+    // The workloads in row order: hotspot biases, then bursts, each at
+    // every load.
+    let hotspots = cfg.hotspot_biases.iter().flat_map(|&bias| {
+        RELIABILITY_LOADS.map(|load| Workload::hotspot(0, bias, load, cfg.duration))
+    });
+    let bursts = cfg.burst_sizes.iter().flat_map(|&burst| {
+        RELIABILITY_LOADS.map(|load| Workload::bursty(burst, load, cfg.duration))
+    });
+    // (seed slot, workload, discipline, retx); the slot is the
+    // workload's index, so it covers the load.
+    let cells: Vec<(u64, Workload, Discipline, bool)> = (0..)
+        .zip(hotspots.chain(bursts))
+        .flat_map(|(slot, wl)| {
+            DISCIPLINES
+                .into_iter()
+                .flat_map(move |d| [false, true].map(|retx| (slot, wl, d, retx)))
         })
         .collect();
-
-    let n_workloads = cfg.hotspot_biases.len() + cfg.burst_sizes.len();
-    let disciplines = cfg.disciplines();
-    // Cell grid: trial-major, then workload, then load, then
-    // (discipline × retx).
-    let variants = disciplines.len() * 2;
-    let cells: Vec<(usize, usize, usize, usize)> = (0..trials.len())
-        .flat_map(|t| {
-            (0..n_workloads).flat_map(move |w| {
-                (0..cfg.loads.len()).flat_map(move |l| (0..variants).map(move |v| (t, w, l, v)))
-            })
-        })
-        .collect();
-    let reports: Vec<TrafficReport> = cells
-        .par_iter()
-        .map(|&(t, w, l, v)| {
-            let (udg, backbone) = &trials[t];
-            let wl = cfg.workloads(cfg.loads[l])[w];
-            let arrivals = wl.generate(
-                cfg.scenario.n,
-                mix_seed(
-                    cfg.scenario.seed,
-                    t as u64,
-                    (w * cfg.loads.len() + l) as u64,
-                ),
-            );
-            let faults = FaultPlan::new(mix_seed(
-                cfg.scenario.seed ^ 0x7e11_ab1e,
-                t as u64,
-                (w * cfg.loads.len() + l) as u64,
-            ))
-            .with_loss(cfg.loss);
+    let tallies = sweep(
+        &cfg.scenario,
+        &cells,
+        |t, udg, backbone, &(slot, wl, d, retx)| {
+            let arrivals = wl.generate(cfg.scenario.n, mix_seed(cfg.scenario.seed, t, slot));
+            let faults = FaultPlan::new(mix_seed(cfg.scenario.seed ^ 0x7e11_ab1e, t, slot))
+                .with_loss(RELIABILITY_LOSS);
             let engine_cfg = TrafficConfig {
-                queue_capacity: cfg.queue_capacity,
-                service_time: cfg.service_time,
-                max_hops: (50 * cfg.scenario.n) as u32,
-                discipline: disciplines[v / 2],
-                reliability: (v % 2 == 1).then_some(cfg.reliability),
-                ..TrafficConfig::default()
+                discipline: d,
+                reliability: retx.then(ReliabilityConfig::default),
+                ..serving(cfg.scenario.n)
             };
             let forwarding = Forwarding::Backbone { backbone, udg };
             run(&forwarding, udg, &arrivals, &faults, &engine_cfg).report
-        })
-        .collect();
-
-    // Fold trial-major cells into (workload, load, discipline, retx)
-    // rows, trials averaged in index order.
-    let workload_meta: Vec<(&'static str, f64)> = cfg
-        .workloads(1.0)
+        },
+    );
+    cells
         .iter()
-        .map(|wl| (wl.kind.label(), wl.kind.param()))
-        .collect();
-    let mut rows = Vec::with_capacity(n_workloads * cfg.loads.len() * variants);
-    for (w, &(workload, param)) in workload_meta.iter().enumerate() {
-        for (l, &load) in cfg.loads.iter().enumerate() {
-            for (v, disc) in disciplines
-                .iter()
-                .enumerate()
-                .flat_map(|(d, disc)| [(d * 2, disc), (d * 2 + 1, disc)])
-            {
-                let mut row = ReliabilityRow {
-                    workload,
-                    param,
-                    discipline: disc.label(),
-                    retx: v % 2 == 1,
-                    load,
-                    ..ReliabilityRow::default()
-                };
-                for t in 0..trials.len() {
-                    let idx = ((t * n_workloads + w) * cfg.loads.len() + l) * variants + v;
-                    let r = &reports[idx];
-                    row.offered += r.offered;
-                    row.delivered += r.delivered;
-                    row.drops += r.drops;
-                    row.refused += r.refused;
-                    row.retransmissions += r.retransmissions;
-                    row.latency_p50 += r.latency_p50 as f64;
-                    row.latency_p99 += r.latency_p99 as f64;
-                    row.latency_mean += r.latency_mean;
-                    row.queue_peak_max = row.queue_peak_max.max(r.queue_peak_max);
-                }
-                let t = trials.len() as f64;
-                row.latency_p50 /= t;
-                row.latency_p99 /= t;
-                row.latency_mean /= t;
-                rows.push(row);
-            }
-        }
-    }
-    rows
+        .zip(tallies)
+        .map(|(&(_, wl, d, retx), tally)| ReliabilityRow {
+            workload: wl.kind.label(),
+            param: wl.kind.param(),
+            discipline: d.label(),
+            retx,
+            load: wl.rate,
+            tally,
+        })
+        .collect()
 }
+
+/// The `traffic_reliability.csv` columns after the row key.
+const RELIABILITY_COLUMNS: &[&[Column]] = &[
+    &[OFFERED, DELIVERED, DELIVERY_RATIO],
+    DROPS,
+    &[REFUSED, RETRANSMISSIONS],
+    &[LATENCY_P50, LATENCY_P99, LATENCY_MEAN, QUEUE_PEAK_MAX],
+];
 
 /// The `traffic_reliability.csv` table (stable column order and
 /// formatting: the artifact is byte-identical for a given seed).
 pub fn reliability_table(rows: &[ReliabilityRow]) -> Table {
-    let mut table = Table::new(
-        [
-            "workload",
-            "param",
-            "discipline",
-            "retx",
-            "load",
-            "offered",
-            "delivered",
-            "delivery_ratio",
-        ]
-        .into_iter()
-        .chain(DROP_COLUMNS)
-        .chain([
-            "refused",
-            "retransmissions",
-            "latency_p50",
-            "latency_p99",
-            "latency_mean",
-            "queue_peak_max",
-        ]),
-    );
+    let keys = ["workload", "param", "discipline", "retx", "load"];
+    let mut table = Table::new(keys.into_iter().chain(column_headers(RELIABILITY_COLUMNS)));
     for r in rows {
-        let mut cells = vec![
+        let key = [
             r.workload.to_string(),
             format!("{:.3}", r.param),
             r.discipline.to_string(),
             on_off(r.retx),
             format!("{:.3}", r.load),
-            r.offered.to_string(),
-            r.delivered.to_string(),
-            format!("{:.6}", r.delivery_ratio()),
         ];
-        cells.extend(drop_cells(&r.drops));
-        cells.extend([
-            r.refused.to_string(),
-            r.retransmissions.to_string(),
-            format!("{:.3}", r.latency_p50),
-            format!("{:.3}", r.latency_p99),
-            format!("{:.4}", r.latency_mean),
-            r.queue_peak_max.to_string(),
-        ]);
-        table.row(cells);
+        table.row(
+            key.into_iter()
+                .chain(column_cells(RELIABILITY_COLUMNS, &r.tally))
+                .collect(),
+        );
     }
     table
 }
@@ -697,10 +553,11 @@ pub fn check_retx_recovery(rows: &[ReliabilityRow]) -> Result<(), String> {
                     && r.discipline == base.discipline
             })
             .ok_or_else(|| format!("no retx row pairing {base:?}"))?;
-        if base.drops.link_loss == 0 {
+        let (lost, still_lost) = (base.tally.drops.link_loss, paired.tally.drops.link_loss);
+        if lost == 0 {
             continue;
         }
-        let recovered = 1.0 - paired.drops.link_loss as f64 / base.drops.link_loss as f64;
+        let recovered = 1.0 - still_lost as f64 / lost as f64;
         if recovered < 0.9 {
             return Err(format!(
                 "{}/{} ({}) at load {:.3}: retransmit recovered only {:.1}% \
@@ -710,8 +567,8 @@ pub fn check_retx_recovery(rows: &[ReliabilityRow]) -> Result<(), String> {
                 base.discipline,
                 low,
                 100.0 * recovered,
-                base.drops.link_loss,
-                paired.drops.link_loss
+                lost,
+                still_lost
             ));
         }
     }
@@ -736,14 +593,14 @@ pub fn check_retx_delivery(rows: &[ReliabilityRow]) -> Result<(), String> {
                     && b.param == r.param
             })
             .ok_or_else(|| format!("no fifo/no-retx baseline for {r:?}"))?;
-        if r.delivery_ratio() < base.delivery_ratio() {
+        if r.tally.delivery_ratio() < base.tally.delivery_ratio() {
             return Err(format!(
                 "{}/{} ({}, retx) delivers {:.4} < baseline {:.4} at load {:.3}",
                 r.workload,
                 r.param,
                 r.discipline,
-                r.delivery_ratio(),
-                base.delivery_ratio(),
+                r.tally.delivery_ratio(),
+                base.tally.delivery_ratio(),
                 low
             ));
         }
@@ -751,12 +608,13 @@ pub fn check_retx_delivery(rows: &[ReliabilityRow]) -> Result<(), String> {
     Ok(())
 }
 
-/// Configuration of the saturation sweep: a hotspot workload served
-/// over the backbone, pushed up the load axis until every queue
-/// discipline's delivery collapses — then the same cells re-run with
-/// congestion-adaptive overload control (sender-queue watermarks +
-/// token-bucket admission) to measure how far the 95%-delivery frontier
-/// moves outward.
+/// Configuration of the saturation sweep (E18): a hotspot workload
+/// served over the backbone with retransmit, pushed up the load axis
+/// until every queue discipline's delivery collapses — then the same
+/// cells re-run with congestion-adaptive overload control (sender-queue
+/// watermarks at [`OverloadConfig::for_capacity`] + token-bucket
+/// admission) to measure how far the 95%-delivery frontier moves
+/// outward.
 #[derive(Debug, Clone)]
 pub struct SaturationSweepConfig {
     /// Deployment parameters (`n`, `side`, `radius`, `trials`, `seed`).
@@ -769,54 +627,22 @@ pub struct SaturationSweepConfig {
     /// Per-node transmit queue capacity (small, so saturation shows up
     /// as `QueueFull` instead of unbounded latency).
     pub queue_capacity: usize,
-    /// Ticks per transmission.
-    pub service_time: u64,
-    /// Per-link delivery loss probability (the retransmit layer's
-    /// pressure source).
-    pub loss: f64,
-    /// Hotspot sink bias of the workload (sink node 0): the fraction of
-    /// traffic funneled through the sink's ingress relay, which is the
-    /// resource that saturates.
-    pub sink_bias: f64,
-    /// DRR quantum (packets per flow per round-robin visit).
-    pub quantum: u32,
-    /// The retransmit scheme, active in *both* halves of the sweep —
-    /// overload control adapts it, it does not replace it.
-    pub reliability: ReliabilityConfig,
-    /// Sender-queue watermarks of the control-on half.
-    pub overload: OverloadConfig,
     /// Source admission of the control-on half.
     pub admission: AdmissionPolicy,
-    /// Spatial shard count of the serving engine. Any value produces
-    /// byte-identical rows — the crown invariant of the sharded engine,
-    /// pinned by a test sweeping this knob over the E18 config.
-    pub shards: usize,
 }
 
 impl SaturationSweepConfig {
-    /// The default sweep: the Table I deployment under 10% loss, loads
-    /// pushed past the hotspot ingress saturation point. The sink (node
-    /// 0, a lowest-ID dominator) is reached through several backbone
-    /// relays, so collapse arrives well above the single-relay estimate
-    /// `1/bias` — the range must extend past it by several octaves.
+    /// The default sweep: the Table I deployment, loads pushed past the
+    /// hotspot ingress saturation point. The sink (node 0, a lowest-ID
+    /// dominator) is reached through several backbone relays, so
+    /// collapse arrives well above the single-relay estimate `1/bias` —
+    /// the range must extend past it by several octaves.
     pub fn standard() -> Self {
         SaturationSweepConfig {
-            scenario: Scenario {
-                n: 100,
-                side: 200.0,
-                radius: 60.0,
-                trials: 3,
-                seed: 1,
-            },
+            scenario: standard_scenario(),
             loads: vec![0.4, 0.8, 1.6, 3.2, 6.4, 12.8],
             duration: 2_000,
             queue_capacity: 16,
-            service_time: 1,
-            loss: 0.1,
-            sink_bias: 0.7,
-            quantum: 2,
-            reliability: ReliabilityConfig::default(),
-            overload: OverloadConfig::for_capacity(16),
             // Aggregate admitted ceiling n / ticks_per_token = 1.0
             // packet per tick — under the ingress saturation point, so
             // admitted traffic keeps delivering while offered load
@@ -825,52 +651,28 @@ impl SaturationSweepConfig {
                 ticks_per_token: 100,
                 burst: 2,
             },
-            shards: 1,
         }
     }
 
     /// The CI smoke sweep: a small field pushed over the same cliff.
     pub fn quick() -> Self {
         SaturationSweepConfig {
-            scenario: Scenario {
-                n: 40,
-                side: 120.0,
-                radius: 45.0,
-                trials: 1,
-                seed: 1,
-            },
+            scenario: quick_scenario(),
             loads: vec![0.4, 1.6, 6.4, 12.8],
             duration: 600,
             queue_capacity: 8,
-            service_time: 1,
-            loss: 0.1,
-            sink_bias: 0.7,
-            quantum: 2,
-            reliability: ReliabilityConfig::default(),
-            overload: OverloadConfig::for_capacity(8),
             admission: AdmissionPolicy::TokenBucket {
                 ticks_per_token: 40,
                 burst: 2,
             },
-            shards: 1,
         }
-    }
-
-    /// The swept disciplines in row order.
-    fn disciplines(&self) -> [Discipline; 3] {
-        [
-            Discipline::Fifo,
-            Discipline::NearestFirst,
-            Discipline::Drr {
-                quantum: self.quantum,
-            },
-        ]
     }
 }
 
-/// One aggregated saturation row: a (discipline, control, load) cell
-/// summed/averaged over the scenario's trials.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// One saturation row: a (discipline, control, load) cell over the
+/// trials. `queue_full` drops are the congestion-collapse signature;
+/// refusals and `retry_shed` drops are 0 in the control-off half.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SaturationRow {
     /// Queue discipline label ("fifo", "priority", "drr").
     pub discipline: &'static str,
@@ -878,49 +680,13 @@ pub struct SaturationRow {
     pub control: bool,
     /// Offered load in packets per tick.
     pub load: f64,
-    /// Total packets offered across trials.
-    pub offered: usize,
-    /// Refused admission at sources (0 in the control-off half).
-    pub refused: usize,
-    /// Total packets delivered across trials.
-    pub delivered: usize,
-    /// Drop totals across trials, by cause: `queue_full` is the
-    /// congestion-collapse signature, `link_loss` counts losses after
-    /// the retransmit budget, `retry_shed` is 0 in the control-off half.
-    pub drops: DropCounts,
-    /// Link-layer retransmissions spent across trials.
-    pub retransmissions: usize,
-    /// Mean over trials of the median delivery latency.
-    pub latency_p50: f64,
-    /// Mean over trials of the 99th-percentile delivery latency.
-    pub latency_p99: f64,
-    /// Worst queue occupancy any node reached in any trial.
-    pub queue_peak_max: usize,
+    /// The cell's measurements; its delivery ratio over admitted
+    /// packets is the frontier metric.
+    pub tally: Tally,
 }
 
-impl SaturationRow {
-    /// Packets that entered the network: offered minus refusals.
-    pub fn admitted(&self) -> usize {
-        self.offered - self.refused
-    }
-
-    /// Delivered fraction of *admitted* packets (1.0 when nothing was
-    /// admitted). This is the frontier metric: an admission gate is
-    /// judged on what it let in, a watermark on what it kept flowing —
-    /// in the control-off half `admitted == offered`, so the two
-    /// halves' ratios are directly comparable.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.admitted() == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.admitted() as f64
-        }
-    }
-}
-
-/// Runs the saturation sweep: every (trial, load, discipline, control)
-/// cell in parallel over backbone forwarding, then a deterministic fold
-/// into one row per (discipline, control, load).
+/// Runs the saturation sweep over backbone forwarding: one row per
+/// (discipline, control, load).
 ///
 /// The arrival schedule and fault seed of a cell depend only on (trial,
 /// load) — all disciplines and both control halves see identical
@@ -929,96 +695,48 @@ impl SaturationRow {
 /// # Panics
 /// Panics if the scenario yields no trials or no loads are configured.
 pub fn saturation_rows(cfg: &SaturationSweepConfig) -> Vec<SaturationRow> {
-    assert!(cfg.scenario.trials > 0, "sweep needs at least one trial");
-    assert!(!cfg.loads.is_empty(), "sweep needs at least one load");
-    let instances = cfg.scenario.instances();
-    let trials: Vec<(Graph, Backbone)> = instances
-        .into_par_iter()
-        .map(|(_pts, udg)| {
-            let backbone = BackboneBuilder::new(
-                BackboneConfig::new(cfg.scenario.radius).with_rank(ClusterRank::LowestId),
-            )
-            .build(&udg)
-            .expect("centralized build cannot fail on a valid UDG");
-            (udg, backbone)
+    let cells: Vec<(Discipline, bool, usize)> = DISCIPLINES
+        .into_iter()
+        .flat_map(|d| {
+            [false, true]
+                .into_iter()
+                .flat_map(move |control| (0..cfg.loads.len()).map(move |l| (d, control, l)))
         })
         .collect();
-
-    let disciplines = cfg.disciplines();
-    // Cell grid: trial-major, then load, then (discipline × control).
-    let variants = disciplines.len() * 2;
-    let cells: Vec<(usize, usize, usize)> = (0..trials.len())
-        .flat_map(|t| (0..cfg.loads.len()).flat_map(move |l| (0..variants).map(move |v| (t, l, v))))
-        .collect();
-    let reports: Vec<TrafficReport> = cells
-        .par_iter()
-        .map(|&(t, l, v)| {
-            let (udg, backbone) = &trials[t];
-            let arrivals = Workload::hotspot(0, cfg.sink_bias, cfg.loads[l], cfg.duration)
-                .generate(
-                    cfg.scenario.n,
-                    mix_seed(cfg.scenario.seed, t as u64, l as u64),
-                );
-            let faults = FaultPlan::new(mix_seed(
-                cfg.scenario.seed ^ 0x5a70_ca7e,
-                t as u64,
-                l as u64,
-            ))
-            .with_loss(cfg.loss);
-            let control = v % 2 == 1;
+    let tallies = sweep(
+        &cfg.scenario,
+        &cells,
+        |t, udg, backbone, &(d, control, l)| {
+            let arrivals = Workload::hotspot(0, SINK_BIAS, cfg.loads[l], cfg.duration)
+                .generate(cfg.scenario.n, mix_seed(cfg.scenario.seed, t, l as u64));
+            let faults = FaultPlan::new(mix_seed(cfg.scenario.seed ^ 0x5a70_ca7e, t, l as u64))
+                .with_loss(SATURATION_LOSS);
             let engine_cfg = TrafficConfig {
                 queue_capacity: cfg.queue_capacity,
-                service_time: cfg.service_time,
-                max_hops: (50 * cfg.scenario.n) as u32,
-                discipline: disciplines[v / 2],
-                reliability: Some(cfg.reliability),
-                overload: control.then_some(cfg.overload),
+                discipline: d,
+                reliability: Some(ReliabilityConfig::default()),
+                overload: control.then(|| OverloadConfig::for_capacity(cfg.queue_capacity)),
                 admission: if control {
                     cfg.admission
                 } else {
                     AdmissionPolicy::Open
                 },
-                shards: cfg.shards,
-                ..TrafficConfig::default()
+                ..serving(cfg.scenario.n)
             };
             let forwarding = Forwarding::Backbone { backbone, udg };
             run(&forwarding, udg, &arrivals, &faults, &engine_cfg).report
+        },
+    );
+    cells
+        .iter()
+        .zip(tallies)
+        .map(|(&(d, control, l), tally)| SaturationRow {
+            discipline: d.label(),
+            control,
+            load: cfg.loads[l],
+            tally,
         })
-        .collect();
-
-    // Fold trial-major cells into (discipline, control, load) rows,
-    // trials averaged in index order.
-    let mut rows = Vec::with_capacity(cfg.loads.len() * variants);
-    for (d, disc) in disciplines.iter().enumerate() {
-        for control in [false, true] {
-            let v = d * 2 + usize::from(control);
-            for (l, &load) in cfg.loads.iter().enumerate() {
-                let mut row = SaturationRow {
-                    discipline: disc.label(),
-                    control,
-                    load,
-                    ..SaturationRow::default()
-                };
-                for t in 0..trials.len() {
-                    let idx = (t * cfg.loads.len() + l) * variants + v;
-                    let r = &reports[idx];
-                    row.offered += r.offered;
-                    row.refused += r.refused;
-                    row.delivered += r.delivered;
-                    row.drops += r.drops;
-                    row.retransmissions += r.retransmissions;
-                    row.latency_p50 += r.latency_p50 as f64;
-                    row.latency_p99 += r.latency_p99 as f64;
-                    row.queue_peak_max = row.queue_peak_max.max(r.queue_peak_max);
-                }
-                let t = trials.len() as f64;
-                row.latency_p50 /= t;
-                row.latency_p99 /= t;
-                rows.push(row);
-            }
-        }
-    }
-    rows
+        .collect()
 }
 
 /// The delivery threshold defining the saturation frontier.
@@ -1032,11 +750,9 @@ pub const FRONTIER_THRESHOLD: f64 = 0.95;
 pub fn saturation_frontier(rows: &[SaturationRow], discipline: &str, control: bool) -> Option<f64> {
     rows.iter()
         .filter(|r| r.discipline == discipline && r.control == control)
-        .filter(|r| r.delivery_ratio() < FRONTIER_THRESHOLD)
+        .filter(|r| r.tally.delivery_ratio() < FRONTIER_THRESHOLD)
         .map(|r| r.load)
-        .fold(None, |acc, load| {
-            Some(acc.map_or(load, |a: f64| a.min(load)))
-        })
+        .reduce(f64::min)
 }
 
 /// The collapse assertion: with overload control off, every discipline
@@ -1050,8 +766,8 @@ pub fn check_saturation_collapse(rows: &[SaturationRow]) -> Result<(), String> {
         let collapsed = rows.iter().any(|r| {
             r.discipline == disc
                 && !r.control
-                && r.delivery_ratio() < FRONTIER_THRESHOLD
-                && r.drops.queue_full > 0
+                && r.tally.delivery_ratio() < FRONTIER_THRESHOLD
+                && r.tally.drops.queue_full > 0
         });
         if !collapsed {
             return Err(format!(
@@ -1088,50 +804,31 @@ pub fn check_frontier_shift(rows: &[SaturationRow]) -> Result<(), String> {
     Ok(())
 }
 
+/// The `traffic_saturation.csv` columns after the row key.
+const SATURATION_COLUMNS: &[&[Column]] = &[
+    &[OFFERED, REFUSED, ADMITTED, DELIVERED, DELIVERY_RATIO],
+    DROPS,
+    &[RETRANSMISSIONS, LATENCY_P50, LATENCY_P99, QUEUE_PEAK_MAX],
+];
+
 /// The `traffic_saturation.csv` table (stable column order and
 /// formatting: the artifact is byte-identical for a given seed).
 /// `delivery_ratio` is delivered / admitted — see
-/// [`SaturationRow::delivery_ratio`].
+/// [`Tally::delivery_ratio`].
 pub fn saturation_table(rows: &[SaturationRow]) -> Table {
-    let mut table = Table::new(
-        [
-            "discipline",
-            "control",
-            "load",
-            "offered",
-            "refused",
-            "admitted",
-            "delivered",
-            "delivery_ratio",
-        ]
-        .into_iter()
-        .chain(DROP_COLUMNS)
-        .chain([
-            "retransmissions",
-            "latency_p50",
-            "latency_p99",
-            "queue_peak_max",
-        ]),
-    );
+    let keys = ["discipline", "control", "load"];
+    let mut table = Table::new(keys.into_iter().chain(column_headers(SATURATION_COLUMNS)));
     for r in rows {
-        let mut cells = vec![
+        let key = [
             r.discipline.to_string(),
             on_off(r.control),
             format!("{:.3}", r.load),
-            r.offered.to_string(),
-            r.refused.to_string(),
-            r.admitted().to_string(),
-            r.delivered.to_string(),
-            format!("{:.6}", r.delivery_ratio()),
         ];
-        cells.extend(drop_cells(&r.drops));
-        cells.extend([
-            r.retransmissions.to_string(),
-            format!("{:.3}", r.latency_p50),
-            format!("{:.3}", r.latency_p99),
-            r.queue_peak_max.to_string(),
-        ]);
-        table.row(cells);
+        table.row(
+            key.into_iter()
+                .chain(column_cells(SATURATION_COLUMNS, &r.tally))
+                .collect(),
+        );
     }
     table
 }
@@ -1181,12 +878,12 @@ pub fn traffic_reliability(flags: &Flags, out: &mut Artifacts) -> Result<(), Str
     println!(
         "Retransmit + disciplines under {:.0}% loss: n={}, R={}, {} trials, {} ticks, \
          loads {:?}, biases {:?}, bursts {:?}\n",
-        100.0 * cfg.loss,
+        100.0 * RELIABILITY_LOSS,
         cfg.scenario.n,
         cfg.scenario.radius,
         cfg.scenario.trials,
         cfg.duration,
-        cfg.loads,
+        RELIABILITY_LOADS,
         cfg.hotspot_biases,
         cfg.burst_sizes
     );
@@ -1226,13 +923,13 @@ pub fn traffic_saturation(flags: &Flags, out: &mut Artifacts) -> Result<(), Stri
     println!(
         "Saturation frontier under {:.0}% loss: n={}, R={}, {} trials, {} ticks, \
          loads {:?}, sink bias {}, queue capacity {}\n",
-        100.0 * cfg.loss,
+        100.0 * SATURATION_LOSS,
         cfg.scenario.n,
         cfg.scenario.radius,
         cfg.scenario.trials,
         cfg.duration,
         cfg.loads,
-        cfg.sink_bias,
+        SINK_BIAS,
         cfg.queue_capacity
     );
     let rows = saturation_rows(&cfg);
@@ -1275,14 +972,14 @@ mod tests {
         let rows = traffic_rows(&cfg);
         assert_eq!(rows.len(), cfg.loads.len() * TOPOLOGIES.len());
         for r in &rows {
-            assert!(r.offered > 0);
-            assert_eq!(r.offered, r.delivered + r.drops.total());
+            assert!(r.tally.offered > 0);
+            assert_eq!(r.tally.offered, r.tally.delivered + r.tally.drops.total());
         }
         check_low_load_delivery(&rows).unwrap();
         // Backbone routes detour: stretch is measured and ≥ 1.
         let backbone_low = rows.iter().find(|r| r.policy == "backbone").unwrap();
-        assert!(backbone_low.hop_stretch_avg >= 1.0);
-        assert!(backbone_low.length_stretch_avg >= 1.0);
+        assert!(backbone_low.tally.hop_stretch_avg >= 1.0);
+        assert!(backbone_low.tally.length_stretch_avg >= 1.0);
     }
 
     #[test]
@@ -1300,14 +997,15 @@ mod tests {
         let cfg = ReliabilitySweepConfig::quick();
         let rows = reliability_rows(&cfg);
         // workloads × loads × disciplines × {off, on}.
-        assert_eq!(rows.len(), 2 * cfg.loads.len() * 3 * 2);
+        assert_eq!(rows.len(), 2 * RELIABILITY_LOADS.len() * 3 * 2);
         for r in &rows {
-            assert!(r.offered > 0);
-            assert_eq!(r.offered, r.delivered + r.drops.total());
+            let t = &r.tally;
+            assert!(t.offered > 0);
+            assert_eq!(t.offered, t.delivered + t.drops.total());
             // Retransmissions only happen in the retx half.
             assert_eq!(
                 r.retx,
-                r.retransmissions > 0 || r.retx && r.drops.link_loss == 0
+                t.retransmissions > 0 || r.retx && t.drops.link_loss == 0
             );
         }
         check_retx_recovery(&rows).unwrap();
@@ -1332,7 +1030,7 @@ mod tests {
                         && r.load == base.load
                 })
                 .unwrap();
-            assert_eq!(base.offered, paired.offered);
+            assert_eq!(base.tally.offered, paired.tally.offered);
         }
     }
 
@@ -1343,11 +1041,12 @@ mod tests {
         // disciplines × {off, on} × loads.
         assert_eq!(rows.len(), 3 * 2 * cfg.loads.len());
         for r in &rows {
-            assert!(r.offered > 0);
-            assert_eq!(r.offered, r.delivered + r.refused + r.drops.total());
+            let t = &r.tally;
+            assert!(t.offered > 0);
+            assert_eq!(t.offered, t.delivered + t.refused + t.drops.total());
             if !r.control {
-                assert_eq!(r.refused, 0, "no admission gate in the off half");
-                assert_eq!(r.drops.retry_shed, 0, "no watermarks in the off half");
+                assert_eq!(t.refused, 0, "no admission gate in the off half");
+                assert_eq!(t.drops.retry_shed, 0, "no watermarks in the off half");
             }
         }
         check_saturation_collapse(&rows).unwrap();
@@ -1362,7 +1061,10 @@ mod tests {
                 .iter()
                 .find(|r| r.control && r.discipline == base.discipline && r.load == base.load)
                 .unwrap();
-            assert_eq!(base.offered, paired.offered, "same arrival schedule");
+            assert_eq!(
+                base.tally.offered, paired.tally.offered,
+                "same arrival schedule"
+            );
         }
     }
 
@@ -1374,23 +1076,6 @@ mod tests {
         assert_eq!(a, b, "same seed must give a byte-identical artifact");
         assert_eq!(a.lines().count(), rows.len() + 1);
         assert!(a.starts_with("discipline,control,load,"));
-    }
-
-    #[test]
-    fn e18_csv_is_byte_identical_at_every_shard_count() {
-        // The crown invariant on the E18 saturation config itself:
-        // shards ∈ {1, 2, 4, 8} serve every (discipline × control ×
-        // load) cell of the sweep to byte-identical CSV rows.
-        let reference = saturation_table(&saturation_rows(&SaturationSweepConfig::quick())).csv();
-        for shards in [2, 4, 8] {
-            let mut cfg = SaturationSweepConfig::quick();
-            cfg.shards = shards;
-            let csv = saturation_table(&saturation_rows(&cfg)).csv();
-            assert_eq!(
-                reference, csv,
-                "shards={shards}: E18 CSV diverged from single-shard"
-            );
-        }
     }
 
     #[test]

@@ -4,6 +4,10 @@
 //! either way), must write exactly the artifacts the table
 //! names, each with the recorded 64-bit FNV-1a digest.
 //!
+//! The traffic sweeps are also pinned at `--quick --trials 2`, so the
+//! fold over trials (sums, means and maxima in trial order) is covered
+//! too.
+//!
 //! The digests were captured from the per-experiment binaries that
 //! preceded the `geospan-bench <experiment>` driver, so they pin the
 //! refactor — and every later change — to byte-identical output. A
@@ -117,5 +121,17 @@ golden! {
     ];
     traffic_churn: "traffic_churn --quick" => [
         "traffic_churn.csv" = 0x5160cfb911f4336c,
+    ];
+    traffic_load_trials2: "traffic_load --quick --trials 2" => [
+        "traffic_load.csv" = 0x02417acf1270b888,
+    ];
+    traffic_reliability_trials2: "traffic_reliability --quick --trials 2" => [
+        "traffic_reliability.csv" = 0x3a829d12623c1b6d,
+    ];
+    traffic_saturation_trials2: "traffic_saturation --quick --trials 2" => [
+        "traffic_saturation.csv" = 0x725f8fed80d7453f,
+    ];
+    traffic_churn_trials2: "traffic_churn --quick --trials 2" => [
+        "traffic_churn.csv" = 0xa8cf6bc682f9ff2e,
     ];
 }

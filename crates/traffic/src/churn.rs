@@ -42,7 +42,7 @@ use geospan_sim::{ChurnEvent, ChurnPlan, FaultPlan};
 use serde::Serialize;
 
 use crate::engine::{aggregate, ShardCore, Shared, TrafficConfig, TrafficOutcome};
-use crate::shard::{default_threads, drive_sequential, drive_threaded, RunStats, ShardMap};
+use crate::shard::{drive, worker_threads, RunStats, ShardMap};
 use crate::workload::Arrival;
 use crate::{Forwarding, PacketOutcome};
 
@@ -225,7 +225,7 @@ impl ChurnEngine {
         for (i, a) in arrivals.iter().enumerate() {
             per_shard_arrivals[map.shard_of()[a.src] as usize].push(i as u32);
         }
-        let threads = self.threads.unwrap_or_else(default_threads).min(s).max(1);
+        let threads = worker_threads(self.threads, s);
 
         let mut churn = ChurnReport {
             joins: 0,
@@ -260,7 +260,7 @@ impl ChurnEngine {
                 local_of: map.local_of(),
                 churn: Some(plan),
             };
-            let mut epoch_cores = match cores.take() {
+            let epoch_cores = match cores.take() {
                 Some(c) => c,
                 None => per_shard_arrivals
                     .iter()
@@ -268,12 +268,7 @@ impl ChurnEngine {
                     .map(|(i, mine)| ShardCore::new(&shared, i as u32, mine.clone(), map.owned(i)))
                     .collect(),
             };
-            if threads <= 1 {
-                drive_sequential(&shared, &mut epoch_cores, boundary);
-            } else {
-                epoch_cores = drive_threaded(&shared, epoch_cores, threads, boundary);
-            }
-            cores = Some(epoch_cores);
+            cores = Some(drive(&shared, epoch_cores, threads, boundary));
             if boundary == u64::MAX {
                 break;
             }
@@ -324,15 +319,7 @@ impl ChurnEngine {
             }
         }
         let cores = cores.expect("the boundary list always ends with the quiescence epoch");
-        let stats = RunStats {
-            shards: s,
-            threads,
-            rounds: cores.first().map(|c| c.rounds).unwrap_or(0),
-            events: cores.iter().map(|c| c.events).sum(),
-            boundary_messages: cores.iter().map(|c| c.boundary_in).sum(),
-            idle_shard_rounds: cores.iter().map(|c| c.idle_rounds).sum(),
-            events_per_shard: cores.iter().map(|c| c.events).collect(),
-        };
+        let stats = RunStats::of(&cores, threads);
         let traffic = aggregate(&home_udg, cores);
         if let Some(since) = stale_since.take() {
             // Still stale when the run quiesced: staleness extends to
@@ -375,24 +362,6 @@ fn windows(outcome: &TrafficOutcome, window: u64) -> Vec<WindowDelivery> {
         }
     }
     out
-}
-
-/// A convenience front door mirroring [`crate::run`]:
-/// [`TrafficConfig::shards`] shards, the default worker-thread count,
-/// default windows.
-///
-/// # Errors
-/// See [`ChurnEngine::run`].
-pub fn run_churn(
-    initial: &[Point],
-    radius: f64,
-    plan: &ChurnPlan,
-    arrivals: &[Arrival],
-    faults: &FaultPlan,
-    cfg: &TrafficConfig,
-    strategy: RepairStrategy,
-) -> Result<ChurnOutcome, BackboneError> {
-    ChurnEngine::new(cfg.shards).run(initial, radius, plan, arrivals, faults, cfg, strategy)
 }
 
 #[cfg(test)]
@@ -503,16 +472,17 @@ mod tests {
             service_time: 2,
             ..TrafficConfig::default()
         };
-        let out = run_churn(
-            &pts,
-            2.5,
-            &plan,
-            &arrivals,
-            &FaultPlan::none(),
-            &cfg,
-            RepairStrategy::LocalRepair,
-        )
-        .expect("run");
+        let out = ChurnEngine::new(1)
+            .run(
+                &pts,
+                2.5,
+                &plan,
+                &arrivals,
+                &FaultPlan::none(),
+                &cfg,
+                RepairStrategy::LocalRepair,
+            )
+            .expect("run");
         let r = &out.traffic.report;
         assert!(
             r.drops.node_departed >= 2,
@@ -602,16 +572,17 @@ mod tests {
         let arrivals = Workload::uniform(0.3, 300).generate(plan.universe(), 13);
         let cfg = TrafficConfig::default();
         let run = |strategy| {
-            run_churn(
-                &pts,
-                radius,
-                &plan,
-                &arrivals,
-                &FaultPlan::none(),
-                &cfg,
-                strategy,
-            )
-            .expect("run")
+            ChurnEngine::new(1)
+                .run(
+                    &pts,
+                    radius,
+                    &plan,
+                    &arrivals,
+                    &FaultPlan::none(),
+                    &cfg,
+                    strategy,
+                )
+                .expect("run")
         };
         let local = run(RepairStrategy::LocalRepair);
         let baseline = run(RepairStrategy::FullRebuild);

@@ -78,9 +78,7 @@ mod report;
 pub mod shard;
 mod workload;
 
-pub use churn::{
-    run_churn, ChurnEngine, ChurnOutcome, ChurnReport, RepairStrategy, WindowDelivery,
-};
+pub use churn::{ChurnEngine, ChurnOutcome, ChurnReport, RepairStrategy, WindowDelivery};
 pub use engine::{run, AdmissionPolicy, TrafficConfig, TrafficOutcome};
 pub use queue::{
     DeficitRoundRobin, Discipline, Fifo, NearestFirst, Pressure, PressureGauge, QueueDiscipline,

@@ -154,6 +154,19 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// The statistics of a finished drive over `cores` (one per shard).
+    pub(crate) fn of(cores: &[ShardCore<'_>], threads: usize) -> RunStats {
+        RunStats {
+            shards: cores.len(),
+            threads,
+            rounds: cores.first().map(|c| c.rounds).unwrap_or(0),
+            events: cores.iter().map(|c| c.events).sum(),
+            boundary_messages: cores.iter().map(|c| c.boundary_in).sum(),
+            idle_shard_rounds: cores.iter().map(|c| c.idle_rounds).sum(),
+            events_per_shard: cores.iter().map(|c| c.events).collect(),
+        }
+    }
+
     /// Load imbalance of the spatial partition: the busiest shard's
     /// event count over the mean (1.0 = perfectly balanced; 0 when no
     /// events were processed).
@@ -247,44 +260,52 @@ impl ShardedEngine {
         for (i, a) in arrivals.iter().enumerate() {
             per_shard_arrivals[map.shard_of()[a.src] as usize].push(i as u32);
         }
-        let mut cores: Vec<ShardCore<'_>> = per_shard_arrivals
+        let cores: Vec<ShardCore<'_>> = per_shard_arrivals
             .into_iter()
             .enumerate()
             .map(|(i, mine)| ShardCore::new(&shared, i as u32, mine, map.owned(i)))
             .collect();
-        let threads = self.threads.unwrap_or_else(default_threads).min(s).max(1);
-        if threads <= 1 {
-            drive_sequential(&shared, &mut cores, u64::MAX);
-        } else {
-            cores = drive_threaded(&shared, cores, threads, u64::MAX);
-        }
-        let stats = RunStats {
-            shards: s,
-            threads,
-            rounds: cores.first().map(|c| c.rounds).unwrap_or(0),
-            events: cores.iter().map(|c| c.events).sum(),
-            boundary_messages: cores.iter().map(|c| c.boundary_in).sum(),
-            idle_shard_rounds: cores.iter().map(|c| c.idle_rounds).sum(),
-            events_per_shard: cores.iter().map(|c| c.events).collect(),
-        };
+        let threads = worker_threads(self.threads, s);
+        let cores = drive(&shared, cores, threads, u64::MAX);
+        let stats = RunStats::of(&cores, threads);
         (aggregate(udg, cores), stats)
     }
 }
 
-/// Worker-thread default: the `RAYON_NUM_THREADS` escape hatch the
-/// workspace already honors, else the machine's parallelism. Thread
-/// count never affects results, so reading the environment here is not
-/// a determinism hazard.
-pub(crate) fn default_threads() -> usize {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
+/// The worker-thread count of a drive over `shards` shards: the pinned
+/// count, else the `RAYON_NUM_THREADS` escape hatch the workspace
+/// already honors, else the machine's parallelism — capped at the shard
+/// count. Thread count never affects results, so reading the
+/// environment here is not a determinism hazard.
+pub(crate) fn worker_threads(pinned: Option<usize>, shards: usize) -> usize {
+    let threads = pinned.unwrap_or_else(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&t| t > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|p| p.get())
+                    .unwrap_or(1)
+            })
+    });
+    threads.min(shards).max(1)
+}
+
+/// Drives `cores` up to `until` (exclusive): the sequential driver at
+/// one thread, the threaded driver otherwise.
+pub(crate) fn drive<'a>(
+    ctx: &Shared<'_, '_>,
+    mut cores: Vec<ShardCore<'a>>,
+    threads: usize,
+    until: u64,
+) -> Vec<ShardCore<'a>> {
+    if threads <= 1 {
+        drive_sequential(ctx, &mut cores, until);
+        cores
+    } else {
+        drive_threaded(ctx, cores, threads, until)
+    }
 }
 
 /// One worker drives every shard: vote, execute the local phases,
@@ -296,7 +317,7 @@ pub(crate) fn default_threads() -> usize {
 /// with all engine state (queues, stores, pending retries and
 /// services) intact, which is how the churn driver interleaves
 /// topology changes between epochs. `u64::MAX` runs to quiescence.
-pub(crate) fn drive_sequential(ctx: &Shared<'_, '_>, cores: &mut [ShardCore<'_>], until: u64) {
+fn drive_sequential(ctx: &Shared<'_, '_>, cores: &mut [ShardCore<'_>], until: u64) {
     let s = cores.len();
     // outboxes[src][dst] persists across rounds; `append` drains it.
     let mut outboxes: Vec<Vec<Vec<BoundaryMsg>>> = (0..s)
@@ -333,7 +354,7 @@ pub(crate) fn drive_sequential(ctx: &Shared<'_, '_>, cores: &mut [ShardCore<'_>]
 /// may then read them). A worker's first action of round `k+1` —
 /// storing votes — is ordered after every other worker's reads of
 /// round `k` by the second barrier, so two barriers suffice.
-pub(crate) fn drive_threaded<'a>(
+fn drive_threaded<'a>(
     ctx: &Shared<'_, '_>,
     cores: Vec<ShardCore<'a>>,
     threads: usize,
@@ -415,7 +436,7 @@ pub(crate) fn drive_threaded<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AdmissionPolicy, Workload};
+    use crate::{AdmissionPolicy, Discipline, Workload};
     use geospan_core::{BackboneBuilder, BackboneConfig};
     use geospan_graph::gen::{uniform_points, UnitDiskBuilder};
     use geospan_graph::Point;
@@ -472,23 +493,13 @@ mod tests {
     /// The crown invariant on a generic lossy, contended, retransmitting,
     /// overload-controlled, admission-paced network: every shard count
     /// and thread count produces the identical outcome struct, under
-    /// greedy and under `LDel(ICDS)` backbone forwarding.
+    /// greedy and under `LDel(ICDS)` backbone forwarding, with each
+    /// queue discipline.
     #[test]
     fn every_shard_and_thread_count_is_bit_identical() {
         let g = net(60, 150.0, 40.0, 7);
         let arrivals = Workload::hotspot(3, 0.7, 2.0, 400).generate(60, 9);
         let plan = FaultPlan::new(21).with_loss(0.12).with_duplication(0.05);
-        let cfg = TrafficConfig {
-            queue_capacity: 8,
-            reliability: Some(ReliabilityConfig::default()),
-            overload: Some(geospan_sim::OverloadConfig::for_capacity(8)),
-            admission: AdmissionPolicy::TokenBucket {
-                ticks_per_token: 4,
-                burst: 3,
-            },
-            record_paths: true,
-            ..TrafficConfig::default()
-        };
         let backbone = BackboneBuilder::new(BackboneConfig::new(40.0))
             .build(&g)
             .expect("a valid unit disk graph builds");
@@ -497,18 +508,36 @@ mod tests {
             udg: &g,
         };
         for fw in [Forwarding::Greedy(&g), backbone_fw] {
-            let label = fw.label();
-            let reference = ShardedEngine::new(1)
-                .with_threads(1)
-                .run(&fw, &g, &arrivals, &plan, &cfg);
-            assert!(reference.report.delivered > 0, "{label}");
-            assert!(reference.report.drops.total() > 0, "{label}: losses");
-            for shards in [2, 4, 8] {
-                for threads in [1, 2, 4] {
-                    let out = ShardedEngine::new(shards)
-                        .with_threads(threads)
-                        .run(&fw, &g, &arrivals, &plan, &cfg);
-                    assert_eq!(out, reference, "{label} shards={shards} threads={threads}");
+            for discipline in [
+                Discipline::Fifo,
+                Discipline::NearestFirst,
+                Discipline::Drr { quantum: 2 },
+            ] {
+                let label = format!("{} {}", fw.label(), discipline.label());
+                let cfg = TrafficConfig {
+                    queue_capacity: 8,
+                    discipline,
+                    reliability: Some(ReliabilityConfig::default()),
+                    overload: Some(geospan_sim::OverloadConfig::for_capacity(8)),
+                    admission: AdmissionPolicy::TokenBucket {
+                        ticks_per_token: 4,
+                        burst: 3,
+                    },
+                    record_paths: true,
+                    ..TrafficConfig::default()
+                };
+                let reference = ShardedEngine::new(1)
+                    .with_threads(1)
+                    .run(&fw, &g, &arrivals, &plan, &cfg);
+                assert!(reference.report.delivered > 0, "{label}");
+                assert!(reference.report.drops.total() > 0, "{label}: losses");
+                for shards in [2, 4, 8] {
+                    for threads in [1, 2, 4] {
+                        let out = ShardedEngine::new(shards)
+                            .with_threads(threads)
+                            .run(&fw, &g, &arrivals, &plan, &cfg);
+                        assert_eq!(out, reference, "{label} shards={shards} threads={threads}");
+                    }
                 }
             }
         }

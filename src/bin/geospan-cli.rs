@@ -311,6 +311,11 @@ fn cmd_route(flags: &Flags) -> Result<(), String> {
     }
 }
 
+/// The most packets (`rate × duration`) or churn events
+/// (`churn-rate × duration`) one traffic run may schedule: both size an
+/// up-front allocation, so a larger product is refused, not attempted.
+const MAX_SCHEDULED: f64 = 1e7;
+
 fn cmd_traffic(flags: &Flags) -> Result<(), String> {
     // Deployment: an explicit node file, or a generated connected field.
     let pts = if flags.kv.contains_key("nodes") {
@@ -334,6 +339,11 @@ fn cmd_traffic(flags: &Flags) -> Result<(), String> {
     if !(rate > 0.0 && rate.is_finite()) {
         return Err("rate must be positive".into());
     }
+    if rate * duration as f64 > MAX_SCHEDULED {
+        return Err(format!(
+            "rate × duration must be at most {MAX_SCHEDULED:e} expected packets"
+        ));
+    }
     let workload_name: String = flags.get_or("workload", "uniform".to_string())?;
     let workload = match workload_name.as_str() {
         "uniform" => Workload::uniform(rate, duration),
@@ -355,6 +365,11 @@ fn cmd_traffic(flags: &Flags) -> Result<(), String> {
     let churn_rate: f64 = flags.get_or("churn-rate", 0.0)?;
     if !(churn_rate >= 0.0 && churn_rate.is_finite()) {
         return Err("churn-rate must be non-negative".into());
+    }
+    if churn_rate * duration as f64 > MAX_SCHEDULED {
+        return Err(format!(
+            "churn-rate × duration must be at most {MAX_SCHEDULED:e} churn events"
+        ));
     }
     if churn_rate > 0.0 && policy != "backbone" {
         return Err("churn maintenance requires --policy backbone".into());

@@ -293,6 +293,14 @@ fn cli_rejects_out_of_range_parameters() {
             "bias must be in [0, 1]",
         ),
         (
+            format!("{traffic} --rate 1e300"),
+            "rate × duration must be at most",
+        ),
+        (
+            format!("{traffic} --churn-rate 1e12"),
+            "churn-rate × duration must be at most",
+        ),
+        (
             format!("{traffic} --churn-rate 0.01 --side -5"),
             "side must be positive and finite",
         ),
