@@ -5,14 +5,11 @@
 //! contents of strings or comments. Full parsing (`syn`) is deliberately
 //! out of scope: the workspace builds offline and the rules below are
 //! token-pattern rules.
-//!
-//! Comments are not discarded: `// geospan-analyze: allow(...)`
-//! directives are extracted during the scan (see [`Directive`]).
 
 /// The coarse classification of a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (`for`, `HashMap`, `unwrap`, ...).
+    /// Identifier or keyword (`for`, `BTreeMap`, `seed_from_u64`, ...).
     Ident,
     /// A single punctuation character (`{`, `.`, `<`, ...).
     Punct,
@@ -34,40 +31,15 @@ pub struct Tok {
     pub line: u32,
 }
 
-/// An inline suppression parsed from a `geospan-analyze:` comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Directive {
-    /// Rule id the directive allows (e.g. `"D01"`), upper-cased.
-    pub rule: String,
-    /// The stated reason (must be non-empty for the directive to count).
-    pub reason: String,
-    /// 1-based line the comment sits on.
-    pub line: u32,
-    /// True when the directive could not be parsed (missing rule or
-    /// reason); malformed directives are themselves reported (rule A00).
-    pub malformed: bool,
-}
-
-/// The full result of lexing one file.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// The token stream (comments and whitespace removed).
-    pub tokens: Vec<Tok>,
-    /// All `geospan-analyze:` directives found in comments.
-    pub directives: Vec<Directive>,
-}
-
-const DIRECTIVE_TAG: &str = "geospan-analyze:";
-
-/// Lexes Rust source into tokens + directives.
+/// Lexes Rust source into tokens.
 ///
-/// Handles line and (nested) block comments, plain and raw strings,
-/// char literals vs lifetimes, and numeric literals. Anything it cannot
-/// classify is emitted as single-character punctuation, which is all the
-/// rules need.
-pub fn lex(src: &str) -> Lexed {
+/// Skips line and (nested) block comments, and handles plain and raw
+/// strings, char literals vs lifetimes, and numeric literals. Anything
+/// it cannot classify is emitted as single-character punctuation, which
+/// is all the rules need.
+pub fn lex(src: &str) -> Vec<Tok> {
     let b = src.as_bytes();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
     while i < b.len() {
@@ -79,17 +51,9 @@ pub fn lex(src: &str) -> Lexed {
             }
             c if c.is_ascii_whitespace() => i += 1,
             b'/' if i + 1 < b.len() && b[i + 1] == b'/' => {
-                let end = src[i..].find('\n').map_or(b.len(), |p| i + p);
-                // Doc comments (`///`, `//!`) can *mention* the directive
-                // syntax without carrying directives.
-                let text = &src[i..end];
-                if !text.starts_with("///") && !text.starts_with("//!") {
-                    scan_directive(text, line, &mut out.directives);
-                }
-                i = end;
+                i = src[i..].find('\n').map_or(b.len(), |p| i + p);
             }
             b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
-                let start_line = line;
                 let mut depth = 1usize;
                 let mut j = i + 2;
                 while j < b.len() && depth > 0 {
@@ -106,15 +70,11 @@ pub fn lex(src: &str) -> Lexed {
                         j += 1;
                     }
                 }
-                let text = &src[i..j.min(b.len())];
-                if !text.starts_with("/**") && !text.starts_with("/*!") {
-                    scan_directive(text, start_line, &mut out.directives);
-                }
                 i = j;
             }
             b'r' if starts_raw_string(b, i) => {
                 let (end, newlines) = skip_raw_string(b, i);
-                out.tokens.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Literal,
                     text: src[i..end.min(b.len())].to_string(),
                     line,
@@ -124,7 +84,7 @@ pub fn lex(src: &str) -> Lexed {
             }
             b'b' if i + 1 < b.len() && b[i + 1] == b'"' => {
                 let (end, newlines) = skip_string(b, i + 1);
-                out.tokens.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Literal,
                     text: src[i..end.min(b.len())].to_string(),
                     line,
@@ -134,7 +94,7 @@ pub fn lex(src: &str) -> Lexed {
             }
             b'"' => {
                 let (end, newlines) = skip_string(b, i);
-                out.tokens.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Literal,
                     text: src[i..end.min(b.len())].to_string(),
                     line,
@@ -149,7 +109,7 @@ pub fn lex(src: &str) -> Lexed {
                     while j < b.len() && (b[j].is_ascii_alphanumeric() || b[j] == b'_') {
                         j += 1;
                     }
-                    out.tokens.push(Tok {
+                    out.push(Tok {
                         kind: TokKind::Lifetime,
                         text: src[i..j].to_string(),
                         line,
@@ -157,7 +117,7 @@ pub fn lex(src: &str) -> Lexed {
                     i = j;
                 } else {
                     let end = skip_char_literal(b, i);
-                    out.tokens.push(Tok {
+                    out.push(Tok {
                         kind: TokKind::Literal,
                         text: src[i..end.min(b.len())].to_string(),
                         line,
@@ -170,7 +130,7 @@ pub fn lex(src: &str) -> Lexed {
                 while j < b.len() && (b[j].is_ascii_alphanumeric() || b[j] == b'_') {
                     j += 1;
                 }
-                out.tokens.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Ident,
                     text: src[i..j].to_string(),
                     line,
@@ -187,7 +147,7 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     j += 1;
                 }
-                out.tokens.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Literal,
                     text: src[i..j].to_string(),
                     line,
@@ -195,7 +155,7 @@ pub fn lex(src: &str) -> Lexed {
                 i = j;
             }
             _ => {
-                out.tokens.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Punct,
                     text: (c as char).to_string(),
                     line,
@@ -205,45 +165,6 @@ pub fn lex(src: &str) -> Lexed {
         }
     }
     out
-}
-
-/// Parses `geospan-analyze: allow(RULE, reason...)` out of a comment.
-fn scan_directive(comment: &str, line: u32, out: &mut Vec<Directive>) {
-    let Some(pos) = comment.find(DIRECTIVE_TAG) else {
-        return;
-    };
-    let rest = comment[pos + DIRECTIVE_TAG.len()..].trim();
-    let malformed = |out: &mut Vec<Directive>| {
-        out.push(Directive {
-            rule: String::new(),
-            reason: String::new(),
-            line,
-            malformed: true,
-        });
-    };
-    let Some(args) = rest
-        .strip_prefix("allow(")
-        .and_then(|r| r.rfind(')').map(|p| &r[..p]))
-    else {
-        return malformed(out);
-    };
-    let Some((rule, reason)) = args.split_once(',') else {
-        return malformed(out);
-    };
-    let rule = rule.trim().to_ascii_uppercase();
-    let reason = reason.trim().to_string();
-    let rule_ok = rule.len() == 3
-        && rule.starts_with(['D', 'A'])
-        && rule[1..].bytes().all(|c| c.is_ascii_digit());
-    if !rule_ok || reason.is_empty() {
-        return malformed(out);
-    }
-    out.push(Directive {
-        rule,
-        reason,
-        line,
-        malformed: false,
-    });
 }
 
 fn starts_raw_string(b: &[u8], i: usize) -> bool {
@@ -347,7 +268,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .into_iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text)
@@ -374,14 +294,9 @@ mod tests {
     fn lifetimes_are_not_char_literals() {
         let src = "fn f<'a>(x: &'a str) -> &'a str { x } let c = 'x';";
         let lx = lex(src);
-        let lifetimes: Vec<_> = lx
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokKind::Lifetime)
-            .collect();
+        let lifetimes: Vec<_> = lx.iter().filter(|t| t.kind == TokKind::Lifetime).collect();
         assert_eq!(lifetimes.len(), 3);
         assert!(lx
-            .tokens
             .iter()
             .any(|t| t.kind == TokKind::Literal && t.text == "'x'"));
     }
@@ -390,33 +305,7 @@ mod tests {
     fn line_numbers_survive_multiline_constructs() {
         let src = "let a = \"x\ny\";\nlet b = 1;";
         let lx = lex(src);
-        let b = lx.tokens.iter().find(|t| t.text == "b").unwrap();
+        let b = lx.iter().find(|t| t.text == "b").unwrap();
         assert_eq!(b.line, 3);
-    }
-
-    #[test]
-    fn directives_parse_rule_and_reason() {
-        let src = "// geospan-analyze: allow(D01, iteration feeds a sort)\nlet x = 1;";
-        let lx = lex(src);
-        assert_eq!(lx.directives.len(), 1);
-        let d = &lx.directives[0];
-        assert!(!d.malformed);
-        assert_eq!(d.rule, "D01");
-        assert_eq!(d.reason, "iteration feeds a sort");
-        assert_eq!(d.line, 1);
-    }
-
-    #[test]
-    fn directive_without_reason_is_malformed() {
-        for bad in [
-            "// geospan-analyze: allow(D01)",
-            "// geospan-analyze: allow(D01, )",
-            "// geospan-analyze: allow(X99, because)",
-            "// geospan-analyze: permit(D01, because)",
-        ] {
-            let lx = lex(bad);
-            assert_eq!(lx.directives.len(), 1, "{bad}");
-            assert!(lx.directives[0].malformed, "{bad}");
-        }
     }
 }

@@ -1,47 +1,34 @@
-//! `geospan-analyze` — the workspace determinism linter.
+//! `geospan-analyze` — the workspace's structural lint.
 //!
-//! Every artifact this reproduction ships (Table-1 rows,
-//! `traffic_load.csv`, `traffic_reliability.csv`) is contractually
-//! byte-identical across runs and thread counts. That property is easy
-//! to break silently: one `HashMap` iteration feeding an output, one
-//! `partial_cmp().unwrap()` comparator meeting a NaN, one wall-clock
-//! read in a measurement path. This crate is a dependency-free,
-//! token-level static pass over the workspace's own source that turns
-//! those conventions into named, enforced lint rules — see
-//! [`rules::RULES`] and DESIGN.md §13.
+//! Every artifact this reproduction ships (Table-1 rows, the figure
+//! CSVs, the traffic CSVs) is contractually byte-identical across runs
+//! and thread counts. Most of the conventions that protect that are
+//! clippy's job: `clippy.toml` bans hash collections, wall clocks, raw
+//! threads and `partial_cmp`, and `cargo clippy-lib` adds the panic and
+//! unwrap restriction lints (DESIGN.md §13). This crate keeps the four
+//! rules clippy cannot express, because they are about how *this*
+//! workspace's files fit together — see [`rules::RULES`].
 //!
-//! The pass is layered: [`lexer`] (tokens + directives) → [`parser`]
-//! (item tree: fns with bodies, enums, structs, match arms, attribute
-//! regions) → rule passes — per-file token rules in [`rules`]
-//! (D01–D07, D11, A00) and cross-file coupling rules in [`xrules`]
-//! (D08–D10), which see the whole workspace at once.
-//!
-//! Suppression is always *with a reason*: inline
-//! `// geospan-analyze: allow(<rule>, <reason>)` directives for
-//! reviewed sites, or the committed tab-separated baseline
-//! (`analyze-baseline.tsv`) for triaged legacy findings. Stale baseline
-//! entries fail the gate, so suppressions cannot outlive their code.
+//! The pass is layered: [`lexer`] (tokens) → [`parser`] (item tree: fns
+//! with bodies, enums, structs, match arms, test regions) → rule passes:
+//! the per-file rule D06 in [`rules`] and the cross-file coupling rules
+//! D08–D10 in [`xrules`], which see the whole workspace at once.
 
-pub mod baseline;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 pub mod xrules;
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub use baseline::{Baseline, BaselineResult};
 pub use rules::{check_source, Finding, RuleInfo, RULES};
-pub use sarif::findings_to_sarif;
 
 /// Directories never scanned, at any depth.
 const SKIP_DIRS: &[&str] = &[
     "target", "stubs", ".git",
     // Test/bench/example trees: the determinism contract is about
-    // library and binary code; tests exercise panics and hash maps
-    // freely.
+    // library and binary code.
     "tests", "benches", "examples",
 ];
 
@@ -102,10 +89,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// Lints a set of `(path, source)` pairs as one workspace: per-file
-/// rules plus the cross-file coupling rules (D08–D10), with inline
-/// directives applied per path. Findings come back sorted by path,
-/// line, rule.
+/// Lints a set of `(path, source)` pairs as one workspace: the
+/// per-file rule plus the cross-file coupling rules (D08–D10).
+/// Findings come back sorted by path, line, rule.
 ///
 /// This is the whole pipeline behind [`analyze_workspace`], exposed so
 /// tests can lint synthetic workspaces (and mutated copies of real
@@ -115,29 +101,15 @@ pub fn analyze_sources(files: &[(String, String)]) -> Vec<Finding> {
         .iter()
         .map(|(path, src)| parser::parse(path, src))
         .collect();
-    let mut findings = Vec::new();
-    for pf in &parsed {
-        findings.extend(rules::check_file(pf));
-    }
+    let mut findings: Vec<Finding> = parsed.iter().flat_map(rules::check_file).collect();
     findings.extend(xrules::check_workspace(&parsed));
-    // Apply each file's inline directives to its findings (cross-file
-    // findings included: a directive next to the flagged line works the
-    // same whichever rule produced the finding).
-    let mut out = Vec::new();
-    for pf in &parsed {
-        let (mine, rest): (Vec<Finding>, Vec<Finding>) =
-            findings.into_iter().partition(|f| f.path == pf.path);
-        findings = rest;
-        out.extend(rules::apply_directives(mine, &pf.lexed));
-    }
-    out.extend(findings); // findings for paths not in the set (none today)
-    out.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    out
+    findings
+        .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
+    findings
 }
 
-/// Lints the whole workspace under `root` and returns all raw findings
-/// (inline directives applied; baseline not yet applied), sorted by
-/// path, line, rule.
+/// Lints the whole workspace under `root` and returns its findings,
+/// sorted by path, line, rule.
 ///
 /// # Errors
 /// Returns an IO error message when a file cannot be read.
@@ -153,62 +125,4 @@ pub fn analyze_workspace(root: &Path) -> Result<Vec<Finding>, String> {
         files.push((rel, src));
     }
     Ok(analyze_sources(&files))
-}
-
-/// JSON string escaping shared by the JSON and SARIF renderers.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders findings as a JSON array (machine-readable output; the crate
-/// is dependency-free, so the JSON is emitted by hand).
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    let esc = json_escape;
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"snippet\":\"{}\",\"message\":\"{}\"}}",
-            f.rule,
-            esc(&f.path),
-            f.line,
-            esc(&f.snippet),
-            esc(&f.message)
-        ));
-    }
-    out.push_str(if findings.is_empty() { "]" } else { "\n]" });
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_output_escapes_quotes_and_backslashes() {
-        let f = Finding {
-            rule: "D04",
-            path: "src/a.rs".to_string(),
-            line: 3,
-            snippet: "x.expect(\"a\\b\")".to_string(),
-            message: "m".to_string(),
-        };
-        let json = findings_to_json(&[f]);
-        assert!(json.contains("\\\"a\\\\b\\\""), "{json}");
-        assert_eq!(findings_to_json(&[]), "[]");
-    }
 }

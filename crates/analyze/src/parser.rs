@@ -1,6 +1,6 @@
 //! A lightweight structural layer over the token lexer.
 //!
-//! The cross-file rules (D08–D11) need more than token patterns: they
+//! The cross-file rules (D08–D10) need more than token patterns: they
 //! reason about *items* — which fn a token lives in, which variants an
 //! enum declares, which arms a match covers. This module recovers that
 //! item tree from the token stream with brace matching. It is not a
@@ -8,7 +8,7 @@
 //! shape for the rules, and resilient to anything it does not
 //! understand (unknown constructs simply contribute no items).
 
-use crate::lexer::{lex, Lexed, Tok, TokKind};
+use crate::lexer::{lex, Tok, TokKind};
 use std::collections::BTreeSet;
 
 /// A `fn` item: name, parameter names, and the token-index span of its
@@ -66,8 +66,8 @@ pub struct MatchExpr {
 pub struct ParsedFile {
     /// Workspace-relative path, forward slashes.
     pub path: String,
-    /// The lexer output (tokens + directives).
-    pub lexed: Lexed,
+    /// The lexer output.
+    pub tokens: Vec<Tok>,
     /// All fn items, in source order (nested fns included).
     pub fns: Vec<FnItem>,
     /// All enum declarations.
@@ -78,10 +78,7 @@ pub struct ParsedFile {
     pub matches: Vec<MatchExpr>,
     /// Lines covered by `#[test]` / `#[cfg(test)]` items.
     pub test_lines: BTreeSet<u32>,
-    /// Lines covered by `#[cfg(feature = "invariant-checks")]` items
-    /// and statements (the D11 panic-policy exemption).
-    pub invariant_lines: BTreeSet<u32>,
-    /// Trimmed source lines, for finding snippets (baseline keys).
+    /// Trimmed source lines, for finding snippets.
     lines: Vec<String>,
 }
 
@@ -91,7 +88,7 @@ impl ParsedFile {
         self.test_lines.contains(&line)
     }
 
-    /// The trimmed source text of 1-based `line` (the baseline key).
+    /// The trimmed source text of 1-based `line`.
     pub fn snippet(&self, line: u32) -> String {
         self.lines
             .get(line as usize - 1)
@@ -110,20 +107,19 @@ impl ParsedFile {
 
 /// Lexes and structurally indexes one file.
 pub fn parse(path: &str, src: &str) -> ParsedFile {
-    let lexed = lex(src);
-    let (test_lines, invariant_lines) = attr_regions(&lexed.tokens);
+    let tokens = lex(src);
+    let test_lines = test_regions(&tokens);
     let mut pf = ParsedFile {
         path: path.to_string(),
-        lexed,
+        tokens,
         fns: Vec::new(),
         enums: Vec::new(),
         structs: Vec::new(),
         matches: Vec::new(),
         test_lines,
-        invariant_lines,
         lines: src.lines().map(|l| l.trim().to_string()).collect(),
     };
-    let toks = &pf.lexed.tokens;
+    let toks = &pf.tokens;
     let mut i = 0usize;
     while i < toks.len() {
         let t = &toks[i];
@@ -453,15 +449,11 @@ fn parse_match(toks: &[Tok], kw: usize) -> Option<MatchExpr> {
     })
 }
 
-/// Lines covered by test attributes and by
-/// `#[cfg(feature = "invariant-checks")]` attributes.
-///
-/// Both scans share the mechanism: find `#[...]`, classify it, then
-/// extend the region over the next item — the matching `}` of its
-/// first depth-0 `{`, or a `;` arriving first.
-fn attr_regions(toks: &[Tok]) -> (BTreeSet<u32>, BTreeSet<u32>) {
+/// Lines covered by test attributes (`#[test]`, `#[cfg(test)]`): from
+/// the `#[...]` over the next item — the matching `}` of its first
+/// depth-0 `{`, or a `;` arriving first.
+fn test_regions(toks: &[Tok]) -> BTreeSet<u32> {
     let mut test = BTreeSet::new();
-    let mut invariant = BTreeSet::new();
     let mut i = 0usize;
     while i < toks.len() {
         if toks[i].text != "#" || toks.get(i + 1).map(|t| t.text.as_str()) != Some("[") {
@@ -484,9 +476,7 @@ fn attr_regions(toks: &[Tok]) -> (BTreeSet<u32>, BTreeSet<u32>) {
         }
         let is_test =
             attr.first() == Some(&"test") || (attr.contains(&"cfg") && attr.contains(&"test"));
-        let is_invariant =
-            attr.contains(&"cfg") && attr.iter().any(|t| t.contains("invariant-checks"));
-        if is_test || is_invariant {
+        if is_test {
             let start_line = toks[i].line;
             let mut k = j;
             let mut bdepth = 0usize;
@@ -510,16 +500,11 @@ fn attr_regions(toks: &[Tok]) -> (BTreeSet<u32>, BTreeSet<u32>) {
                 end_line = toks[k].line;
                 k += 1;
             }
-            if is_test {
-                test.extend(start_line..=end_line);
-            }
-            if is_invariant {
-                invariant.extend(start_line..=end_line);
-            }
+            test.extend(start_line..=end_line);
         }
         i = j;
     }
-    (test, invariant)
+    test
 }
 
 #[cfg(test)]
@@ -594,14 +579,12 @@ mod tests {
         let src = "fn outer() {\n    fn inner(marker: u32) { let _ = marker; }\n}\n";
         let pf = parse("f.rs", src);
         let idx = pf
-            .lexed
             .tokens
             .iter()
             .position(|t| t.text == "marker" && t.line == 2)
             .expect("marker token present");
         // Use the *second* occurrence (inside inner's body).
         let idx2 = pf
-            .lexed
             .tokens
             .iter()
             .enumerate()
@@ -610,15 +593,6 @@ mod tests {
             .map(|(i, _)| i)
             .expect("second marker");
         assert_eq!(pf.enclosing_fn(idx2).expect("inside a fn").name, "inner");
-    }
-
-    #[test]
-    fn invariant_regions_cover_attributed_items() {
-        let src = "#[cfg(feature = \"invariant-checks\")]\nfn check(&self) {\n    panic!(\"bad\");\n}\nfn live() {}\n";
-        let pf = parse("f.rs", src);
-        assert!(pf.invariant_lines.contains(&3));
-        assert!(!pf.invariant_lines.contains(&5));
-        assert!(pf.test_lines.is_empty());
     }
 
     #[test]

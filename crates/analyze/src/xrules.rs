@@ -96,7 +96,7 @@ fn snake_case(name: &str) -> String {
 /// True when tokens `seq` appear consecutively anywhere in `toks`,
 /// optionally restricted to non-test lines.
 fn has_token_seq(pf: &ParsedFile, seq: &[&str], skip_tests: bool) -> bool {
-    let toks = &pf.lexed.tokens;
+    let toks = &pf.tokens;
     toks.windows(seq.len()).any(|w| {
         w.iter().zip(seq).all(|(t, s)| t.text == *s) && !(skip_tests && pf.in_test(w[0].line))
     })
@@ -237,7 +237,7 @@ fn check_d08(files: &[ParsedFile], out: &mut Vec<Finding>) {
 /// indirection).
 fn check_d09(files: &[ParsedFile], out: &mut Vec<Finding>) {
     for pf in files {
-        let toks = &pf.lexed.tokens;
+        let toks = &pf.tokens;
         for (i, t) in toks.iter().enumerate() {
             if t.kind != TokKind::Ident || pf.in_test(t.line) {
                 continue;
@@ -284,7 +284,7 @@ fn check_d09(files: &[ParsedFile], out: &mut Vec<Finding>) {
 /// Checks the first argument of a `seed_from_u64`/`from_seed` call at
 /// token index `i`.
 fn check_seed_arg(files: &[ParsedFile], pf: &ParsedFile, i: usize, out: &mut Vec<Finding>) {
-    let toks = &pf.lexed.tokens;
+    let toks = &pf.tokens;
     let ctor = toks[i].text.clone();
     // Only calls: `seed_from_u64 (` — a bare mention (use item, fn
     // definition in a trait impl) is not a construction.
@@ -420,7 +420,7 @@ fn call_args(toks: &[Tok], open: usize) -> Vec<Vec<Tok>> {
 fn call_sites(files: &[ParsedFile], name: &str) -> Vec<(String, u32, Vec<Vec<Tok>>)> {
     let mut out = Vec::new();
     for pf in files {
-        let toks = &pf.lexed.tokens;
+        let toks = &pf.tokens;
         for (i, t) in toks.iter().enumerate() {
             if t.kind != TokKind::Ident || t.text != name {
                 continue;
@@ -459,7 +459,7 @@ fn check_d10(files: &[ParsedFile], out: &mut Vec<Finding>) {
     }
     let mut calls: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for pf in &scope {
-        let toks = &pf.lexed.tokens;
+        let toks = &pf.tokens;
         for f in &pf.fns {
             let Some((open, close)) = f.body else {
                 continue;
@@ -498,7 +498,7 @@ fn check_d10(files: &[ParsedFile], out: &mut Vec<Finding>) {
     }
 
     for pf in &scope {
-        let toks = &pf.lexed.tokens;
+        let toks = &pf.tokens;
         for (i, t) in toks.iter().enumerate() {
             if t.kind != TokKind::Ident || pf.in_test(t.line) {
                 continue;
@@ -600,7 +600,7 @@ mod tests {
 
     #[test]
     fn seedish_accepts_named_seeds_and_literals() {
-        let toks = |src: &str| crate::lexer::lex(src).tokens;
+        let toks = |src: &str| crate::lexer::lex(src);
         assert!(seedish(&toks("cfg . rng_seed")));
         assert!(seedish(&toks("seed ^ 0x9e3779b9")));
         assert!(seedish(&toks("12345")));

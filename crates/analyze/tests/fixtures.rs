@@ -1,234 +1,10 @@
-//! Per-rule positive/negative fixtures for the determinism linter.
+//! Per-rule positive/negative fixtures for the structural lint.
 //!
 //! Each rule gets at least one source string it must flag and one
-//! shaped-alike string it must not, plus coverage for the two
-//! suppression channels (inline allow directives, baseline entries).
+//! shaped-alike string it must not. The retired rules' fixtures live in
+//! `crates/analyze/clippy-fixtures/`, where clippy rejects them.
 
-use geospan_analyze::{analyze_sources, check_source, Baseline, Finding};
-
-fn rules_hit(src: &str) -> Vec<&'static str> {
-    let mut rules: Vec<&'static str> = check_source("fixture.rs", src)
-        .into_iter()
-        .map(|f| f.rule)
-        .collect();
-    rules.sort_unstable();
-    rules.dedup();
-    rules
-}
-
-// ---------------------------------------------------------------- D01
-
-#[test]
-fn d01_flags_for_loop_over_hashmap() {
-    let src = r#"
-use std::collections::HashMap;
-pub fn emit() -> Vec<(u32, u32)> {
-    let mut m: HashMap<u32, u32> = HashMap::new();
-    m.insert(1, 2);
-    let mut out = Vec::new();
-    for (k, v) in &m {
-        out.push((*k, *v));
-    }
-    out
-}
-"#;
-    assert_eq!(rules_hit(src), ["D01"]);
-}
-
-#[test]
-fn d01_flags_iter_collect_into_vec() {
-    let src = r#"
-use std::collections::HashSet;
-pub fn emit(s: HashSet<u32>) -> Vec<u32> {
-    s.into_iter().collect()
-}
-"#;
-    assert_eq!(rules_hit(src), ["D01"]);
-}
-
-#[test]
-fn d01_ignores_btreemap_and_order_free_sinks() {
-    let src = r#"
-use std::collections::{BTreeMap, HashSet};
-pub fn ok(m: BTreeMap<u32, u32>, s: HashSet<u32>) -> (u32, bool, usize) {
-    let mut acc = 0;
-    for (_k, v) in &m {
-        acc += v;
-    }
-    // Order-free sinks on a hash collection are fine.
-    (acc, s.iter().any(|&x| x > 3), s.iter().count())
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-#[test]
-fn d01_ignores_hash_iteration_inside_test_code() {
-    let src = r#"
-use std::collections::HashSet;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    #[test]
-    fn order_does_not_matter_here() {
-        let s: HashSet<u32> = HashSet::new();
-        for x in &s {
-            let _ = x;
-        }
-    }
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-#[test]
-fn d01_collect_back_into_a_set_is_order_free() {
-    let src = r#"
-use std::collections::{BTreeSet, HashSet};
-pub fn ok(s: HashSet<u32>) -> BTreeSet<u32> {
-    s.into_iter().collect::<BTreeSet<u32>>()
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-// ---------------------------------------------------------------- D02
-
-#[test]
-fn d02_flags_instant_systemtime_thread_rng_and_raw_spawn() {
-    let src = r#"
-pub fn bad() {
-    let _t = std::time::Instant::now();
-    let _s = std::time::SystemTime::now();
-    let _r = rand::thread_rng();
-    let _h = std::thread::spawn(|| 1);
-}
-"#;
-    let findings = check_source("fixture.rs", src);
-    let d02 = findings.iter().filter(|f| f.rule == "D02").count();
-    assert_eq!(d02, 4, "{findings:?}");
-}
-
-#[test]
-fn d02_ignores_sim_clock_and_test_code() {
-    let src = r#"
-pub fn ok(clock: u64) -> u64 {
-    clock + 1
-}
-
-#[test]
-fn timing_in_tests_is_fine() {
-    let _t = std::time::Instant::now();
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-// ---------------------------------------------------------------- D03
-
-#[test]
-fn d03_flags_partial_cmp_unwrap_and_expect() {
-    let src = r#"
-pub fn sortit(v: &mut Vec<f64>) {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-}
-pub fn sortit2(v: &mut Vec<f64>) {
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-}
-"#;
-    let findings = check_source("fixture.rs", src);
-    let d03 = findings.iter().filter(|f| f.rule == "D03").count();
-    assert_eq!(d03, 2, "{findings:?}");
-}
-
-#[test]
-fn d03_ignores_total_cmp_and_partial_ord_impls() {
-    let src = r#"
-use std::cmp::Ordering;
-pub struct E(f64);
-impl PartialOrd for E {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.0.total_cmp(&other.0))
-    }
-}
-pub fn sortit(v: &mut Vec<f64>) {
-    v.sort_by(|a, b| a.total_cmp(b));
-}
-"#;
-    // The bare `.unwrap()`-free source must not trip D03; the
-    // PartialOrd impl's own `fn partial_cmp` is exempt.
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-// ---------------------------------------------------------------- D04
-
-#[test]
-fn d04_flags_bare_unwrap_but_not_expect() {
-    let src = r#"
-pub fn bad(x: Option<u32>) -> u32 {
-    x.unwrap()
-}
-pub fn ok(x: Option<u32>) -> u32 {
-    x.expect("caller guarantees Some")
-}
-"#;
-    let findings = check_source("fixture.rs", src);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].rule, "D04");
-    assert_eq!(findings[0].snippet, "x.unwrap()");
-}
-
-#[test]
-fn d04_ignores_unwrap_in_test_functions() {
-    let src = r#"
-#[test]
-fn unwrap_is_fine_in_tests() {
-    let x: Option<u32> = Some(1);
-    assert_eq!(x.unwrap(), 1);
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-#[test]
-fn d04_ignores_unwrap_or_variants() {
-    let src = r#"
-pub fn ok(x: Option<u32>) -> u32 {
-    x.unwrap_or(0) + x.unwrap_or_default() + x.unwrap_or_else(|| 2)
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-// ---------------------------------------------------------------- D05
-
-#[test]
-fn d05_flags_parallel_float_reduction() {
-    let src = r#"
-use rayon::prelude::*;
-pub fn bad(v: &[f64]) -> f64 {
-    v.par_iter().map(|x| x * x).sum()
-}
-"#;
-    assert_eq!(rules_hit(src), ["D05"]);
-}
-
-#[test]
-fn d05_ignores_par_map_collect_with_serial_fold() {
-    let src = r#"
-use rayon::prelude::*;
-pub fn ok(v: &[f64]) -> f64 {
-    let squares: Vec<f64> = v.par_iter().map(|x| x * x).collect();
-    let mut acc = 0.0;
-    for s in &squares {
-        acc += s;
-    }
-    acc
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
+use geospan_analyze::{analyze_sources, check_source, Finding};
 
 // ---------------------------------------------------------------- D06
 
@@ -270,7 +46,7 @@ pub struct Flows {
 }
 
 #[test]
-fn d06_ignores_test_code_and_honors_allow_directive() {
+fn d06_ignores_test_code() {
     let src = r#"
 #[cfg(test)]
 mod tests {
@@ -281,183 +57,22 @@ mod tests {
 }
 "#;
     assert!(check_source("crates/graph/src/fixture.rs", src).is_empty());
-
-    let src = r#"
-use std::collections::BTreeSet;
-pub struct NodeState {
-    // geospan-analyze: allow(D06, emission order of this set is load-bearing)
-    neighbors: BTreeSet<usize>,
-}
-"#;
-    assert!(check_source("crates/graph/src/fixture.rs", src).is_empty());
-}
-
-// ---------------------------------------------------------------- D07
-
-#[test]
-fn d07_flags_raw_threading_primitives() {
-    let src = r#"
-use std::sync::Barrier;
-pub fn bad(n: usize) -> u32 {
-    let b = Barrier::new(n);
-    let (tx, rx) = std::sync::mpsc::channel::<u32>();
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            b.wait();
-            tx.send(1).expect("receiver lives");
-        });
-    });
-    rx.recv().expect("sender sent")
-}
-"#;
-    let findings = check_source("crates/sim/src/fixture.rs", src);
-    let d07 = findings.iter().filter(|f| f.rule == "D07").count();
-    // `Barrier` twice (use + construction), `mpsc`, `thread::`.
-    assert_eq!(d07, 4, "{findings:?}");
-}
-
-#[test]
-fn d07_exempts_the_shard_driver_and_test_code() {
-    let src = r#"
-pub fn drive() {
-    std::thread::scope(|_s| {});
-}
-"#;
-    // The sharded engine driver carries the determinism proof.
-    assert!(check_source("crates/traffic/src/shard.rs", src).is_empty());
-    // The same code anywhere else is flagged.
-    assert_eq!(rules_hit(src), ["D07"]);
-
-    // Threads inside test code are the test harness's business.
-    let src = r#"
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn concurrent_probe() {
-        std::thread::scope(|_s| {});
-    }
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-#[test]
-fn d07_ignores_rayon_and_honors_allow_directive() {
-    let src = r#"
-use rayon::prelude::*;
-use std::sync::{Arc, Mutex};
-pub fn ok(v: &[u64]) -> u64 {
-    let m = Arc::new(Mutex::new(0u64));
-    let rows: Vec<u64> = v.par_iter().map(|x| x + 1).collect();
-    *m.lock().expect("no poisoned threads here") + rows.len() as u64
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-
-    let src = r#"
-pub fn cores() -> usize {
-    // geospan-analyze: allow(D07, reading the core count spawns nothing)
-    std::thread::available_parallelism().map_or(1, |p| p.get())
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-// ------------------------------------------------- directives and A00
-
-#[test]
-fn allow_directive_on_same_line_suppresses() {
-    let src = r#"
-pub fn bad(x: Option<u32>) -> u32 {
-    x.unwrap() // geospan-analyze: allow(D04, fixture demonstrates suppression)
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-#[test]
-fn allow_directive_on_preceding_line_suppresses() {
-    let src = r#"
-pub fn bad(x: Option<u32>) -> u32 {
-    // geospan-analyze: allow(D04, fixture demonstrates suppression)
-    x.unwrap()
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-#[test]
-fn allow_directive_for_wrong_rule_does_not_suppress() {
-    let src = r#"
-pub fn bad(x: Option<u32>) -> u32 {
-    // geospan-analyze: allow(D01, wrong rule id)
-    x.unwrap()
-}
-"#;
-    assert_eq!(rules_hit(src), ["D04"]);
-}
-
-#[test]
-fn malformed_directive_is_reported_as_a00() {
-    // Missing reason.
-    let src = "pub fn f() {} // geospan-analyze: allow(D04)\n";
-    assert_eq!(rules_hit(src), ["A00"]);
-    // Unknown shape.
-    let src = "pub fn f() {} // geospan-analyze: suppress(D04, reason)\n";
-    assert_eq!(rules_hit(src), ["A00"]);
-}
-
-#[test]
-fn directive_syntax_inside_doc_comments_is_not_parsed() {
-    let src = r#"
-//! Mentions `geospan-analyze: allow(D04)` in crate docs.
-
-/// Docs may show `geospan-analyze: allow(broken` without tripping A00.
-pub fn f() {}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-// ------------------------------------------------------------ baseline
-
-#[test]
-fn baseline_suppresses_finding_and_flags_stale_entries() {
-    let src = r#"
-pub fn bad(x: Option<u32>) -> u32 {
-    x.unwrap()
-}
-"#;
-    let findings = check_source("src/legacy.rs", src);
-    assert_eq!(findings.len(), 1);
-
-    let bl =
-        Baseline::parse("D04\tsrc/legacy.rs\tx.unwrap()\ttriaged legacy site\n").expect("parses");
-    let res = bl.apply(findings.clone());
-    assert_eq!(res.suppressed, 1);
-    assert!(res.unsuppressed.is_empty());
-    assert!(res.stale.is_empty());
-
-    // A baseline for code that no longer exists is stale.
-    let bl = Baseline::parse("D04\tsrc/legacy.rs\tgone.unwrap()\told\n").expect("parses");
-    let res = bl.apply(findings);
-    assert_eq!(res.unsuppressed.len(), 1);
-    assert_eq!(res.stale.len(), 1);
 }
 
 #[test]
 fn violations_inside_string_literals_are_not_flagged() {
     let src = r#"
 pub fn ok() -> &'static str {
-    "for x in &hash_map { x.unwrap() } std::time::Instant::now()"
+    "StdRng::from_entropy() BTreeSet<usize>"
 }
 "#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
+    assert!(check_source("crates/graph/src/fixture.rs", src).is_empty());
 }
 
 // --------------------------------------------------- cross-file helpers
 
 /// Lints a synthetic multi-file workspace through the full pipeline
-/// (per-file rules + D08–D10 + inline directives).
+/// (D06 + D08–D10).
 fn workspace(files: &[(&str, &str)]) -> Vec<Finding> {
     let owned: Vec<(String, String)> = files
         .iter()
@@ -816,85 +431,4 @@ mod tests {
 "#;
     let fs = workspace(&[("crates/traffic/src/engine.rs", src)]);
     assert!(fs.is_empty(), "{fs:?}");
-}
-
-// ---------------------------------------------------------------- D11
-
-#[test]
-fn d11_flags_panic_and_unreachable_in_library_code() {
-    let src = r#"
-pub fn f(x: u32) -> u32 {
-    if x > 10 {
-        panic!("too big");
-    }
-    match x {
-        0 => unreachable!(),
-        _ => x,
-    }
-}
-"#;
-    let findings = check_source("crates/core/src/fixture.rs", src);
-    let d11 = findings.iter().filter(|f| f.rule == "D11").count();
-    assert_eq!(d11, 2, "{findings:?}");
-}
-
-#[test]
-fn d11_flags_todo_and_unimplemented() {
-    let src = r#"
-pub fn later() {
-    todo!("write this")
-}
-pub fn never() {
-    unimplemented!()
-}
-"#;
-    let findings = check_source("crates/core/src/fixture.rs", src);
-    let d11 = findings.iter().filter(|f| f.rule == "D11").count();
-    assert_eq!(d11, 2, "{findings:?}");
-}
-
-#[test]
-fn d11_exempts_bin_targets_and_test_code() {
-    let src = r#"
-pub fn f() {
-    panic!("usage: pass a subcommand");
-}
-"#;
-    assert!(check_source("crates/bench/src/bin/tool.rs", src).is_empty());
-    assert!(check_source("src/main.rs", src).is_empty());
-    assert_eq!(rules_hit(src), ["D11"], "library paths still flag");
-
-    let src = r#"
-#[test]
-fn panics_are_how_tests_fail() {
-    panic!("assert failed");
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-#[test]
-fn d11_exempts_invariant_gated_code_and_allow_directives() {
-    let src = r#"
-impl Core {
-    #[cfg(feature = "invariant-checks")]
-    fn assert_balanced(&self) {
-        if self.offered != self.delivered {
-            panic!("ledger imbalance");
-        }
-    }
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-
-    let src = r#"
-pub fn f(stage: u8) -> u8 {
-    match stage {
-        1 => 2,
-        // geospan-analyze: allow(D11, stages are validated at parse time)
-        _ => unreachable!(),
-    }
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
 }

@@ -11,6 +11,10 @@
 //! `O(m²)` pairwise crossing count. Nothing here should be "improved";
 //! it is a test oracle, not production code.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "frozen seed replica, kept verbatim for pipeline_equivalence"
+)]
 use std::collections::{HashMap, HashSet};
 
 use geospan_geometry::{
@@ -28,10 +32,17 @@ fn segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool {
 
 /// The seed's (unplanarized) `LDel¹`: serial per-node local
 /// triangulations and `HashSet`-based three-way membership.
+#[expect(
+    clippy::disallowed_types,
+    reason = "frozen seed replica, kept verbatim for pipeline_equivalence"
+)]
 pub fn seed_ldel1(g: &Graph) -> LocalDelaunay {
     let n = g.node_count();
     let mut local_tris: Vec<HashSet<[usize; 3]>> = vec![HashSet::new(); n];
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "frozen seed replica, kept verbatim for pipeline_equivalence"
+    )]
     for u in 0..n {
         if g.degree(u) < 2 {
             continue;
@@ -101,6 +112,10 @@ pub fn seed_planarize(g: &Graph, raw: LocalDelaunay) -> LocalDelaunay {
             )
         })
         .collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "frozen seed replica: bounding boxes of finite points are finite, and total_cmp could reorder -0.0 and 0.0"
+    )]
     order.sort_by(|&i, &j| bbox[i].0.partial_cmp(&bbox[j].0).expect("finite coords"));
 
     for (oi, &i) in order.iter().enumerate() {
@@ -252,17 +267,28 @@ mod tri {
 
     /// The assembled seed triangulation. All fields are built (to match
     /// the seed's cost) even though callers only read `triangles`.
-    #[allow(dead_code)]
+    #[expect(
+        dead_code,
+        reason = "every field is built to match the seed's cost; callers read only `triangles`"
+    )]
     pub struct SeedTriangulation {
         pub triangles: Vec<[usize; 3]>,
         pub edges: Vec<(usize, usize)>,
         pub adjacency: Vec<Vec<usize>>,
         pub hull: Vec<usize>,
+        #[expect(
+            clippy::disallowed_types,
+            reason = "frozen seed replica, kept verbatim for pipeline_equivalence"
+        )]
         pub tri_keys: HashSet<[usize; 3]>,
     }
 
     impl SeedTriangulation {
         pub fn build(points: &[Point]) -> Result<Self, String> {
+            #[expect(
+                clippy::disallowed_types,
+                reason = "frozen seed replica, kept verbatim for pipeline_equivalence"
+            )]
             let mut seen: HashMap<(u64, u64), usize> = HashMap::with_capacity(points.len());
             for (i, p) in points.iter().enumerate() {
                 if !p.is_finite() {
@@ -328,6 +354,10 @@ mod tri {
             let (a, b, c) = match orient2d(self.pts[i], self.pts[j], self.pts[k]) {
                 Orientation::CounterClockwise => (i, j, k),
                 Orientation::Clockwise => (i, k, j),
+                #[expect(
+                    clippy::unreachable,
+                    reason = "frozen seed replica; the seed triangle is chosen non-collinear"
+                )]
                 Orientation::Collinear => unreachable!("seed triangle is non-degenerate"),
             };
             self.tris.push(Tri {
@@ -392,6 +422,10 @@ mod tri {
                         if self.in_conflict(g, p) {
                             return g;
                         }
+                        #[expect(
+                            clippy::unwrap_used,
+                            reason = "frozen seed replica; a ghost triangle holds the ghost vertex"
+                        )]
                         let k = self.tris[g].v.iter().position(|&v| v == GHOST).unwrap();
                         g = self.tris[g].n[(k + 1) % 3];
                     }
@@ -417,6 +451,10 @@ mod tri {
             let seed = self.locate(p);
 
             let mut cavity = vec![seed];
+            #[expect(
+                clippy::disallowed_types,
+                reason = "frozen seed replica, kept verbatim for pipeline_equivalence"
+            )]
             let mut in_cavity: HashMap<usize, bool> = HashMap::new();
             in_cavity.insert(seed, true);
             let mut stack = vec![seed];
@@ -459,7 +497,15 @@ mod tri {
                 self.tris[t].alive = false;
             }
             let base = self.tris.len();
+            #[expect(
+                clippy::disallowed_types,
+                reason = "frozen seed replica, kept verbatim for pipeline_equivalence"
+            )]
             let mut by_u: HashMap<usize, usize> = HashMap::with_capacity(boundary.len());
+            #[expect(
+                clippy::disallowed_types,
+                reason = "frozen seed replica, kept verbatim for pipeline_equivalence"
+            )]
             let mut by_w: HashMap<usize, usize> = HashMap::with_capacity(boundary.len());
             for (off, e) in boundary.iter().enumerate() {
                 let idx = base + off;
@@ -493,7 +539,15 @@ mod tri {
         fn finish(self, points: &[Point]) -> SeedTriangulation {
             let n = points.len();
             let mut triangles = Vec::new();
+            #[expect(
+                clippy::disallowed_types,
+                reason = "frozen seed replica, kept verbatim for pipeline_equivalence"
+            )]
             let mut edge_set: HashSet<(usize, usize)> = HashSet::new();
+            #[expect(
+                clippy::disallowed_types,
+                reason = "frozen seed replica, kept verbatim for pipeline_equivalence"
+            )]
             let mut tri_keys = HashSet::new();
             let mut hull = Vec::new();
 
@@ -521,6 +575,10 @@ mod tri {
                 {
                     let mut g = start;
                     loop {
+                        #[expect(
+                            clippy::unwrap_used,
+                            reason = "frozen seed replica; a ghost triangle holds the ghost vertex"
+                        )]
                         let k = self.tris[g].v.iter().position(|&v| v == GHOST).unwrap();
                         hull.push(self.tris[g].v[(k + 2) % 3]);
                         g = self.tris[g].n[(k + 1) % 3];

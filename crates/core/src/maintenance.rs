@@ -560,7 +560,10 @@ impl MobileBackbone {
     /// node's dominators (`scope`) are re-checked. If they all stand the
     /// cheap constant-time structural edit is applied; if any changed,
     /// the splice result is assembled and verified.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the old and new network views and the election scope are all inputs"
+    )]
     fn resync_membership(
         &mut self,
         old_udg: &Graph,
@@ -790,7 +793,10 @@ impl MobileBackbone {
 ///
 /// The final connectors are exactly the non-dominator endpoints of the
 /// final edges (every election winner contributes an incident edge).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the splice reads the old and new network views side by side"
+)]
 fn splice_elections(
     new_udg: &Graph,
     old_udg: &Graph,

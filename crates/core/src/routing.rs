@@ -166,11 +166,19 @@ pub struct GpsrState {
     /// Node the packet arrived from (right-hand-rule reference).
     prev: usize,
     /// Directed edges walked on the current face.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership only: the face walk never iterates it"
+    )]
     walked: std::collections::HashSet<(usize, usize)>,
 }
 
 impl GpsrState {
     /// A fresh session in greedy mode.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership only: the face walk never iterates it"
+    )]
     pub fn new() -> Self {
         GpsrState {
             mode: Mode::Greedy,
@@ -323,6 +331,10 @@ pub fn face_route(g: &Graph, src: usize, dst: usize, max_hops: usize) -> Route {
     let mut v = first_edge_ccw(g, src, dpos);
     // Directed edges walked on the *current* face; an edge may reappear
     // on a later face, so the set resets at every face change.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership only: the face walk never iterates it"
+    )]
     let mut walked: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
     walked.insert((u, v));
     loop {

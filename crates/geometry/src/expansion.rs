@@ -57,7 +57,13 @@ impl Expansion {
     }
 
     /// An expansion holding a single double.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(
+        not(test),
+        expect(
+            dead_code,
+            reason = "only the unit tests build expansions from one double"
+        )
+    )]
     pub(crate) fn from_f64(v: f64) -> Self {
         if v == 0.0 {
             Self::zero()
@@ -73,7 +79,13 @@ impl Expansion {
     }
 
     /// The exact value `a * b` as a two-component expansion.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(
+        not(test),
+        expect(
+            dead_code,
+            reason = "only the unit tests build expansions from one product"
+        )
+    )]
     pub(crate) fn from_product(a: f64, b: f64) -> Self {
         let (hi, lo) = two_product(a, b);
         Self::from_parts(hi, lo)

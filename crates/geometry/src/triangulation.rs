@@ -8,6 +8,10 @@
 //! [`crate::predicates`], so the result is a true Delaunay triangulation
 //! of the input (ties among cocircular points broken arbitrarily).
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "duplicate scan and membership only: never iterated, so hash order cannot reach the output"
+)]
 use std::collections::HashMap;
 use std::fmt;
 
@@ -132,6 +136,10 @@ pub struct Triangulation {
     edges: Vec<(usize, usize)>,
     adjacency: Vec<Vec<usize>>,
     hull: Vec<usize>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "duplicate scan and membership only: never iterated, so hash order cannot reach the output"
+    )]
     tri_keys: std::collections::HashSet<[usize; 3]>,
 }
 
@@ -248,6 +256,10 @@ fn check_distinct_finite(points: &[Point]) -> Result<(), TriangulationError> {
         }
         return Ok(());
     }
+    #[expect(
+        clippy::disallowed_types,
+        reason = "duplicate scan and membership only: never iterated, so hash order cannot reach the output"
+    )]
     let mut seen: HashMap<(u64, u64), usize> = HashMap::with_capacity(points.len());
     for (i, p) in points.iter().enumerate() {
         if let Some(&j) = seen.get(&(p.x.to_bits(), p.y.to_bits())) {
@@ -451,7 +463,10 @@ impl<'a, 's> Core<'a, 's> {
         let (a, b, c) = match orient2d(self.pts[i], self.pts[j], self.pts[k]) {
             Orientation::CounterClockwise => (i, j, k),
             Orientation::Clockwise => (i, k, j),
-            // geospan-analyze: allow(D11, the seed triangle is pre-screened by the caller for non-collinearity)
+            #[expect(
+                clippy::unreachable,
+                reason = "the caller pre-screens the seed triangle for non-collinearity"
+            )]
             Orientation::Collinear => unreachable!("seed triangle is non-degenerate"),
         };
         let (pa, pb, pc) = (self.pts[a], self.pts[b], self.pts[c]);
@@ -687,6 +702,10 @@ impl<'a, 's> Core<'a, 's> {
         let mut triangles = Vec::new();
         let mut edge_set: std::collections::BTreeSet<(usize, usize)> =
             std::collections::BTreeSet::new();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "duplicate scan and membership only: never iterated, so hash order cannot reach the output"
+        )]
         let mut tri_keys = std::collections::HashSet::new();
         let mut hull = Vec::new();
 

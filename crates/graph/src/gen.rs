@@ -33,6 +33,10 @@ pub fn uniform_points(n: usize, side: f64, seed: u64) -> Vec<Point> {
     );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pts: Vec<Point> = Vec::with_capacity(n);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "duplicate rejection only: never iterated, so hash order cannot reach the points"
+    )]
     let mut seen = std::collections::HashSet::with_capacity(n);
     while pts.len() < n {
         let p = Point::new(rng.random_range(0.0..side), rng.random_range(0.0..side));
@@ -79,6 +83,10 @@ pub fn gaussian_clusters(n: usize, side: f64, k: usize, sigma: f64, seed: u64) -
         .map(|_| Point::new(rng.random_range(0.0..side), rng.random_range(0.0..side)))
         .collect();
     let mut pts = Vec::with_capacity(n);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "duplicate rejection only: never iterated, so hash order cannot reach the points"
+    )]
     let mut seen = std::collections::HashSet::with_capacity(n);
     while pts.len() < n {
         let c = centers[rng.random_range(0..k)];
@@ -106,6 +114,10 @@ pub fn ring_points(n: usize, ring_radius: f64, jitter: f64, seed: u64) -> Vec<Po
     let mut rng = StdRng::seed_from_u64(seed);
     let c = ring_radius + jitter;
     let mut pts = Vec::with_capacity(n);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "duplicate rejection only: never iterated, so hash order cannot reach the points"
+    )]
     let mut seen = std::collections::HashSet::with_capacity(n);
     while pts.len() < n {
         let a = rng.random_range(0.0..std::f64::consts::TAU);
@@ -202,6 +214,10 @@ impl UnitDiskBuilder {
                 ((p.y - min_y) / r).floor() as i64,
             )
         };
+        #[expect(
+            clippy::disallowed_types,
+            reason = "cell lookup only: edges are emitted in point order, never in bucket order"
+        )]
         let mut buckets: std::collections::HashMap<(i64, i64), Vec<usize>> =
             std::collections::HashMap::new();
         for (i, &p) in points.iter().enumerate() {
@@ -248,7 +264,10 @@ pub fn connected_unit_disk(
     radius: f64,
     seed: u64,
 ) -> (Vec<Point>, Graph, u64) {
-    // geospan-analyze: allow(D11, documented panic on author-set scenario parameters; try_connected_unit_disk is the fallible entry for outside input)
+    #[expect(
+        clippy::panic,
+        reason = "documented panic on author-set parameters; try_connected_unit_disk is the fallible entry"
+    )]
     try_connected_unit_disk(n, side, radius, seed).unwrap_or_else(|e| panic!("{e}"))
 }
 

@@ -189,7 +189,9 @@ impl Graph {
             Ok(_) => false,
             Err(iu) => {
                 self.adjacency[u].insert(iu, v);
-                let iv = self.adjacency[v].binary_search(&u).unwrap_err();
+                let iv = self.adjacency[v]
+                    .binary_search(&u)
+                    .expect_err("adjacency is symmetric: v does not list u when u does not list v");
                 self.adjacency[v].insert(iv, u);
                 self.edge_count += 1;
                 true

@@ -70,6 +70,26 @@ pub struct StretchReport {
 /// serially in source order, so the report is also bit-identical for
 /// every thread count, including `RAYON_NUM_THREADS=1`.
 ///
+/// The serial fold is the only way to write it: the rayon stand-in
+/// offers `map` and an input-ordered `collect`,
+///
+/// ```
+/// use rayon::prelude::*;
+/// let v = vec![0.1_f64, 0.2, 0.3];
+/// let squares: Vec<f64> = v.par_iter().map(|x| x * x).collect();
+/// let total: f64 = squares.iter().sum(); // serial, in index order
+/// assert!(total > 0.0);
+/// ```
+///
+/// but no `sum`, `fold` or `reduce`, so a float reduction whose order
+/// would follow the scheduler does not compile:
+///
+/// ```compile_fail
+/// use rayon::prelude::*;
+/// let v = vec![0.1_f64, 0.2, 0.3];
+/// let total: f64 = v.par_iter().map(|x| x * x).sum();
+/// ```
+///
 /// # Panics
 /// Panics if the graphs have different node counts.
 ///

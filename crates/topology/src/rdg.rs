@@ -50,7 +50,10 @@ pub fn restricted_delaunay(g: &Graph) -> Graph {
     // Edge sets of each node's local Delaunay triangulation, as global
     // index pairs (u < v).
     let mut local_edges: Vec<BTreeSet<(usize, usize)>> = vec![BTreeSet::new(); n];
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "u indexes the graph and local_edges alike"
+    )]
     for u in 0..n {
         if g.degree(u) == 0 {
             continue;

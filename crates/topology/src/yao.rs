@@ -162,7 +162,10 @@ pub fn yao_sink(udg: &Graph, k: usize) -> Graph {
     }
 
     let mut g = udg.same_vertices();
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "root indexes the graph and in_nbrs alike"
+    )]
     for root in 0..n {
         // Iteratively build the sink tree rooted at `root`.
         let mut stack: Vec<(usize, Vec<usize>)> = vec![(root, in_nbrs[root].clone())];

@@ -181,7 +181,10 @@ impl ChurnEngine {
     /// # Panics
     /// Panics if `initial.len() != plan.initial()`, an arrival
     /// endpoint is outside the universe, or `cfg.ticks_per_round == 0`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the network, the plan and the traffic schedule are independent inputs"
+    )]
     pub fn run(
         &self,
         initial: &[Point],

@@ -106,6 +106,7 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
 
 /// Minimal flag map: `--key value` pairs plus boolean `--distributed`.
 struct Flags {
+    #[expect(clippy::disallowed_types, reason = "looked up by key, never iterated")]
     kv: std::collections::HashMap<String, String>,
     distributed: bool,
 }
@@ -113,6 +114,7 @@ struct Flags {
 impl Flags {
     /// Parses `args` for `command`, rejecting any flag not in `takes`.
     fn parse(command: &str, takes: &[&str], args: &[String]) -> Result<Self, String> {
+        #[expect(clippy::disallowed_types, reason = "looked up by key, never iterated")]
         let mut kv = std::collections::HashMap::new();
         let mut distributed = false;
         let mut it = args.iter();

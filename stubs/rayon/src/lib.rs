@@ -4,7 +4,9 @@
 //! — `par_iter()`, `into_par_iter()`, `map`, `for_each`, `collect` — on
 //! top of `std::thread::scope`. Work is split into one contiguous chunk
 //! per worker, so results come back in input order and `collect` is
-//! deterministic regardless of the worker count.
+//! deterministic regardless of the worker count. There is deliberately
+//! no `sum`, `fold` or `reduce`: a parallel float reduction would make
+//! the low bits depend on the chunking, so it must not compile.
 //!
 //! The worker count is re-read from `RAYON_NUM_THREADS` on every
 //! parallel call (real rayon fixes it at global-pool creation); set it
@@ -129,14 +131,6 @@ pub trait ParallelIterator: Sized {
     {
         C::from_ordered_vec(self.into_items())
     }
-
-    /// Sums the items, in input order.
-    fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<Self::Item>,
-    {
-        self.into_items().into_iter().sum()
-    }
 }
 
 impl<T: Send> ParallelIterator for ParIter<T> {
@@ -255,9 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_for_each() {
-        let s: usize = (0..100).into_par_iter().map(|i| i).sum();
-        assert_eq!(s, 4950);
+    fn for_each_visits_every_item() {
         let counter = std::sync::atomic::AtomicUsize::new(0);
         (0..37).into_par_iter().for_each(|_| {
             counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
