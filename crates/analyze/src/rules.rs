@@ -93,8 +93,8 @@ pub const RULES: &[RuleInfo] = &[
 ];
 
 /// Crates whose construction hot path is arena-backed (rule D06). Paths
-/// are workspace-relative with forward slashes; `src/` excludes the
-/// `tests/` oracles, which deliberately keep the pre-refactor containers.
+/// are workspace-relative with forward slashes; only library code under
+/// `src/` is checked, so tests and benches may use any container.
 const D06_CRATES: &[&str] = &[
     "crates/geometry/src/",
     "crates/graph/src/",

@@ -1,12 +1,18 @@
-//! Property tests for the proximity topologies.
+//! Property tests for the proximity topologies, and golden digests of
+//! the distributed LDel¹ and LDel² protocols' outputs, recorded from the
+//! pre-arena protocols (node-id-keyed BTree state), which agreed with
+//! the live ones on every digest.
 
 use geospan_graph::gen::{uniform_points, UnitDiskBuilder};
 use geospan_graph::planarity::is_plane_embedding;
 use geospan_graph::Graph;
+use geospan_sim::{FaultPlan, FaultReport, MessageStats, Radio};
+use geospan_topology::ldel::LocalDelaunay;
 use geospan_topology::{
-    distributed, gabriel, ldel, relative_neighborhood, unit_delaunay, yao, yao_yao,
+    distributed, distributed2, gabriel, ldel, relative_neighborhood, unit_delaunay, yao, yao_yao,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 fn deployment() -> impl Strategy<Value = (Graph, f64)> {
     (8usize..50, 25.0f64..60.0, any::<u64>()).prop_map(|(n, radius, seed)| {
@@ -97,4 +103,118 @@ proptest! {
             prop_assert!(ld.graph.has_edge(u, v));
         }
     }
+}
+
+/// Deployments of up to 60 nodes on a 120 × 120 square.
+fn digest_deployment() -> impl Strategy<Value = (Graph, f64)> {
+    (8usize..60, 25.0f64..60.0, any::<u64>()).prop_map(|(n, radius, seed)| {
+        let pts = uniform_points(n, 120.0, seed);
+        (UnitDiskBuilder::new(radius).build(&pts), radius)
+    })
+}
+
+/// Cases `0..cases` of `s`, each drawn as the deterministic proptest
+/// named `name` draws its case `k`: the digests redraw the inputs of the
+/// arena-vs-BTree proptests they replace, whose names are the seeds.
+fn draws<S: Strategy>(name: &'static str, cases: u64, s: S) -> impl Iterator<Item = S::Value> {
+    (0..cases).map(move |k| s.generate(&mut TestRng::from_name_and_case(name, k)))
+}
+
+/// The radios each digest covers: the perfect synchronous one, 10 % loss
+/// plus one crash at round 3 under the default ack/retransmit layer, and
+/// asynchronous delivery with delays in `1..=3`. The protocols act only
+/// on facts that can no longer change, so the jittered run shares the
+/// perfect radio's pin.
+fn radios(g: &Graph, case: u64) -> [Radio; 3] {
+    let mut radios: [Radio; 3] = Default::default();
+    let lossy = FaultPlan::new(case).with_loss(0.1);
+    radios[1].faults = lossy.with_crash(g.node_count() / 2, 3);
+    radios[2].jitter = Some((3, case));
+    radios
+}
+
+/// 64-bit FNV-1a over little-endian `u64` words.
+struct Fnv(u64);
+
+impl Fnv {
+    const NEW: Fnv = Fnv(0xcbf2_9ce4_8422_2325);
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// A run of words, then its length.
+    fn words(&mut self, ws: impl IntoIterator<Item = usize>) {
+        let len = ws.into_iter().inspect(|&w| self.word(w as u64)).count();
+        self.word(len as u64);
+    }
+
+    /// One protocol run: the structure, its vertex positions included,
+    /// the message counts and the fault report.
+    fn run(&mut self, ld: &LocalDelaunay, stats: &MessageStats, r: &FaultReport) {
+        for v in 0..ld.graph.node_count() {
+            self.word(ld.graph.position(v).x.to_bits());
+            self.word(ld.graph.position(v).y.to_bits());
+        }
+        self.words(ld.graph.edges().flat_map(|(a, b)| [a, b]));
+        self.words(ld.triangles.iter().flatten().copied());
+        self.words(ld.gabriel_edges.iter().flat_map(|&(a, b)| [a, b]));
+        self.words(stats.sent_per_node().iter().copied());
+        for (kind, &count) in stats.per_kind() {
+            self.words(kind.bytes().map(usize::from).chain([count]));
+        }
+        self.words([
+            r.dropped,
+            r.duplicated,
+            r.retransmissions,
+            r.gave_up,
+            r.rounds,
+        ]);
+        self.words(r.crashed.iter().copied());
+    }
+}
+
+/// One digest per radio (see [`radios`]) of the runs of a distributed
+/// construction over the 32 deployments the proptest `name` drew.
+fn radio_digests(
+    name: &'static str,
+    run: impl Fn(&Graph, f64, &Radio) -> (LocalDelaunay, MessageStats, FaultReport),
+) -> [u64; 3] {
+    let mut h = [Fnv::NEW; 3];
+    for (case, (udg, r)) in draws(name, 32, digest_deployment()).enumerate() {
+        for (h, radio) in h.iter_mut().zip(radios(&udg, case as u64)) {
+            let (ldel, stats, report) = run(&udg, r, &radio);
+            h.run(&ldel, &stats, &report);
+        }
+    }
+    h.map(|h| h.0)
+}
+
+#[test]
+fn ldel1_golden_digests() {
+    let [perfect, faulty, jittered] =
+        radio_digests("ldel1_matches_btree_oracle", |udg, r, radio| {
+            let (out, report) = distributed::run_ldel_with(udg, r, radio).expect("converges");
+            (out.ldel, out.stats, report)
+        });
+    assert_eq!(
+        [perfect, faulty],
+        [2901999590911360728, 15570684884585138385]
+    );
+    assert_eq!(jittered, perfect);
+}
+
+#[test]
+fn ldel2_golden_digests() {
+    let [perfect, faulty, jittered] =
+        radio_digests("ldel2_matches_btree_oracle", |udg, r, radio| {
+            distributed2::run_ldel2_with(udg, r, radio).expect("converges")
+        });
+    assert_eq!(
+        [perfect, faulty],
+        [4587022266665944260, 3618392793553429737]
+    );
+    assert_eq!(jittered, perfect);
 }

@@ -77,8 +77,8 @@ overload:    --high-watermark enables congestion-adaptive retransmit
              --low-watermark); --admit-ticks enables token-bucket
              source admission (one packet per T ticks per source,
              bursts up to --admit-burst)
-sharding:    --shards N runs the engine spatially sharded on up to N
-             cores; output is bit-identical at every shard count
+sharding:    --shards N (1 to 1024) runs the engine spatially sharded on
+             up to N cores; output is bit-identical at every shard count
 churn:       --churn-rate P schedules ~P membership/mobility events per
              tick (joins, leaves, moves in equal proportion, seeded by
              --churn-seed) and maintains the backbone with the paper's
@@ -318,7 +318,16 @@ fn cmd_route(flags: &Flags) -> Result<(), String> {
 /// up-front allocation, so a larger product is refused, not attempted.
 const MAX_SCHEDULED: f64 = 1e7;
 
+/// The most shards one traffic run may use: the shard drivers keep an
+/// s × s grid of boundary slots and scan all of it every round, so 1 024
+/// shards already means about 10⁶ slots.
+const MAX_SHARDS: usize = 1_024;
+
 fn cmd_traffic(flags: &Flags) -> Result<(), String> {
+    let shards: usize = flags.get_or("shards", 1)?;
+    if !(1..=MAX_SHARDS).contains(&shards) {
+        return Err(format!("shards must be in 1..={MAX_SHARDS}, got {shards}"));
+    }
     // Deployment: an explicit node file, or a generated connected field.
     let pts = if flags.kv.contains_key("nodes") {
         load_nodes(flags)?
@@ -426,7 +435,7 @@ fn cmd_traffic(flags: &Flags) -> Result<(), String> {
         reliability,
         overload,
         admission,
-        shards: flags.get_or("shards", 1)?,
+        shards,
         ..TrafficConfig::default()
     };
 

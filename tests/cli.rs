@@ -544,6 +544,25 @@ fn bad_usage_fails_cleanly() {
         .unwrap();
     assert!(!out.status.success());
 
+    // Shard counts out of range are refused before the deployment is
+    // read (the nodes file does not exist), let alone an engine started.
+    for shards in ["0", "1025", "100000"] {
+        let out = cli()
+            .args([
+                "traffic",
+                "--nodes",
+                "/nonexistent/nodes.csv",
+                "--radius",
+                "10",
+            ])
+            .args(["--shards", shards])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--shards {shards}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("shards must be in 1..=1024"), "{err}");
+    }
+
     // Unknown topology.
     let dir = tempdir("usage");
     let nodes = dir.join("n.csv");
