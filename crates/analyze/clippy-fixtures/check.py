@@ -6,8 +6,9 @@ Usage, from anywhere:
     python3 crates/analyze/clippy-fixtures/check.py
 
 Runs the `clippy-lib` alias from the repository's .cargo/config.toml on
-this fixture workspace, with JSON diagnostics. Every fixture line that
-must be flagged ends in `//~` followed by the lint names it expects.
+this fixture workspace, with JSON diagnostics, its own options appended
+to the alias as a user's would be. Every fixture line that must be
+flagged ends in `//~` followed by the lint names it expects.
 Exits 0 when the diagnostics are exactly those (every marker fires and
 nothing else does), 1 otherwise, listing the difference.
 """
@@ -47,10 +48,9 @@ def fired():
     """(file, line, lint) for every diagnostic `cargo clippy-lib` emits."""
     with open(os.path.join(ROOT, ".cargo", "config.toml"), "rb") as f:
         alias = tomllib.load(f)["alias"]["clippy-lib"]
-    split = alias.index("--")
     cmd = (
         ["cargo"]
-        + alias[:split]
+        + alias
         + [
             "--keep-going",  # one failing package must not stop the other
             "--message-format=json",
@@ -59,7 +59,6 @@ def fired():
             "--target-dir",
             os.path.join(ROOT, "target", "clippy-fixtures"),
         ]
-        + alias[split:]
     )
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     out = set()
