@@ -11,7 +11,7 @@
 //! cost.
 //!
 //! Cells (trial × arm × churn level) run in parallel through the
-//! traffic sweeps' [`grid`] and fold through their [`Tally`], so the
+//! traffic sweeps' `grid` and fold through their [`Tally`], so the
 //! CSV is byte-identical for every thread count.
 
 use geospan_sim::{ChurnMix, ChurnPlan, FaultPlan};

@@ -11,7 +11,7 @@
 //! `traffic_reliability` and E18 `traffic_saturation`; E21
 //! (`crate::churn`) shares their skeleton. Each trial's topologies are
 //! built once, every (trial, cell) pair is served in parallel by
-//! [`grid`], and each cell's [`Tally`] folds its trials in index order,
+//! `grid`, and each cell's [`Tally`] folds its trials in index order,
 //! so the CSVs are byte-identical for every thread count.
 
 use geospan_core::{Backbone, BackboneBuilder, BackboneConfig, ClusterRank};

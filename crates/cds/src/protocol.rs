@@ -108,13 +108,17 @@ pub struct CdsNode {
     announced: VecSet,
     /// Candidacies this node entered: `(u, v, stage)`. Election-keyed
     /// (not node-id-keyed), and phase 3/4 broadcasts iterate it in key
-    /// order — load-bearing for the pinned message traces, so `BTree*`
-    /// stays here and for the two maps below.
+    /// order — load-bearing for the pinned message traces, so it stays a
+    /// `BTreeSet`.
     my_tries: BTreeSet<(usize, usize, u8)>,
-    /// Candidacy announcements heard, keyed by election.
-    try_heard: BTreeMap<(usize, usize, u8), VecSet>,
-    /// Stage-2 winners heard per ordered pair `(u, v)`.
-    stage2_winners: BTreeMap<(usize, usize), VecSet>,
+    /// Smallest rival candidate heard per election, kept only for
+    /// elections this node competes in (see [`CdsNode::competes`]):
+    /// [`CdsNode::wins`] reads nothing else. Lookup-only.
+    try_heard: BTreeMap<(usize, usize, u8), usize>,
+    /// Smallest stage-2 winner heard per ordered pair `(u, v)`, kept only
+    /// when this node may run in the stage-3 election of `(u, v)`: a
+    /// stage-3 winner links to it. Lookup-only.
+    stage2_winners: BTreeMap<(usize, usize), usize>,
     /// Whether this node elected itself a connector.
     is_connector: bool,
     /// Backbone edges this node is responsible for.
@@ -166,7 +170,27 @@ impl CdsNode {
     fn wins(&self, key: (usize, usize, u8)) -> bool {
         self.try_heard
             .get(&key)
-            .is_none_or(|heard| heard.iter().all(|w| w > self.id))
+            .is_none_or(|&rival| rival > self.id)
+    }
+
+    /// Whether this node is a dominatee of `v`, the condition for running
+    /// in a stage-3 election toward `v`.
+    fn bridges_to(&self, v: usize) -> bool {
+        self.status == Status::Dominatee && self.dominators.contains(v)
+    }
+
+    /// Whether this node competes in the election `key`, so that a
+    /// rival's candidacy for it is worth storing. Stage-1/2 candidacies
+    /// are all entered at the phase 2/7 kickoff, before any delivery, so
+    /// `my_tries` decides. A stage-3 candidacy is entered when a stage-2
+    /// winner's announcement arrives, which under jitter can come after
+    /// a rival's stage-3 candidacy; there eligibility decides.
+    fn competes(&self, (u, v, stage): (usize, usize, u8)) -> bool {
+        if stage == 3 {
+            self.bridges_to(v)
+        } else {
+            self.my_tries.contains(&(u, v, stage))
+        }
     }
 }
 
@@ -282,8 +306,9 @@ impl Protocol for CdsNode {
                     }
                     self.is_connector = true;
                     self.add_edge(self.id, v);
-                    let w = self.stage2_winners[&(u, v)]
-                        .first()
+                    let w = *self
+                        .stage2_winners
+                        .get(&(u, v))
                         .expect("stage-3 candidacy implies a heard stage-2 winner");
                     self.add_edge(self.id, w);
                     ctx.broadcast(CdsMsg::IamConnector {
@@ -318,20 +343,19 @@ impl Protocol for CdsNode {
                 self.maybe_declare_dominator(ctx);
             }
             CdsMsg::TryConnector { u, w, v, stage } => {
-                self.try_heard
-                    .entry((*u, *v, *stage))
-                    .or_default()
-                    .insert(*w);
+                let key = (*u, *v, *stage);
+                if self.competes(key) {
+                    let rival = self.try_heard.entry(key).or_insert(*w);
+                    *rival = (*rival).min(*w);
+                }
             }
             CdsMsg::IamConnector { u, w, v, stage } => {
-                if *stage == 2 {
-                    self.stage2_winners.entry((*u, *v)).or_default().insert(*w);
-                    // Step 7: dominatees of v respond with a stage-3
-                    // candidacy.
-                    if self.status == Status::Dominatee
-                        && self.dominators.contains(*v)
-                        && self.my_tries.insert((*u, *v, 3))
-                    {
+                // Step 7: dominatees of v record the winner and respond
+                // with a stage-3 candidacy.
+                if *stage == 2 && self.bridges_to(*v) {
+                    let winner = self.stage2_winners.entry((*u, *v)).or_insert(*w);
+                    *winner = (*winner).min(*w);
+                    if self.my_tries.insert((*u, *v, 3)) {
                         ctx.broadcast(CdsMsg::TryConnector {
                             u: *u,
                             w: self.id,
@@ -391,11 +415,26 @@ pub fn run_cds_with(
     radio: &Radio,
 ) -> Result<(CdsGraphs, MessageStats, FaultReport), QuiescenceTimeout> {
     let faulty = !radio.faults.is_zero();
-    let mut net = Network::new(udg, |id| CdsNode::new(id, rank.key(udg, id))).with_radio(radio);
-    net.run_phases(if faulty { 10 } else { 5 }, net.round_budget())?;
+    let mut net = network(udg, rank, radio);
+    net.run_phases(phase_count(radio), net.round_budget())?;
     let (nodes, stats, report) = net.into_outcome();
     let crashed: VecSet = report.crashed.iter().copied().collect();
     Ok((harvest(udg, &nodes, &crashed, faulty), stats, report))
+}
+
+/// One protocol node per vertex of `udg`, ranked by `rank`, over `radio`.
+fn network<'g>(udg: &'g Graph, rank: &ClusterRank, radio: &Radio) -> Network<'g, CdsNode> {
+    Network::new(udg, |id| CdsNode::new(id, rank.key(udg, id))).with_radio(radio)
+}
+
+/// Phases 0–4, then the recovery epilogue 5–9 under a non-zero fault
+/// plan.
+fn phase_count(radio: &Radio) -> usize {
+    if radio.faults.is_zero() {
+        5
+    } else {
+        10
+    }
 }
 
 /// Collects the per-node protocol outcomes into the graph family.
@@ -615,6 +654,58 @@ mod tests {
                         "seed {seed}: {v} cut off from {} in repaired backbone",
                         inside[0]
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nodes_store_only_elections_they_compete_in() {
+        use geospan_sim::FaultPlan;
+        // After every phase, over a perfect, a lossy-with-crash and a
+        // jittered radio: rival candidacies are kept only for the node's
+        // own stage-1/2 elections or for stage-3 elections toward one of
+        // its dominators, and stage-2 winners only toward its dominators.
+        for seed in 0..4u64 {
+            let (_pts, udg, _s) = connected_unit_disk(60, 150.0, 45.0, seed * 19 + 2);
+            let rank = ClusterRank::LowestId;
+            let lossy = FaultPlan::new(seed).with_loss(0.1).with_crash(30, 3);
+            let radios = [
+                Radio::default(),
+                Radio {
+                    faults: lossy,
+                    ..Radio::default()
+                },
+                Radio {
+                    jitter: Some((3, seed + 1)),
+                    ..Radio::default()
+                },
+            ];
+            for radio in &radios {
+                let mut net = network(&udg, &rank, radio);
+                for phase in 0..phase_count(radio) {
+                    net.run_phase(phase, net.round_budget()).unwrap();
+                    for node in net.nodes() {
+                        for &key @ (u, v, stage) in node.try_heard.keys() {
+                            let competes = if stage == 3 {
+                                node.status == Status::Dominatee && node.dominators.contains(v)
+                            } else {
+                                node.my_tries.contains(&key)
+                            };
+                            assert!(
+                                competes,
+                                "seed {seed}, phase {phase}: node {} stored ({u}, {v}, {stage})",
+                                node.id
+                            );
+                        }
+                        for &(u, v) in node.stage2_winners.keys() {
+                            assert!(
+                                node.dominators.contains(v),
+                                "seed {seed}, phase {phase}: node {} stored winner of ({u}, {v})",
+                                node.id
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -388,7 +388,7 @@ const MAX_COORDINATE: f64 = f64::from_bits((1023 + 250) << 52);
 /// `0.0` coincide), which the triangulations cannot handle. One
 /// `O(n log n)` sort.
 ///
-/// [`BackboneBuilder::build`] and every [`crate::MobileBackbone`]
+/// [`BackboneBuilder::build`] and every [`crate::maintenance::MobileBackbone`]
 /// operation run it first; callers that build the unit disk graph
 /// themselves can run it before that build, whose in-range test
 /// overflows on such input.

@@ -13,8 +13,8 @@
 //! Inserts are `O(n)` worst-case (a `Vec::insert` shift), which is the
 //! right trade for the protocol workloads here: neighbor sets are
 //! bounded by the node degree (tens of entries), and most inserts land
-//! near the end. For bulk loads use [`VecSet::from_sorted_iter`] /
-//! `extend` + [`VecSet::sort_dedup`]-style construction via `From`.
+//! near the end. For bulk loads use [`VecSet::from_sorted_iter`], or
+//! `collect` unsorted keys: the `FromIterator` impl sorts and dedups.
 
 /// A set of `usize` keys stored as a sorted `Vec`.
 ///

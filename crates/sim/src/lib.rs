@@ -291,7 +291,6 @@ impl std::error::Error for QuiescenceTimeout {}
 /// with a per-sender sequence number and a retransmission attempt
 /// counter) or a link-layer acknowledgement addressed to the original
 /// sender.
-#[derive(Clone)]
 enum Payload<M> {
     Data { seq: u64, attempt: u32, msg: M },
     Ack { to: usize, seq: u64, attempt: u32 },
@@ -550,19 +549,20 @@ impl<'g, P: Protocol> Network<'g, P> {
             if self.in_flight.is_empty() && self.pending.is_empty() {
                 break;
             }
-            // Deliver everything whose delay has elapsed; broadcasts made
-            // while handling go into a later round's batch.
-            let mut deliveries = Vec::new();
-            self.in_flight.retain_mut(|f| {
-                f.delay -= 1;
-                if f.delay == 0 {
-                    deliveries.push((f.sender, f.payload.clone()));
-                    false
-                } else {
-                    true
-                }
-            });
-            for (sender, payload) in deliveries {
+            // Deliver everything whose delay has elapsed, moved out in
+            // send order; broadcasts made while handling go into a later
+            // round's batch.
+            let deliveries: Vec<InFlight<P::Message>> = self
+                .in_flight
+                .extract_if(.., |f| {
+                    f.delay -= 1;
+                    f.delay == 0
+                })
+                .collect();
+            for InFlight {
+                sender, payload, ..
+            } in deliveries
+            {
                 match payload {
                     Payload::Ack { to, seq, attempt } => {
                         self.deliver_ack(sender, to, seq, attempt);

@@ -25,7 +25,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use geospan_geometry::{
-    gabriel_test, in_circumcircle, segments_properly_cross, CirclePosition, Point, Triangulation,
+    delaunay_triangles, gabriel_test, in_circumcircle, segments_properly_cross, CirclePosition,
+    Point,
 };
 use geospan_graph::collections::{VecMap, VecSet};
 use geospan_graph::Graph;
@@ -103,13 +104,17 @@ pub struct LdelNode {
     /// Sorted-vec map: iteration order is ascending by neighbor id,
     /// exactly like the `BTreeMap` it replaced.
     known: VecMap<Point>,
-    /// Triangles of `Del(N₁(self))`, as ascending global triples.
+    /// Triangles of `Del(N₁(self))` incident on this node, as ascending
+    /// global triples: every later lookup asks about a triangle that
+    /// contains the node.
     ///
     /// The triple-keyed containers below stay `BTree*`: their keys are
     /// `[usize; 3]` triangles (not node ids), their sizes are bounded by
     /// the local triangulation, and phase-2/3 message emission iterates
     /// them in key order — that order is load-bearing for the
-    /// bit-identical message traces the tests pin.
+    /// bit-identical message traces the tests pin. Like `local_tris`,
+    /// `confirmations`, `dead` and `survivor_votes` hold only triangles
+    /// incident on this node, the only ones it later reads.
     local_tris: BTreeSet<[usize; 3]>,
     /// Confirmations per triangle: which *other* vertices vouched for it
     /// (by proposing it or accepting it).
@@ -185,15 +190,17 @@ impl LdelNode {
             return;
         }
         let pts: Vec<Point> = ids.iter().map(|&i| self.position_of(i)).collect();
-        let Ok(tri) = Triangulation::build(&pts) else {
+        let Ok(tris) = delaunay_triangles(&pts) else {
             // Duplicate positions among neighbors: no local triangles.
             return;
         };
-        for t in tri.triangles() {
+        for t in tris {
             let [a, b, c] = t.indices();
             let mut key = [ids[a], ids[b], ids[c]];
-            key.sort_unstable();
-            self.local_tris.insert(key);
+            if key.contains(&self.id) {
+                key.sort_unstable();
+                self.local_tris.insert(key);
+            }
         }
     }
 
@@ -204,7 +211,7 @@ impl LdelNode {
     fn proposals(&self) -> Vec<[usize; 3]> {
         let mut out = Vec::new();
         for &tri in &self.local_tris {
-            if !tri.contains(&self.id) || !self.edges_short(tri) {
+            if !self.edges_short(tri) {
                 continue;
             }
             let others: Vec<usize> = tri.iter().copied().filter(|&x| x != self.id).collect();
@@ -240,10 +247,7 @@ impl LdelNode {
     /// other corners vouched for it.
     fn finalize_accepted(&mut self) {
         for (&tri, votes) in &self.confirmations {
-            if !tri.contains(&self.id)
-                || self.dead.contains(&tri)
-                || !self.local_tris.contains(&tri)
-            {
+            if self.dead.contains(&tri) || !self.local_tris.contains(&tri) {
                 continue;
             }
             if tri
@@ -299,8 +303,27 @@ impl LdelNode {
     }
 }
 
-fn triangles_cross_pts(a: &[Point], b: &[Point]) -> bool {
+/// Whether two triangles' edges properly cross. A proper crossing
+/// implies overlapping bounding boxes, so disjoint boxes skip the 9
+/// exact segment tests, as in the centralized planarizer.
+fn triangles_cross_pts(a: &[Point; 3], b: &[Point; 3]) -> bool {
     const E: [(usize, usize); 3] = [(0, 1), (1, 2), (0, 2)];
+    let lo = |p: &[Point; 3]| {
+        Point::new(
+            p[0].x.min(p[1].x).min(p[2].x),
+            p[0].y.min(p[1].y).min(p[2].y),
+        )
+    };
+    let hi = |p: &[Point; 3]| {
+        Point::new(
+            p[0].x.max(p[1].x).max(p[2].x),
+            p[0].y.max(p[1].y).max(p[2].y),
+        )
+    };
+    let (alo, ahi, blo, bhi) = (lo(a), hi(a), lo(b), hi(b));
+    if alo.x > bhi.x || blo.x > ahi.x || alo.y > bhi.y || blo.y > ahi.y {
+        return false;
+    }
     E.iter().any(|&(i, j)| {
         E.iter()
             .any(|&(p, q)| segments_properly_cross(a[i], a[j], b[p], b[q]))
@@ -398,10 +421,14 @@ impl Protocol for LdelNode {
                 }
             }
             LdelMsg::Accept { tri } => {
-                self.confirm(*tri, from);
+                if tri.contains(&self.id) {
+                    self.confirm(*tri, from);
+                }
             }
             LdelMsg::Reject { tri } => {
-                self.dead.insert(*tri);
+                if tri.contains(&self.id) {
+                    self.dead.insert(*tri);
+                }
             }
             LdelMsg::Triangles { tris } => {
                 for (t, p) in tris {
@@ -409,7 +436,7 @@ impl Protocol for LdelNode {
                 }
             }
             LdelMsg::Survivors { tris } => {
-                for t in tris {
+                for t in tris.iter().filter(|t| t.contains(&self.id)) {
                     self.survivor_votes.entry(*t).or_default().insert(from);
                 }
             }
@@ -463,10 +490,7 @@ pub fn run_ldel_with(
     radius: f64,
     radio: &Radio,
 ) -> Result<(DistributedOutcome, FaultReport), QuiescenceTimeout> {
-    let mut net = Network::new(g, |id| {
-        LdelNode::new(id, g.position(id), radius, g.degree(id) > 0)
-    })
-    .with_radio(radio);
+    let mut net = network(g, radius, radio);
     net.run_phases(5, net.round_budget())?;
     let (nodes, stats, report) = net.into_outcome();
     let crashed: VecSet = report.crashed.iter().copied().collect();
@@ -476,6 +500,15 @@ pub fn run_ldel_with(
         &crashed,
     );
     Ok((DistributedOutcome { ldel, stats }, report))
+}
+
+/// One protocol node per vertex of `g` over `radio`; isolated vertices
+/// stay silent.
+fn network<'g>(g: &'g Graph, radius: f64, radio: &Radio) -> Network<'g, LdelNode> {
+    Network::new(g, |id| {
+        LdelNode::new(id, g.position(id), radius, g.degree(id) > 0)
+    })
+    .with_radio(radio)
 }
 
 /// Unions the per-node Gabriel edges and confirmed triangles of a
@@ -645,6 +678,49 @@ mod tests {
                 faulty.ldel.triangles, plain.ldel.triangles,
                 "seed {seed}: retransmission should mask the loss"
             );
+        }
+    }
+
+    #[test]
+    fn nodes_store_only_incident_triangles() {
+        // After every phase, over a perfect, a lossy-with-crash and a
+        // jittered radio: votes, rejections and survivor confirmations
+        // are kept only for triangles the node is a corner of.
+        for seed in 0..3u64 {
+            let (_pts, g, _s) = connected_unit_disk(45, 100.0, 35.0, seed * 17 + 3);
+            let lossy = FaultPlan::new(seed).with_loss(0.1).with_crash(22, 3);
+            let radios = [
+                Radio::default(),
+                Radio {
+                    faults: lossy,
+                    ..Radio::default()
+                },
+                Radio {
+                    jitter: Some((3, seed + 1)),
+                    ..Radio::default()
+                },
+            ];
+            for radio in &radios {
+                let mut net = network(&g, 35.0, radio);
+                for phase in 0..5 {
+                    net.run_phase(phase, net.round_budget()).unwrap();
+                    for node in net.nodes() {
+                        let stored = node
+                            .local_tris
+                            .iter()
+                            .chain(node.confirmations.keys())
+                            .chain(&node.dead)
+                            .chain(node.survivor_votes.keys());
+                        for tri in stored {
+                            assert!(
+                                tri.contains(&node.id),
+                                "seed {seed}, phase {phase}: node {} stored {tri:?}",
+                                node.id
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -919,7 +919,7 @@ pub(crate) fn aggregate(udg: &Graph, cores: Vec<ShardCore<'_>>) -> TrafficOutcom
 /// over (sub)graphs of the same vertex set. The run is bit-reproducible:
 /// the same inputs give the same [`TrafficOutcome`] on every invocation,
 /// under any thread count, and — by the phase structure documented on
-/// [`ShardCore`] — at any [`TrafficConfig::shards`] value.
+/// the engine's `ShardCore` — at any [`TrafficConfig::shards`] value.
 ///
 /// # Panics
 /// Panics if an arrival endpoint is out of bounds or

@@ -36,7 +36,7 @@
 //!   `geospan_core::routing` (greedy, GPSR, dominating-set backbone
 //!   routing), invoked per transmission, so routing state travels with
 //!   the packet exactly as it would in a deployed network;
-//! * a seeded [`FaultPlan`] drops deliveries, severs partitions, and
+//! * a seeded [`FaultPlan`](geospan_sim::FaultPlan) drops deliveries, severs partitions, and
 //!   crashes nodes mid-flow using the same per-event hash rolls as the
 //!   round simulator in `geospan-sim`.
 //!

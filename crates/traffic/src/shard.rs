@@ -8,9 +8,8 @@
 //! for, the global minimum `T` becomes the round's safe horizon, every
 //! shard executes its node-local phases of tick `T`, and the forwards
 //! they produced are exchanged through per-`(source shard, destination
-//! shard)` channels and merged in a canonical order (see
-//! [`crate::engine::ShardCore`] for the phase structure and the
-//! determinism argument).
+//! shard)` channels and merged in a canonical order (see `ShardCore` in
+//! `engine.rs` for the phase structure and the determinism argument).
 //!
 //! Lockstep rounds are the degenerate — and here, necessary — form of
 //! conservative synchronization: a transmission completed at tick `T`
