@@ -11,7 +11,8 @@
 //!   inconclusive,
 //! * circumcircles, segment intersection tests, convex hulls,
 //! * a [`Triangulation`] type implementing the Delaunay triangulation via
-//!   incremental Bowyer–Watson insertion with ghost triangles.
+//!   incremental Bowyer–Watson insertion with ghost triangles, and
+//!   [`delaunay_star`], the Delaunay triangles around one point alone.
 //!
 //! The exactness of the predicates is what makes the planarity guarantees
 //! of the localized Delaunay graph hold in practice and not just in the
@@ -45,6 +46,7 @@ mod hull;
 mod point;
 mod predicates;
 mod segment;
+mod star;
 mod triangulation;
 
 pub use circle::{circumcenter, circumradius, Circle};
@@ -55,6 +57,7 @@ pub use predicates::{
     gabriel_test, in_circumcircle, incircle, orient2d, CirclePosition, Orientation,
 };
 pub use segment::{segments_cross, segments_properly_cross, SegmentIntersection};
+pub use star::{delaunay_star, Tie};
 pub use triangulation::{
     delaunay_triangles, DelaunayScratch, Triangle, Triangulation, TriangulationError,
 };

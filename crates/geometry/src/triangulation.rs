@@ -235,7 +235,7 @@ impl Triangulation {
 
 /// Validates triangulation input: every coordinate finite, all points
 /// pairwise distinct.
-fn check_distinct_finite(points: &[Point]) -> Result<(), TriangulationError> {
+pub(crate) fn check_distinct_finite(points: &[Point]) -> Result<(), TriangulationError> {
     for (i, p) in points.iter().enumerate() {
         if !p.is_finite() {
             return Err(TriangulationError::NonFinitePoint(i));
@@ -277,10 +277,10 @@ fn check_distinct_finite(points: &[Point]) -> Result<(), TriangulationError> {
 /// [`Triangulation`] structure (edge list, adjacency, hull, triangle
 /// keys).
 ///
-/// This is the fast path for callers — `ldel1` above all — that build
-/// thousands of small local triangulations and consume only the triangle
-/// list; it produces exactly the triangles [`Triangulation::build`]
-/// would.
+/// This is the path for callers that consume only the triangle list —
+/// the distributed LDel¹ node's tie fallback, when
+/// [`crate::delaunay_star`] meets an exact degeneracy; it produces
+/// exactly the triangles [`Triangulation::build`] would.
 ///
 /// # Errors
 /// Same contract as [`Triangulation::build`].
@@ -296,9 +296,12 @@ pub fn delaunay_triangles(points: &[Point]) -> Result<Vec<Triangle>, Triangulati
 /// One `DelaunayScratch` amortizes every internal buffer — the triangle
 /// arena, the epoch-stamped cavity marks, the flood-fill stack, the
 /// boundary fan — across an arbitrary number of triangulations, so a
-/// caller computing thousands of small local triangulations (the `ldel1`
-/// workload: one per node) allocates O(1) per insertion at steady state
-/// instead of rebuilding every buffer per call.
+/// caller computing many small local triangulations allocates O(1) per
+/// insertion at steady state instead of rebuilding every buffer per
+/// call. `ldel1` keeps one per worker as its tie fallback: a node whose
+/// [`crate::delaunay_star`] meets an exact degeneracy triangulates its
+/// whole neighbourhood here, so cocircular ties are broken by this
+/// insertion order.
 ///
 /// The mark epochs deliberately survive across calls: epochs only ever
 /// increase, so a stale mark from a previous triangulation can never

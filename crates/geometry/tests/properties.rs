@@ -1,10 +1,13 @@
 //! Property-based tests for the geometry substrate.
 
 use geospan_geometry::{
-    convex_hull, gabriel_test, in_circumcircle, incircle, orient2d, segments_properly_cross,
-    CirclePosition, Orientation, Point, Triangulation,
+    convex_hull, delaunay_star, gabriel_test, in_circumcircle, incircle, orient2d,
+    segments_properly_cross, CirclePosition, DelaunayScratch, Orientation, Point, Tie, Triangle,
+    Triangulation,
 };
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// A coordinate range wide enough to exercise interesting magnitudes but
 /// keeping products finite.
@@ -241,4 +244,136 @@ proptest! {
             prop_assert!(seen.into_iter().all(|s| s), "triangulation disconnected");
         }
     }
+}
+
+/// Neighbourhood-shaped inputs for the star tests, drawn from `seed`:
+/// uniform, Gaussian clusters (clamped to the square, so some points sit
+/// on its sides), a jittered grid, or a tiny set of a centre and 2–4
+/// others. Bit-identical repeats are dropped.
+fn star_input(shape: u8, seed: u64) -> Vec<Point> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let uniform = |rng: &mut ChaCha8Rng| {
+        Point::new(rng.random_range(0.0..100.0), rng.random_range(0.0..100.0))
+    };
+    let pts: Vec<Point> = match shape % 4 {
+        0 => (0..rng.random_range(3..40))
+            .map(|_| uniform(&mut rng))
+            .collect(),
+        1 => {
+            let centres: Vec<Point> = (0..rng.random_range(1..4))
+                .map(|_| uniform(&mut rng))
+                .collect();
+            (0..rng.random_range(3..40))
+                .map(|i| {
+                    let c = centres[i % centres.len()];
+                    let r = 6.0 * (-2.0 * rng.random_range(f64::MIN_POSITIVE..1.0).ln()).sqrt();
+                    let a = rng.random_range(0.0..std::f64::consts::TAU);
+                    Point::new(
+                        (c.x + r * a.cos()).clamp(0.0, 100.0),
+                        (c.y + r * a.sin()).clamp(0.0, 100.0),
+                    )
+                })
+                .collect()
+        }
+        2 => {
+            let (nx, ny) = (rng.random_range(2..7), rng.random_range(2..7));
+            let jitter: f64 = rng.random_range(0.5..4.0);
+            let mut pts = Vec::new();
+            for i in 0..nx {
+                for j in 0..ny {
+                    let dx = rng.random_range(-jitter..jitter);
+                    let dy = rng.random_range(-jitter..jitter);
+                    pts.push(Point::new(i as f64 * 10.0 + dx, j as f64 * 10.0 + dy));
+                }
+            }
+            pts
+        }
+        _ => (0..rng.random_range(3..6))
+            .map(|_| uniform(&mut rng))
+            .collect(),
+    };
+    let mut distinct: Vec<Point> = Vec::with_capacity(pts.len());
+    for p in pts {
+        if !distinct
+            .iter()
+            .any(|q| (q.x.to_bits(), q.y.to_bits()) == (p.x.to_bits(), p.y.to_bits()))
+        {
+            distinct.push(p);
+        }
+    }
+    distinct
+}
+
+/// Ascending index triples, sorted.
+fn keys<'a>(tris: impl IntoIterator<Item = &'a Triangle>) -> Vec<[usize; 3]> {
+    let mut k: Vec<[usize; 3]> = tris.into_iter().map(Triangle::sorted).collect();
+    k.sort_unstable();
+    k
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn delaunay_star_is_bowyer_watsons_incident_triangles(shape in 0u8..4, seed in any::<u64>()) {
+        let pts = star_input(shape, seed);
+        let mut all = Vec::new();
+        DelaunayScratch::new().triangles_into(&pts, &mut all).unwrap();
+        let mut star = Vec::new();
+        let mut walked = 0;
+        for c in 0..pts.len() {
+            if delaunay_star(&pts, c, &mut star) == Err(Tie) {
+                continue;
+            }
+            walked += 1;
+            prop_assert_eq!(keys(&star), keys(all.iter().filter(|t| t.contains(c))), "centre {}", c);
+            // Counterclockwise around the centre, each triangle sharing
+            // its second side with the next one's first.
+            for (i, t) in star.iter().enumerate() {
+                let [o, a, b] = t.indices();
+                prop_assert_eq!(o, c);
+                prop_assert_eq!(orient2d(pts[o], pts[a], pts[b]), Orientation::CounterClockwise);
+                if let Some(next) = star.get(i + 1) {
+                    prop_assert_eq!(next.indices()[1], b);
+                }
+            }
+        }
+        // Clamped clusters may put every point of a tiny set on one side;
+        // the other shapes are in general position.
+        prop_assert!(walked > 0 || shape % 4 == 1, "every centre tied");
+    }
+}
+
+#[test]
+fn delaunay_star_ties_on_an_exact_grid() {
+    // Every point has two or four equally near neighbours, and every
+    // unit square is cocircular.
+    let pts: Vec<Point> = (0..5)
+        .flat_map(|i| (0..5).map(move |j| Point::new(f64::from(i), f64::from(j))))
+        .collect();
+    let mut star = Vec::new();
+    for c in 0..pts.len() {
+        assert_eq!(delaunay_star(&pts, c, &mut star), Err(Tie), "centre {c}");
+    }
+}
+
+#[test]
+fn delaunay_star_ties_on_a_collinear_chain() {
+    // Distinct gaps, so the nearest neighbour is unique: the tie is the
+    // collinearity itself, where Bowyer–Watson has no triangles at all.
+    let pts: Vec<Point> = (0..8)
+        .map(|i| {
+            let t = f64::from(i * i);
+            Point::new(3.0 * t, 2.0 * t - 1.0)
+        })
+        .collect();
+    let mut star = Vec::new();
+    for c in 0..pts.len() {
+        assert_eq!(delaunay_star(&pts, c, &mut star), Err(Tie), "centre {c}");
+    }
+    let mut all = Vec::new();
+    DelaunayScratch::new()
+        .triangles_into(&pts, &mut all)
+        .unwrap();
+    assert!(all.is_empty());
 }

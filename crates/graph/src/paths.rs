@@ -54,9 +54,8 @@ impl NodeId for u32 {
     }
 }
 
-/// The one BFS behind [`bfs_hops`] and [`crate::CsrGraph::bfs_hops`]:
-/// hop distances from `src` over `n` nodes whose sorted neighbor slices
-/// `neighbors` returns.
+/// [`hop_row_over`] with unreachable nodes as `None`: the search behind
+/// [`bfs_hops`] and [`crate::CsrGraph::bfs_hops`].
 ///
 /// # Panics
 /// Panics if `src >= n`.
@@ -65,22 +64,55 @@ pub(crate) fn bfs_hops_over<'g, I: NodeId + 'g>(
     src: usize,
     neighbors: impl Fn(usize) -> &'g [I],
 ) -> Vec<Option<u32>> {
+    hop_row_over(n, src, neighbors)
+        .into_iter()
+        .map(hop)
+        .collect()
+}
+
+/// A hop row's entry for a node the search did not reach. Node ids fit
+/// in `u32`, so no real hop count reaches it.
+const UNREACHED: u32 = u32::MAX;
+
+/// The one BFS: hop distances from `src` over `n` nodes whose sorted
+/// neighbor slices `neighbors` returns, [`UNREACHED`] where none exists.
+/// Half the size of a `Vec<Option<u32>>` row, which matters to the rows
+/// [`DistanceOracle`] keeps.
+///
+/// # Panics
+/// Panics if `src >= n`.
+fn hop_row_over<'g, I: NodeId + 'g>(
+    n: usize,
+    src: usize,
+    neighbors: impl Fn(usize) -> &'g [I],
+) -> Vec<u32> {
     assert!(src < n, "source {src} out of bounds for {n} nodes");
-    let mut dist = vec![None; n];
-    dist[src] = Some(0);
+    let mut dist = vec![UNREACHED; n];
+    dist[src] = 0;
     let mut q = VecDeque::with_capacity(n);
     q.push_back(src);
     while let Some(u) = q.pop_front() {
-        let du = dist[u].expect("queued nodes have distances");
+        let du = dist[u];
         for &v in neighbors(u) {
             let v = v.index();
-            if dist[v].is_none() {
-                dist[v] = Some(du + 1);
+            if dist[v] == UNREACHED {
+                dist[v] = du + 1;
                 q.push_back(v);
             }
         }
     }
     dist
+}
+
+/// [`hop_row_over`] on a [`Graph`].
+fn hop_row(g: &Graph, src: usize) -> Vec<u32> {
+    hop_row_over(g.node_count(), src, |u| g.neighbors(u))
+}
+
+/// A [`hop_row`] entry as a hop count.
+#[inline]
+fn hop(h: u32) -> Option<u32> {
+    (h != UNREACHED).then_some(h)
 }
 
 /// Max-heap entry ordered by *smallest* distance first.
@@ -448,7 +480,8 @@ impl LengthSearch {
 #[derive(Debug)]
 pub struct DistanceOracle<'a> {
     g: &'a Graph,
-    hops: Vec<Option<Vec<Option<u32>>>>,
+    /// BFS hop rows per source, [`UNREACHED`] where no path exists.
+    hops: Vec<Option<Vec<u32>>>,
     lengths: Vec<Option<Vec<Option<f64>>>>,
     /// Length queries per source that have no cached row.
     queries: Vec<usize>,
@@ -473,7 +506,7 @@ impl<'a> DistanceOracle<'a> {
     /// # Panics
     /// Panics if either endpoint is out of bounds.
     pub fn hops(&mut self, src: usize, dst: usize) -> Option<u32> {
-        self.hops[src].get_or_insert_with(|| bfs_hops(self.g, src))[dst]
+        hop(self.hops[src].get_or_insert_with(|| hop_row(self.g, src))[dst])
     }
 
     /// Euclidean shortest-path length from `src` to `dst` (`None` when
@@ -544,18 +577,19 @@ pub fn pair_distances(g: &Graph, pairs: &[(usize, usize)]) -> Vec<(Option<u32>, 
     let mut search = LengthSearch::new(g.node_count());
     for group in order.chunk_by(|&a, &b| pairs[a].0 == pairs[b].0) {
         let src = pairs[group[0]].0;
-        let hops = bfs_hops(g, src);
+        let hops = hop_row(g, src);
         let row = search
             .prefers_row(group.len())
             .then(|| dijkstra_lengths(g, src));
         for &i in group {
             let dst = pairs[i].1;
-            let length = match (hops[dst], &row) {
+            let h = hop(hops[dst]);
+            let length = match (h, &row) {
                 (None, _) => None,
                 (Some(_), Some(row)) => row[dst],
                 (Some(_), None) => search.length(g, src, dst),
             };
-            out[i] = (hops[dst], length);
+            out[i] = (h, length);
         }
     }
     out

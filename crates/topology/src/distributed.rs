@@ -25,8 +25,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use geospan_geometry::{
-    delaunay_triangles, gabriel_test, in_circumcircle, segments_properly_cross, CirclePosition,
-    Point,
+    delaunay_star, delaunay_triangles, gabriel_test, in_circumcircle, segments_properly_cross,
+    CirclePosition, Point, Triangle,
 };
 use geospan_graph::collections::{VecMap, VecSet};
 use geospan_graph::Graph;
@@ -104,18 +104,18 @@ pub struct LdelNode {
     /// Sorted-vec map: iteration order is ascending by neighbor id,
     /// exactly like the `BTreeMap` it replaced.
     known: VecMap<Point>,
-    /// Triangles of `Del(N₁(self))` incident on this node, as ascending
-    /// global triples: every later lookup asks about a triangle that
-    /// contains the node.
+    /// The node's Delaunay star: triangles of `Del(N₁(self))` incident on
+    /// it, as ascending global triples, sorted. Every later lookup asks
+    /// about a triangle that contains the node.
     ///
-    /// The triple-keyed containers below stay `BTree*`: their keys are
+    /// The triple-keyed containers below are `BTree*`: their keys are
     /// `[usize; 3]` triangles (not node ids), their sizes are bounded by
     /// the local triangulation, and phase-2/3 message emission iterates
     /// them in key order — that order is load-bearing for the
     /// bit-identical message traces the tests pin. Like `local_tris`,
     /// `confirmations`, `dead` and `survivor_votes` hold only triangles
     /// incident on this node, the only ones it later reads.
-    local_tris: BTreeSet<[usize; 3]>,
+    local_tris: Vec<[usize; 3]>,
     /// Confirmations per triangle: which *other* vertices vouched for it
     /// (by proposing it or accepting it).
     confirmations: BTreeMap<[usize; 3], VecSet>,
@@ -145,7 +145,7 @@ impl LdelNode {
             radius,
             active,
             known: VecMap::new(),
-            local_tris: BTreeSet::new(),
+            local_tris: Vec::new(),
             confirmations: BTreeMap::new(),
             dead: BTreeSet::new(),
             responded: BTreeSet::new(),
@@ -166,41 +166,82 @@ impl LdelNode {
         }
     }
 
-    /// Computes `Del(N₁(self))` and the incident Gabriel edges from the
-    /// heard `Hello`s: the node's `O(d log d)` local computation.
+    /// Computes this node's Delaunay star in `Del(N₁(self))` and its
+    /// incident Gabriel edges from the heard `Hello`s: the node's
+    /// `O(d log d)` local computation.
+    ///
+    /// The star is walked directly ([`delaunay_star`]); its apexes decide
+    /// the Gabriel edges, since a blocker of a star edge is either an
+    /// adjacent apex or strictly inside an empty circumcircle. On an exact
+    /// tie, or with fewer than three known positions or duplicate ones,
+    /// the node falls back to the full triangulation (whose tie-breaks
+    /// the output then follows, in the same id order as always) and to
+    /// testing every known neighbour as a Gabriel witness.
     fn compute_local_structures(&mut self) {
         let mut ids: Vec<usize> = Vec::with_capacity(self.known.len() + 1);
         ids.push(self.id);
         ids.extend(self.known.keys());
         ids.sort_unstable();
-        // Gabriel edges incident on self: the only possible witnesses are
-        // common neighbors, and every node in the diametral disk of a
-        // radius-bounded edge is a neighbor of both endpoints.
-        for (v, &pv) in self.known.iter() {
-            let blocked = self.known.iter().any(|(w, &pw)| {
-                w != v && pw.distance(pv) <= self.radius && gabriel_test(self.pos, pv, pw)
-            });
-            if !blocked {
-                let key = (self.id.min(v), self.id.max(v));
-                self.gabriel.push(key);
+        let centre = ids.partition_point(|&i| i < self.id);
+        let pts: Vec<Point> = ids.iter().map(|&i| self.position_of(i)).collect();
+        let mut tris: Vec<Triangle> = Vec::new();
+        let star = pts.len() >= 3
+            && distinct_finite(&pts)
+            && delaunay_star(&pts, centre, &mut tris).is_ok();
+        if star {
+            // Per local index: (star neighbour, Gabriel disk blocked).
+            // Every node in the diametral disk of a radius-bounded edge
+            // is a neighbor of both endpoints, hence the radius filter.
+            let mut edge = vec![(false, false); ids.len()];
+            for t in &tris {
+                let [_, a, b] = t.indices();
+                let (pa, pb) = (pts[a], pts[b]);
+                edge[a].0 = true;
+                edge[a].1 |= pb.distance(pa) <= self.radius && gabriel_test(self.pos, pa, pb);
+                edge[b].0 = true;
+                edge[b].1 |= pa.distance(pb) <= self.radius && gabriel_test(self.pos, pb, pa);
+            }
+            for (&v, &(in_star, blocked)) in ids.iter().zip(&edge) {
+                if in_star && !blocked {
+                    self.gabriel.push((self.id.min(v), self.id.max(v)));
+                }
+            }
+        } else {
+            // Gabriel edges incident on self: the only possible witnesses
+            // are common neighbors, and every node in the diametral disk
+            // of a radius-bounded edge is a neighbor of both endpoints.
+            for (v, &pv) in self.known.iter() {
+                let blocked = self.known.iter().any(|(w, &pw)| {
+                    w != v && pw.distance(pv) <= self.radius && gabriel_test(self.pos, pv, pw)
+                });
+                if !blocked {
+                    self.gabriel.push((self.id.min(v), self.id.max(v)));
+                }
+            }
+            if pts.len() >= 3 {
+                // Duplicate positions among neighbors: no local triangles.
+                tris = delaunay_triangles(&pts).unwrap_or_default();
+                tris.retain(|t| t.contains(centre));
             }
         }
         self.gabriel.sort_unstable();
-        if ids.len() < 3 {
-            return;
-        }
-        let pts: Vec<Point> = ids.iter().map(|&i| self.position_of(i)).collect();
-        let Ok(tris) = delaunay_triangles(&pts) else {
-            // Duplicate positions among neighbors: no local triangles.
-            return;
-        };
-        for t in tris {
-            let [a, b, c] = t.indices();
-            let mut key = [ids[a], ids[b], ids[c]];
-            if key.contains(&self.id) {
+        self.local_tris = tris
+            .iter()
+            .map(|t| {
+                let mut key = t.indices().map(|i| ids[i]);
                 key.sort_unstable();
-                self.local_tris.insert(key);
-            }
+                key
+            })
+            .collect();
+        self.local_tris.sort_unstable();
+    }
+
+    /// The two corners of `tri` other than this node, ascending.
+    fn others(&self, tri: [usize; 3]) -> (usize, usize) {
+        match tri.iter().position(|&x| x == self.id) {
+            Some(0) => (tri[1], tri[2]),
+            Some(1) => (tri[0], tri[2]),
+            _ => (tri[0], tri[1]),
         }
     }
 
@@ -214,9 +255,9 @@ impl LdelNode {
             if !self.edges_short(tri) {
                 continue;
             }
-            let others: Vec<usize> = tri.iter().copied().filter(|&x| x != self.id).collect();
-            let pv = self.position_of(others[0]);
-            let pw = self.position_of(others[1]);
+            let (v, w) = self.others(tri);
+            let pv = self.position_of(v);
+            let pw = self.position_of(w);
             let a = (pv - self.pos).dot(pw - self.pos)
                 / (pv.distance(self.pos) * pw.distance(self.pos));
             // angle >= 60°  <=>  cos(angle) <= 1/2. The small slack keeps
@@ -227,12 +268,11 @@ impl LdelNode {
                 out.push(tri);
             }
         }
-        out.sort_unstable();
         out
     }
 
     fn edges_short(&self, tri: [usize; 3]) -> bool {
-        let p: Vec<Point> = tri.iter().map(|&x| self.position_of(x)).collect();
+        let p = tri.map(|x| self.position_of(x));
         p[0].distance(p[1]) <= self.radius
             && p[1].distance(p[2]) <= self.radius
             && p[0].distance(p[2]) <= self.radius
@@ -247,7 +287,7 @@ impl LdelNode {
     /// other corners vouched for it.
     fn finalize_accepted(&mut self) {
         for (&tri, votes) in &self.confirmations {
-            if self.dead.contains(&tri) || !self.local_tris.contains(&tri) {
+            if self.dead.contains(&tri) || self.local_tris.binary_search(&tri).is_err() {
                 continue;
             }
             if tri
@@ -303,6 +343,18 @@ impl LdelNode {
     }
 }
 
+/// Whether every position is finite and no two are bit-identical: the
+/// input contract of the star walk, which [`delaunay_triangles`] checks
+/// with an error instead.
+fn distinct_finite(pts: &[Point]) -> bool {
+    pts.iter().enumerate().all(|(i, p)| {
+        p.is_finite()
+            && pts[..i]
+                .iter()
+                .all(|q| (p.x.to_bits(), p.y.to_bits()) != (q.x.to_bits(), q.y.to_bits()))
+    })
+}
+
 /// Whether two triangles' edges properly cross. A proper crossing
 /// implies overlapping bounding boxes, so disjoint boxes skip the 9
 /// exact segment tests, as in the centralized planarizer.
@@ -344,14 +396,9 @@ impl Protocol for LdelNode {
             1 => {
                 self.compute_local_structures();
                 for tri in self.proposals() {
-                    let others: Vec<usize> =
-                        tri.iter().copied().filter(|&x| x != self.id).collect();
+                    let (v, w) = self.others(tri);
                     // Proposing counts as vouching for the triangle.
-                    ctx.broadcast(LdelMsg::Proposal {
-                        u: self.id,
-                        v: others[0],
-                        w: others[1],
-                    });
+                    ctx.broadcast(LdelMsg::Proposal { u: self.id, v, w });
                 }
             }
             2 => {
@@ -411,7 +458,7 @@ impl Protocol for LdelNode {
                 // The proposer vouches for the triangle.
                 self.confirm(tri, *u);
                 if self.responded.insert(tri) {
-                    if self.local_tris.contains(&tri) {
+                    if self.local_tris.binary_search(&tri).is_ok() {
                         ctx.broadcast(LdelMsg::Accept { tri });
                         self.confirm(tri, self.id);
                     } else {

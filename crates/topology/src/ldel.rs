@@ -7,10 +7,17 @@
 //!   **1-localized Delaunay triangle** when its circumcircle contains no
 //!   vertex of `N₁(u) ∪ N₁(v) ∪ N₁(w)`; equivalently (in general
 //!   position), when `△uvw` appears in all three local Delaunay
-//!   triangulations `Del(N₁(u))`, `Del(N₁(v))`, `Del(N₁(w))` — which is
-//!   how [`ldel1`] computes it, in `O(d log d)` per node;
-//! * an UDG edge `uv` is a **Gabriel edge** when the open disk with
-//!   diameter `uv` is empty of vertices;
+//!   triangulations `Del(N₁(u))`, `Del(N₁(v))`, `Del(N₁(w))`. [`ldel1`]
+//!   computes only each node's *Delaunay star* — the triangles of its own
+//!   local triangulation incident to it, walked neighbour by neighbour in
+//!   angular order ([`geospan_geometry::delaunay_star`]) — and accepts a
+//!   triangle when all three corners' stars hold it;
+//! * an UDG edge `uv` is a **Gabriel edge** when the closed disk with
+//!   diameter `uv` holds no other vertex. A star edge `uv` is Gabriel
+//!   exactly when neither apex of its adjacent star triangles lies in
+//!   that disk: any other blocker would lie strictly inside the empty
+//!   circumcircle of the triangle on its side. So the stars give the
+//!   Gabriel edges too, each decided once by its smaller endpoint;
 //! * `LDel¹` consists of all Gabriel edges plus all edges of 1-localized
 //!   Delaunay triangles. It has thickness 2 (at most two planar layers);
 //!   [`planarized`] removes the crossings — Algorithm 3 of the paper —
@@ -25,8 +32,8 @@
 //! the construction is genuinely 1-localized.
 
 use geospan_geometry::{
-    gabriel_test, in_circumcircle, incircle, orient2d, segments_properly_cross, CirclePosition,
-    DelaunayScratch, Orientation, Point, Triangle, UniformGrid,
+    delaunay_star, gabriel_test, in_circumcircle, incircle, orient2d, segments_properly_cross,
+    CirclePosition, DelaunayScratch, Orientation, Point, Triangle, UniformGrid,
 };
 use geospan_graph::Graph;
 use rayon::prelude::*;
@@ -81,26 +88,32 @@ fn ldel1_parts(g: &Graph) -> (Vec<[usize; 3]>, Vec<(usize, usize)>) {
     let n = g.node_count();
     assert_distinct_positions(g);
 
-    // Per node u, the triangles of Del(N1(u) ∪ {u}) *incident to u*, as
-    // sorted global index triples. A triangle △abc is a 1-localized
-    // Delaunay triangle exactly when all three vertices emit it:
-    // membership of the key [a,b,c] in node x's local triangulation is
-    // always witnessed by a triangle incident to x (the key contains x),
-    // and mutual emission implies every side is a graph edge (b, c ∈
-    // N1(a) whenever a emits). So the three-way membership + edge test
-    // of the definition reduces to "global multiplicity == 3", computed
-    // by one sort over ~6 emitted keys per node instead of per-node key
-    // sorting plus binary searches into neighbors' full key lists.
+    // Per node u, the triangles of Del(N1(u) ∪ {u}) *incident to u* — its
+    // Delaunay star — as sorted global index triples. A triangle △abc is
+    // a 1-localized Delaunay triangle exactly when all three vertices
+    // emit it: membership of the key [a,b,c] in node x's local
+    // triangulation is always witnessed by a triangle incident to x (the
+    // key contains x), and mutual emission implies every side is a graph
+    // edge (b, c ∈ N1(a) whenever a emits). So the three-way membership +
+    // edge test of the definition reduces to "global multiplicity == 3",
+    // computed by one sort over ~6 emitted keys per node.
     //
-    // Each node's triangulation is independent — the paper's
-    // `O(d log d)`-work-per-node locality — so the node range is split
-    // into one contiguous chunk per worker (deterministic regardless of
-    // thread count), each worker reusing one Bowyer–Watson scratch and
-    // one id/point/triangle buffer set across its nodes.
+    // The star is walked directly (`delaunay_star`), never triangulating
+    // the rest of the neighbourhood; on an exact tie the node falls back
+    // to Bowyer–Watson and keeps its incident triangles, so every
+    // cocircular tie-break is Bowyer–Watson's and the output is the same
+    // either way.
+    //
+    // Each node's star is independent — the paper's `O(d log d)`-work-
+    // per-node locality — so the node range is split into one contiguous
+    // chunk per worker (deterministic regardless of thread count), each
+    // worker reusing one scratch and one id/point/triangle buffer set
+    // across its nodes. Each Gabriel edge is decided once, by its smaller
+    // endpoint, so chunks emit them already sorted.
     let workers = rayon::current_num_threads().max(1);
     let chunk = n.div_ceil(workers).max(1);
     let starts: Vec<usize> = (0..n.div_ceil(chunk)).map(|w| w * chunk).collect();
-    // Per-chunk output: packed triangle keys + Gabriel candidate half-edges.
+    // Per-chunk output: packed triangle keys + Gabriel edges.
     type ChunkEmission = (Vec<u128>, Vec<(usize, usize)>);
     let emitted: Vec<ChunkEmission> = starts
         .into_par_iter()
@@ -110,77 +123,76 @@ fn ldel1_parts(g: &Graph) -> (Vec<[usize; 3]>, Vec<(usize, usize)>) {
             let mut ids: Vec<usize> = Vec::new();
             let mut pts: Vec<Point> = Vec::new();
             let mut tris: Vec<Triangle> = Vec::new();
+            // Per local index: (star neighbour, Gabriel disk blocked).
+            let mut star: Vec<(bool, bool)> = Vec::new();
             let mut out: Vec<u128> = Vec::new();
-            // Gabriel candidate half-edges (see gabriel_from_candidates).
-            let mut cand: Vec<(usize, usize)> = Vec::new();
-            let mut local_edges: Vec<(usize, usize)> = Vec::new();
+            let mut gabriel: Vec<(usize, usize)> = Vec::new();
             for u in lo..hi {
-                if g.degree(u) < 2 {
-                    // Degenerate neighborhood: every incident edge is a
-                    // Gabriel candidate, emitted twice so the two-sided
-                    // count rule below cannot drop it.
-                    for &v in g.neighbors(u) {
-                        let e = if u < v { (u, v) } else { (v, u) };
-                        cand.push(e);
-                        cand.push(e);
-                    }
-                    continue;
-                }
+                let nbrs = g.neighbors(u);
                 ids.clear();
                 ids.push(u);
-                ids.extend_from_slice(g.neighbors(u));
+                ids.extend_from_slice(nbrs);
                 pts.clear();
                 pts.extend(ids.iter().map(|&i| g.position(i)));
-                scratch.triangles_into_assuming_distinct(&pts, &mut tris);
-                if tris.is_empty() {
-                    // Entirely collinear neighborhood: the triangulation
-                    // carries no triangles, so fall back to candidate
-                    // status for every incident edge (double emission,
-                    // as above).
-                    for &v in g.neighbors(u) {
-                        let e = if u < v { (u, v) } else { (v, u) };
-                        cand.push(e);
-                        cand.push(e);
+                let pu = pts[0];
+                if nbrs.len() >= 2 && delaunay_star(&pts, 0, &mut tris).is_ok() {
+                    // Star edge ua is Gabriel iff neither adjacent apex
+                    // lies in its closed diametral disk: a blocker b ≠
+                    // apex would lie strictly inside the circumcircle of
+                    // the Delaunay triangle on its side, which is empty.
+                    // On a distance-closed graph every blocker is in
+                    // N1(u), and every Gabriel edge is a Delaunay edge.
+                    star.clear();
+                    star.resize(ids.len(), (false, false));
+                    for t in &tris {
+                        let [_, a, b] = t.indices();
+                        star[a].0 = true;
+                        star[a].1 |= gabriel_test(pu, pts[a], pts[b]);
+                        star[b].0 = true;
+                        star[b].1 |= gabriel_test(pu, pts[b], pts[a]);
                     }
-                    continue;
+                    gabriel.extend(
+                        nbrs.iter()
+                            .zip(&star[1..])
+                            .filter(|&(&v, &(edge, blocked))| v > u && edge && !blocked)
+                            .map(|(&v, _)| (u, v)),
+                    );
+                } else {
+                    // A tie, or a degenerate neighbourhood (degree < 2 or
+                    // collinear, where Bowyer–Watson has no triangles):
+                    // the triangles come from the full triangulation, and
+                    // the node's own edges are tested against every
+                    // common neighbour.
+                    tris.clear();
+                    if nbrs.len() >= 2 {
+                        scratch.triangles_into_assuming_distinct(&pts, &mut tris);
+                        tris.retain(|t| t.contains(0));
+                    }
+                    for &v in nbrs.iter().filter(|&&v| v > u) {
+                        let pv = g.position(v);
+                        if !common_neighbors(g, u, v).any(|w| gabriel_test(pu, pv, g.position(w))) {
+                            gabriel.push((u, v));
+                        }
+                    }
                 }
-                local_edges.clear();
                 for t in &tris {
                     let [a, b, c] = t.indices();
-                    // u is local index 0.
-                    if a == 0 || b == 0 || c == 0 {
-                        let mut key = [ids[a], ids[b], ids[c]];
-                        key.sort_unstable();
-                        out.push(pack_key(key));
-                        // The two triangle sides incident to u are local
-                        // Delaunay edges of u: Gabriel candidates.
-                        let (x, y) = if a == 0 {
-                            (ids[b], ids[c])
-                        } else if b == 0 {
-                            (ids[a], ids[c])
-                        } else {
-                            (ids[a], ids[b])
-                        };
-                        local_edges.push(if u < x { (u, x) } else { (x, u) });
-                        local_edges.push(if u < y { (u, y) } else { (y, u) });
-                    }
+                    let mut key = [ids[a], ids[b], ids[c]];
+                    key.sort_unstable();
+                    out.push(pack_key(key));
                 }
-                // An edge sits in up to two incident triangles; dedup so
-                // each endpoint contributes at most one emission.
-                local_edges.sort_unstable();
-                local_edges.dedup();
-                cand.extend_from_slice(&local_edges);
             }
-            (out, cand)
+            (out, gabriel)
         })
         .collect();
     let mut keys: Vec<u128> = Vec::new();
-    let mut cand: Vec<(usize, usize)> = Vec::new();
-    for (k, c) in emitted {
+    let mut gabriel: Vec<(usize, usize)> = Vec::new();
+    for (k, e) in emitted {
         keys.extend_from_slice(&k);
-        cand.extend_from_slice(&c);
+        gabriel.extend_from_slice(&e);
     }
     keys.sort_unstable();
+    debug_assert!(gabriel.is_sorted());
 
     // Accept keys emitted by all three vertices (each vertex emits a
     // given key at most once, so runs have length ≤ 3). `keys` is
@@ -200,52 +212,7 @@ fn ldel1_parts(g: &Graph) -> (Vec<[usize; 3]>, Vec<(usize, usize)>) {
     }
     debug_assert!(triangles.is_sorted());
 
-    (triangles, gabriel_from_candidates(g, cand))
-}
-
-/// Filters Gabriel candidate half-edges down to the actual Gabriel edges.
-///
-/// Correctness of the candidate restriction: on a distance-closed graph
-/// every blocker of an edge `uv` lies within the transmission radius of
-/// both endpoints, so `uv` is Gabriel iff its diameter disk is empty of
-/// `N₁(u)` (equivalently `N₁(v)`) — and then `uv` is a Gabriel edge, hence
-/// a Delaunay edge, of *both* local triangulations. Every Delaunay edge
-/// incident to `u` lies in a triangle incident to `u`, so non-degenerate
-/// nodes emit all their Gabriel edges via `ldel1_parts`' incident
-/// triangles; degenerate (collinear or degree < 2) neighborhoods emit all
-/// incident edges twice instead. An edge emitted by fewer than two
-/// one-sided passes is therefore provably non-Gabriel and is never
-/// tested, which cuts the per-edge common-neighbor scans to the local
-/// Delaunay edge set instead of the whole graph.
-///
-/// Produces exactly the sorted edge list the full per-edge scan would.
-fn gabriel_from_candidates(g: &Graph, mut cand: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
-    cand.sort_unstable();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut i = 0;
-    while i < cand.len() {
-        let mut j = i + 1;
-        while j < cand.len() && cand[j] == cand[i] {
-            j += 1;
-        }
-        if j - i >= 2 {
-            edges.push(cand[i]);
-        }
-        i = j;
-    }
-    let keep: Vec<bool> = edges
-        .par_iter()
-        .map(|&(u, v)| {
-            let pu = g.position(u);
-            let pv = g.position(v);
-            !common_neighbors(g, u, v).any(|w| gabriel_test(pu, pv, g.position(w)))
-        })
-        .collect();
-    edges
-        .into_iter()
-        .zip(keep)
-        .filter_map(|(e, k)| k.then_some(e))
-        .collect()
+    (triangles, gabriel)
 }
 
 /// Packs an ascending index triple into one integer whose natural order

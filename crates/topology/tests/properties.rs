@@ -105,6 +105,30 @@ proptest! {
     }
 }
 
+/// Up to 500 nodes at Table I density (100 nodes per 200 × 200 square,
+/// radius 60, about 28 neighbours each).
+fn table1_deployment() -> impl Strategy<Value = Graph> {
+    (8usize..500, any::<u64>()).prop_map(|(n, seed)| {
+        let side = 200.0 * (n as f64 / 100.0).sqrt();
+        UnitDiskBuilder::new(60.0).build(&uniform_points(n, side, seed))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn ldel1_from_stars_matches_the_definition(udg in table1_deployment()) {
+        // Triangles accepted by all three corners' Delaunay stars and
+        // Gabriel edges read off the stars' apexes, against the direct
+        // definition over every UDG triangle and every common neighbour.
+        let fast = ldel::ldel1(&udg);
+        let slow = ldel::ldel_k(&udg, 1);
+        prop_assert_eq!(fast.triangles, slow.triangles);
+        prop_assert_eq!(fast.gabriel_edges, slow.gabriel_edges);
+    }
+}
+
 /// Deployments of up to 60 nodes on a 120 × 120 square.
 fn digest_deployment() -> impl Strategy<Value = (Graph, f64)> {
     (8usize..60, 25.0f64..60.0, any::<u64>()).prop_map(|(n, radius, seed)| {
