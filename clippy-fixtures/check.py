@@ -3,7 +3,7 @@
 
 Usage, from anywhere:
 
-    python3 crates/analyze/clippy-fixtures/check.py
+    python3 clippy-fixtures/check.py
 
 Runs the `clippy-lib` alias from the repository's .cargo/config.toml on
 this fixture workspace, with JSON diagnostics, its own options appended
@@ -21,7 +21,7 @@ import sys
 import tomllib
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.normpath(os.path.join(HERE, "..", "..", ".."))
+ROOT = os.path.normpath(os.path.join(HERE, ".."))
 MARKER = re.compile(r"//~ (.*)$")
 
 

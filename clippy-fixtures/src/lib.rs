@@ -15,4 +15,5 @@ pub mod d02;
 pub mod d03;
 pub mod d04;
 pub mod d07;
+pub mod d09;
 pub mod d11;

@@ -181,7 +181,7 @@ pub fn churn_rows(cfg: &ChurnSweepConfig) -> Vec<ChurnRow> {
 
 /// The `traffic_churn.csv` traffic columns, between the maintenance
 /// ledger and `min_window_delivery`.
-const TRAFFIC_COLUMNS: &[&[Column]] = &[&[
+pub(crate) const TRAFFIC_COLUMNS: &[&[Column]] = &[&[
     OFFERED,
     DELIVERED,
     DELIVERY_RATIO,

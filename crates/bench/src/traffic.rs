@@ -965,6 +965,28 @@ pub fn traffic_saturation(flags: &Flags, out: &mut Artifacts) -> Result<(), Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geospan_traffic::DropCause;
+
+    /// Every drop cause has a CSV column: E16–E18's `DROPS`, or the
+    /// churn sweep's departures column. The match is exhaustive, so a
+    /// new cause does not compile until it names its column.
+    #[test]
+    fn every_drop_cause_has_a_csv_column() {
+        let headers: Vec<&str> =
+            column_headers(&[DROPS, crate::churn::TRAFFIC_COLUMNS[0]]).collect();
+        for cause in DropCause::ALL {
+            let name = match cause {
+                DropCause::Stuck => "drop_stuck",
+                DropCause::QueueFull => "drop_queue",
+                DropCause::LinkLoss => "drop_loss",
+                DropCause::NodeCrash => "drop_crash",
+                DropCause::HopLimit => "drop_hop_limit",
+                DropCause::RetryShed => "drop_retry_shed",
+                DropCause::NodeDeparted => "drop_departed",
+            };
+            assert!(headers.contains(&name), "{cause:?} has no `{name}` column");
+        }
+    }
 
     #[test]
     fn quick_sweep_has_expected_shape() {

@@ -41,8 +41,9 @@ use geospan_graph::Point;
 use geospan_sim::{ChurnEvent, ChurnPlan, FaultPlan};
 use serde::Serialize;
 
-use crate::engine::{aggregate, ShardCore, Shared, TrafficConfig, TrafficOutcome};
+use crate::engine::{aggregate, TrafficConfig, TrafficOutcome};
 use crate::shard::{drive, worker_threads, RunStats, ShardMap};
+use crate::tick::{ShardCore, Shared};
 use crate::workload::Arrival;
 use crate::{Forwarding, PacketOutcome};
 

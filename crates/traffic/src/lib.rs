@@ -76,6 +76,7 @@ mod engine;
 mod queue;
 mod report;
 pub mod shard;
+mod tick;
 mod workload;
 
 pub use churn::{ChurnEngine, ChurnOutcome, ChurnReport, RepairStrategy, WindowDelivery};

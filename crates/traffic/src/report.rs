@@ -28,6 +28,21 @@ pub enum DropCause {
     NodeDeparted,
 }
 
+impl DropCause {
+    /// Every cause, in declaration order. The ledger tests loop over
+    /// this list, and a unit test fails while some `DropCounts` field
+    /// belongs to no cause listed here.
+    pub const ALL: [DropCause; 7] = [
+        DropCause::Stuck,
+        DropCause::QueueFull,
+        DropCause::LinkLoss,
+        DropCause::NodeCrash,
+        DropCause::HopLimit,
+        DropCause::RetryShed,
+        DropCause::NodeDeparted,
+    ];
+}
+
 /// Packet drops bucketed by cause.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DropCounts {
@@ -47,27 +62,43 @@ pub struct DropCounts {
     pub node_departed: usize,
 }
 
+// `total` and `add_assign` destructure the struct and `slot` matches
+// every cause, so a new field or cause does not compile until it is
+// counted; the unit tests check that every field has a cause.
 impl DropCounts {
     /// Total packets dropped.
     pub fn total(&self) -> usize {
-        self.stuck
-            + self.queue_full
-            + self.link_loss
-            + self.node_crash
-            + self.hop_limit
-            + self.retry_shed
-            + self.node_departed
+        let DropCounts {
+            stuck,
+            queue_full,
+            link_loss,
+            node_crash,
+            hop_limit,
+            retry_shed,
+            node_departed,
+        } = *self;
+        stuck + queue_full + link_loss + node_crash + hop_limit + retry_shed + node_departed
+    }
+
+    /// Packets dropped for `cause`.
+    pub fn get(&self, cause: DropCause) -> usize {
+        let mut counts = *self;
+        *counts.slot(cause)
     }
 
     pub(crate) fn record(&mut self, cause: DropCause) {
+        *self.slot(cause) += 1;
+    }
+
+    fn slot(&mut self, cause: DropCause) -> &mut usize {
         match cause {
-            DropCause::Stuck => self.stuck += 1,
-            DropCause::QueueFull => self.queue_full += 1,
-            DropCause::LinkLoss => self.link_loss += 1,
-            DropCause::NodeCrash => self.node_crash += 1,
-            DropCause::HopLimit => self.hop_limit += 1,
-            DropCause::RetryShed => self.retry_shed += 1,
-            DropCause::NodeDeparted => self.node_departed += 1,
+            DropCause::Stuck => &mut self.stuck,
+            DropCause::QueueFull => &mut self.queue_full,
+            DropCause::LinkLoss => &mut self.link_loss,
+            DropCause::NodeCrash => &mut self.node_crash,
+            DropCause::HopLimit => &mut self.hop_limit,
+            DropCause::RetryShed => &mut self.retry_shed,
+            DropCause::NodeDeparted => &mut self.node_departed,
         }
     }
 }
@@ -75,13 +106,22 @@ impl DropCounts {
 /// Field-wise sum: folds per-run drop counts into a sweep total.
 impl std::ops::AddAssign for DropCounts {
     fn add_assign(&mut self, rhs: Self) {
-        self.stuck += rhs.stuck;
-        self.queue_full += rhs.queue_full;
-        self.link_loss += rhs.link_loss;
-        self.node_crash += rhs.node_crash;
-        self.hop_limit += rhs.hop_limit;
-        self.retry_shed += rhs.retry_shed;
-        self.node_departed += rhs.node_departed;
+        let DropCounts {
+            stuck,
+            queue_full,
+            link_loss,
+            node_crash,
+            hop_limit,
+            retry_shed,
+            node_departed,
+        } = rhs;
+        self.stuck += stuck;
+        self.queue_full += queue_full;
+        self.link_loss += link_loss;
+        self.node_crash += node_crash;
+        self.hop_limit += hop_limit;
+        self.retry_shed += retry_shed;
+        self.node_departed += node_departed;
     }
 }
 
@@ -274,24 +314,28 @@ mod tests {
 
     #[test]
     fn drop_counts_bucket_and_total() {
+        // Cause `i` of `ALL` is recorded `i + 1` times, so each field's
+        // count names the one cause that fills it.
         let mut d = DropCounts::default();
-        for c in [
-            DropCause::Stuck,
-            DropCause::QueueFull,
-            DropCause::QueueFull,
-            DropCause::LinkLoss,
-            DropCause::NodeCrash,
-            DropCause::HopLimit,
-            DropCause::RetryShed,
-            DropCause::NodeDeparted,
-        ] {
-            d.record(c);
+        for (i, &cause) in DropCause::ALL.iter().enumerate() {
+            for _ in 0..=i {
+                d.record(cause);
+            }
+            assert_eq!(d.get(cause), i + 1, "{cause:?}");
         }
-        assert_eq!(d.stuck, 1);
-        assert_eq!(d.queue_full, 2);
-        assert_eq!(d.retry_shed, 1);
-        assert_eq!(d.node_departed, 1);
-        assert_eq!(d.total(), 8);
+        // A struct literal names every field, so each must be filled by
+        // a listed cause: one missing from `ALL` leaves its field at 0.
+        let expected = DropCounts {
+            stuck: 1,
+            queue_full: 2,
+            link_loss: 3,
+            node_crash: 4,
+            hop_limit: 5,
+            retry_shed: 6,
+            node_departed: 7,
+        };
+        assert_eq!(d, expected);
+        assert_eq!(d.total(), 28);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! shard executes its node-local phases of tick `T`, and the forwards
 //! they produced are exchanged through per-`(source shard, destination
 //! shard)` channels and merged in a canonical order (see `ShardCore` in
-//! `engine.rs` for the phase structure and the determinism argument).
+//! `tick.rs` for the phase structure and the determinism argument).
 //!
 //! Lockstep rounds are the degenerate — and here, necessary — form of
 //! conservative synchronization: a transmission completed at tick `T`
@@ -39,7 +39,8 @@ use geospan_graph::Graph;
 use geospan_sim::FaultPlan;
 use serde::Serialize;
 
-use crate::engine::{aggregate, BoundaryMsg, ShardCore, Shared, TrafficConfig, TrafficOutcome};
+use crate::engine::{aggregate, TrafficConfig, TrafficOutcome};
+use crate::tick::{BoundaryMsg, ShardCore, Shared};
 use crate::workload::Arrival;
 use crate::Forwarding;
 
@@ -164,11 +165,11 @@ impl RunStats {
         RunStats {
             shards: cores.len(),
             threads,
-            rounds: cores.first().map(|c| c.rounds).unwrap_or(0),
-            events: cores.iter().map(|c| c.events).sum(),
-            boundary_messages: cores.iter().map(|c| c.boundary_in).sum(),
-            idle_shard_rounds: cores.iter().map(|c| c.idle_rounds).sum(),
-            events_per_shard: cores.iter().map(|c| c.events).collect(),
+            rounds: cores.first().map(|c| c.counters().rounds).unwrap_or(0),
+            events: cores.iter().map(|c| c.counters().events).sum(),
+            boundary_messages: cores.iter().map(|c| c.counters().boundary_in).sum(),
+            idle_shard_rounds: cores.iter().map(|c| c.counters().idle_rounds).sum(),
+            events_per_shard: cores.iter().map(|c| c.counters().events).collect(),
         }
     }
 
@@ -389,7 +390,7 @@ fn drive_threaded<'a>(
             .map(|mut mine| {
                 scope.spawn(move || loop {
                     for core in &mine {
-                        votes[core.id as usize].store(core.next_time(ctx), Ordering::SeqCst);
+                        votes[core.id() as usize].store(core.next_time(ctx), Ordering::SeqCst);
                     }
                     barrier.wait();
                     let t = votes
@@ -409,7 +410,7 @@ fn drive_threaded<'a>(
                         core.phase_local(ctx, t, &mut outbox);
                         for (dst, msgs) in outbox.into_iter().enumerate() {
                             if !msgs.is_empty() {
-                                *mailboxes[dst][core.id as usize]
+                                *mailboxes[dst][core.id() as usize]
                                     .lock()
                                     .expect("mailbox writer never panics holding the lock") = msgs;
                             }
@@ -418,7 +419,7 @@ fn drive_threaded<'a>(
                     barrier.wait();
                     for core in mine.iter_mut() {
                         let mut inbox = Vec::new();
-                        for slot in mailboxes[core.id as usize].iter().take(s) {
+                        for slot in mailboxes[core.id() as usize].iter().take(s) {
                             inbox.append(
                                 &mut slot
                                     .lock()

@@ -410,10 +410,17 @@ fn cmd_traffic(flags: &Flags) -> Result<(), String> {
     });
     let overload = if flags.kv.contains_key("high-watermark") {
         let high: usize = flags.get("high-watermark")?;
+        // Mirror OverloadConfig::for_capacity's 3:1 hysteresis gap.
+        let low: usize = flags.get_or("low-watermark", high / 3)?;
+        if low > high {
+            // The congested band between the two would be empty.
+            return Err(format!(
+                "--low-watermark {low} is above --high-watermark {high}"
+            ));
+        }
         Some(OverloadConfig {
             high_watermark: high,
-            // Mirror OverloadConfig::for_capacity's 3:1 hysteresis gap.
-            low_watermark: flags.get_or("low-watermark", high / 3)?,
+            low_watermark: low,
             backoff_factor: flags.get_or("backoff-factor", 4)?,
         })
     } else {

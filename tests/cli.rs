@@ -582,6 +582,28 @@ fn bad_usage_fails_cleanly() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown topology"));
+
+    // Inverted watermarks leave no congested band to enter; equal ones
+    // are legal.
+    let out = cli()
+        .args(["traffic", "--nodes"])
+        .arg(&nodes)
+        .args([
+            "--radius",
+            "5",
+            "--high-watermark",
+            "4",
+            "--low-watermark",
+            "9",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--low-watermark 9 is above --high-watermark 4"),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
