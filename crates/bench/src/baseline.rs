@@ -76,19 +76,10 @@ pub fn seed_ldel1(g: &Graph) -> LocalDelaunay {
     }
 
     let gabriel_edges = seed_gabriel_edge_list(g);
-    let mut graph = g.same_vertices();
-    for &(u, v) in &gabriel_edges {
-        graph.add_edge(u, v);
-    }
     let mut triangles: Vec<[usize; 3]> = accepted.into_iter().collect();
     triangles.sort_unstable();
-    for &[a, b, c] in &triangles {
-        graph.add_edge(a, b);
-        graph.add_edge(b, c);
-        graph.add_edge(a, c);
-    }
     LocalDelaunay {
-        graph,
+        graph: graph_of(g, &gabriel_edges, &triangles),
         triangles,
         gabriel_edges,
     }
@@ -140,20 +131,23 @@ pub fn seed_planarize(g: &Graph, raw: LocalDelaunay) -> LocalDelaunay {
         .filter(|(_, &r)| !r)
         .map(|(&t, _)| t)
         .collect();
-    let mut graph = g.same_vertices();
-    for &(u, v) in &raw.gabriel_edges {
-        graph.add_edge(u, v);
-    }
-    for &[a, b, c] in &triangles {
-        graph.add_edge(a, b);
-        graph.add_edge(b, c);
-        graph.add_edge(a, c);
-    }
     LocalDelaunay {
-        graph,
+        graph: graph_of(g, &raw.gabriel_edges, &triangles),
         triangles,
         gabriel_edges: raw.gabriel_edges,
     }
+}
+
+/// The graph on `g`'s vertices of the Gabriel edges plus every triangle
+/// side.
+fn graph_of(g: &Graph, gabriel_edges: &[(usize, usize)], triangles: &[[usize; 3]]) -> Graph {
+    let sides = triangles
+        .iter()
+        .flat_map(|&[a, b, c]| [(a, b), (b, c), (a, c)]);
+    Graph::with_edges(
+        g.points().to_vec(),
+        gabriel_edges.iter().copied().chain(sides),
+    )
 }
 
 /// The seed's `O(m²)` pairwise crossing count (every edge pair reaches

@@ -3,7 +3,7 @@
 
 use std::collections::VecDeque;
 
-use geospan_cds::{build_cds, CdsGraphs, ClusterRank};
+use geospan_cds::{build_cds, dominatee_edges, CdsGraphs, ClusterRank};
 use geospan_core::routing::{backbone_broadcast, backbone_route, gpsr_route};
 use geospan_core::{BackboneBuilder, BackboneConfig};
 use geospan_graph::paths::{bfs_hops, dijkstra_lengths};
@@ -135,12 +135,10 @@ pub fn ablation_planarizer(flags: &Flags, out: &mut Artifacts) -> Result<(), Str
             deg_max = deg_max.max(degree_stats_over(&backbone, cds.backbone_nodes()).max);
             edges += backbone.edge_count() as f64;
             // Re-attach the dominatee edges to measure spanning ratios.
-            let mut prime = backbone;
-            for (w, doms) in cds.dominators_of.iter().enumerate() {
-                for &d in doms {
-                    prime.add_edge(w, d);
-                }
-            }
+            let prime = Graph::with_edges(
+                backbone.points().to_vec(),
+                backbone.edges().chain(dominatee_edges(&cds.dominators_of)),
+            );
             let r = measure_stretch(udg, &prime, scenario.radius);
             la += r.length_avg;
             lm = lm.max(r.length_max);
@@ -304,7 +302,7 @@ fn survives(spanning: &Graph, udg: &Graph, dead: usize) -> bool {
 /// A minimal variant of CDS': a BFS spanning tree of the backbone edges
 /// plus a single (smallest) dominator link per dominatee.
 fn minimal_prime(cds: &CdsGraphs, udg: &Graph) -> Graph {
-    let mut g = udg.same_vertices();
+    let mut edges = Vec::new();
     if let Some(&root) = cds.backbone_nodes().first() {
         let mut seen = vec![false; udg.node_count()];
         seen[root] = true;
@@ -313,7 +311,7 @@ fn minimal_prime(cds: &CdsGraphs, udg: &Graph) -> Graph {
             for &v in cds.cds.neighbors(u) {
                 if !seen[v] {
                     seen[v] = true;
-                    g.add_edge(u, v);
+                    edges.push((u, v));
                     queue.push_back(v);
                 }
             }
@@ -321,10 +319,10 @@ fn minimal_prime(cds: &CdsGraphs, udg: &Graph) -> Graph {
     }
     for (w, doms) in cds.dominators_of.iter().enumerate() {
         if let Some(&d) = doms.first() {
-            g.add_edge(w, d);
+            edges.push((w, d));
         }
     }
-    g
+    Graph::with_edges(udg.points().to_vec(), edges)
 }
 
 /// E12 — robustness, in two parts. Post-hoc failures: for every single

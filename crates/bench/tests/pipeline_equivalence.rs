@@ -14,7 +14,7 @@ const SEED_CROSSING_MAX_N: usize = 2_000;
 
 /// Asserts that the live `LDel¹ → PLDel` pipeline reproduces the seed's
 /// output exactly, and that `PLDel` is a plane subgraph of `udg` with the
-/// same components and a lossless freeze/thaw round trip.
+/// same components.
 fn assert_pipeline_matches_seed(udg: &Graph, label: &str) {
     let raw_new = ldel::ldel1(udg);
     let raw_seed = seed_ldel1(udg);
@@ -53,11 +53,6 @@ fn assert_pipeline_matches_seed(udg: &Graph, label: &str) {
         pldel.components().len(),
         udg.components().len(),
         "{label}: PLDel broke connectivity"
-    );
-    assert_eq!(
-        &pldel.freeze().thaw(),
-        pldel,
-        "{label}: freeze/thaw round trip"
     );
 }
 

@@ -446,10 +446,7 @@ mod tests {
             let (_pts, g, _s) = connected_unit_disk(70, 150.0, 45.0, seed * 3 + 1);
             let c = cluster(&g, &ClusterRank::LowestId);
             let r = find_connectors(&g, &c);
-            let mut backbone = g.same_vertices();
-            for &(a, b) in &r.edges {
-                backbone.add_edge(a, b);
-            }
+            let backbone = Graph::with_edges(g.points().to_vec(), r.edges.iter().copied());
             if c.dominators.len() <= 1 {
                 continue;
             }

@@ -107,6 +107,15 @@ impl CdsGraphs {
     }
 }
 
+/// Every dominatee–dominator edge `(w, d)` of a `dominators_of` table
+/// (see [`CdsGraphs::dominators_of`]).
+pub fn dominatee_edges(dominators_of: &[Vec<usize>]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    dominators_of
+        .iter()
+        .enumerate()
+        .flat_map(|(w, doms)| doms.iter().map(move |&d| (w, d)))
+}
+
 /// Builds the full backbone family from a unit disk graph using the
 /// centralized reference algorithms (identical output to the distributed
 /// protocol, without the message passing).
@@ -136,26 +145,23 @@ pub fn assemble(udg: &Graph, clustering: &Clustering, connectors: &ConnectorResu
         roles[c] = Role::Connector;
     }
 
-    let mut cds = udg.same_vertices();
-    for &(u, v) in &connectors.edges {
-        cds.add_edge(u, v);
-    }
-
-    let mut cds_prime = cds.clone();
-    for (w, doms) in clustering.dominators_of.iter().enumerate() {
-        for &d in doms {
-            cds_prime.add_edge(w, d);
-        }
-    }
-
+    let points = udg.points();
+    let cds = Graph::with_edges(points.to_vec(), connectors.edges.iter().copied());
+    let cds_prime = Graph::with_edges(
+        points.to_vec(),
+        connectors
+            .edges
+            .iter()
+            .copied()
+            .chain(dominatee_edges(&clustering.dominators_of)),
+    );
     let is_backbone = |v: usize| matches!(roles[v], Role::Dominator | Role::Connector);
     let icds = udg.filter_edges(|u, v| is_backbone(u) && is_backbone(v));
-    let mut icds_prime = icds.clone();
-    for (w, doms) in clustering.dominators_of.iter().enumerate() {
-        for &d in doms {
-            icds_prime.add_edge(w, d);
-        }
-    }
+    let icds_prime = Graph::with_edges(
+        points.to_vec(),
+        icds.edges()
+            .chain(dominatee_edges(&clustering.dominators_of)),
+    );
 
     let mut connectors_list = connectors.connectors.clone();
     connectors_list.sort_unstable();

@@ -88,10 +88,7 @@ proptest! {
         }
         // Every dominator pair at UDG hop distance <= 3 is connected in
         // the backbone.
-        let mut backbone = g.same_vertices();
-        for &(a, b) in &r.edges {
-            backbone.add_edge(a, b);
-        }
+        let backbone = Graph::with_edges(g.points().to_vec(), r.edges.iter().copied());
         for &d1 in &c.dominators {
             let udg_hops = bfs_hops(&g, d1);
             let bb_hops = bfs_hops(&backbone, d1);

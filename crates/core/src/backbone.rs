@@ -2,7 +2,9 @@
 
 use std::fmt;
 
-use geospan_cds::{build_cds, protocol::run_cds_with, CdsGraphs, ClusterRank, Role};
+use geospan_cds::{
+    build_cds, dominatee_edges, protocol::run_cds_with, CdsGraphs, ClusterRank, Role,
+};
 use geospan_geometry::Point;
 use geospan_graph::Graph;
 use geospan_sim::{
@@ -219,12 +221,13 @@ impl Backbone {
     /// `LDel(ICDS)`, deriving `LDel(ICDS')` by adding every
     /// dominatee–dominator edge.
     fn from_layers(cds_graphs: CdsGraphs, ldel_icds: LocalDelaunay) -> Backbone {
-        let mut ldel_icds_prime = ldel_icds.graph.clone();
-        for (w, doms) in cds_graphs.dominators_of.iter().enumerate() {
-            for &d in doms {
-                ldel_icds_prime.add_edge(w, d);
-            }
-        }
+        let ldel_icds_prime = Graph::with_edges(
+            ldel_icds.graph.points().to_vec(),
+            ldel_icds
+                .graph
+                .edges()
+                .chain(dominatee_edges(&cds_graphs.dominators_of)),
+        );
         Backbone {
             cds_graphs,
             ldel_icds,

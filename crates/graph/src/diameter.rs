@@ -6,24 +6,24 @@
 
 use rayon::prelude::*;
 
+use crate::paths::{bfs_hops, dijkstra_lengths};
 use crate::Graph;
 
 /// The hop diameter: the largest finite hop distance between any pair.
 ///
 /// Returns `None` for graphs with fewer than 2 nodes. Disconnected pairs
 /// are ignored (the diameter of the largest distances that exist). The
-/// graph is frozen to CSR ([`Graph::freeze`]) for the `n` independent
-/// searches; they run in parallel and their maxima are folded serially
-/// in source order.
+/// `n` independent searches ([`bfs_hops`]) run in parallel over the
+/// graph's CSR rows, and their maxima are folded serially in source
+/// order.
 pub fn hop_diameter(g: &Graph) -> Option<u32> {
     let n = g.node_count();
     if n < 2 {
         return None;
     }
-    let c = g.freeze();
     let per_source: Vec<Option<u32>> = (0..n)
         .into_par_iter()
-        .map(|u| c.bfs_hops(u).into_iter().flatten().max())
+        .map(|u| bfs_hops(g, u).into_iter().flatten().max())
         .collect();
     per_source.into_iter().flatten().max()
 }
@@ -31,19 +31,19 @@ pub fn hop_diameter(g: &Graph) -> Option<u32> {
 /// The Euclidean-length diameter: the largest finite shortest-path length
 /// between any pair.
 ///
-/// Returns `None` for graphs with fewer than 2 nodes. Parallelized like
+/// Returns `None` for graphs with fewer than 2 nodes. One
+/// [`dijkstra_lengths`] search per source, parallelized like
 /// [`hop_diameter`].
 pub fn length_diameter(g: &Graph) -> Option<f64> {
     let n = g.node_count();
     if n < 2 {
         return None;
     }
-    let c = g.freeze();
     let per_source: Vec<Option<f64>> = (0..n)
         .into_par_iter()
         .map(|u| {
             let mut best: Option<f64> = None;
-            for d in c.dijkstra_lengths(u).into_iter().flatten() {
+            for d in dijkstra_lengths(g, u).into_iter().flatten() {
                 if best.is_none_or(|b| d > b) {
                     best = Some(d);
                 }

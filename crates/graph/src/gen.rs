@@ -197,9 +197,8 @@ impl UnitDiskBuilder {
     ///
     /// Edges connect pairs with Euclidean distance `<= radius`
     /// (boundary inclusive, matching the paper's "at most one unit").
-    /// The edge set is collected in bulk and assembled with
-    /// [`Graph::from_sorted_edges`], so construction never pays the
-    /// `O(degree)` sorted-insert shifting of per-edge `add_edge`.
+    /// The edge set is collected in bulk and assembled with one
+    /// [`Graph::with_edges`].
     pub fn build(&self, points: &[Point]) -> Graph {
         if points.is_empty() {
             return Graph::new(Vec::new());
@@ -243,7 +242,7 @@ impl UnitDiskBuilder {
                 }
             }
         }
-        Graph::from_sorted_edges(points.to_vec(), edges)
+        Graph::with_edges(points.to_vec(), edges)
     }
 }
 

@@ -9,30 +9,43 @@ use geospan_geometry::Point;
 /// hence the same indices), differing only in their edge sets. This makes
 /// comparisons — stretch factors, degree statistics — direct.
 ///
-/// Neighbor lists are kept sorted, so [`Graph::has_edge`] is
-/// `O(log degree)` and iteration order is deterministic.
+/// The adjacency is one compressed sparse row (CSR) layout: node `v`'s
+/// neighbors are `targets[offsets[v]..offsets[v + 1]]`, ascending, so
+/// [`Graph::neighbors`] is a slice of one flat array,
+/// [`Graph::has_edge`] is `O(log degree)` and iteration order is
+/// deterministic. Graphs are built in bulk with [`Graph::with_edges`], a
+/// counting sort in `O(n + m)` plus a sort of each row. The single edits
+/// [`Graph::add_edge`], [`Graph::remove_edge`] and [`Graph::push_node`]
+/// shift the arrays in `O(n + m)`; they serve tests and the few
+/// single-node updates of backbone maintenance, never a bulk build.
 ///
 /// # Example
 /// ```
 /// use geospan_graph::{Graph, Point};
 ///
-/// let mut g = Graph::new(vec![
-///     Point::new(0.0, 0.0),
-///     Point::new(1.0, 0.0),
-///     Point::new(0.0, 1.0),
-/// ]);
-/// g.add_edge(0, 1);
-/// g.add_edge(1, 2);
+/// let mut g = Graph::with_edges(
+///     vec![
+///         Point::new(0.0, 0.0),
+///         Point::new(1.0, 0.0),
+///         Point::new(0.0, 1.0),
+///     ],
+///     [(2, 1), (0, 1), (1, 0)],
+/// );
 /// assert_eq!(g.edge_count(), 2);
 /// assert!(g.has_edge(0, 1));
 /// assert!(!g.has_edge(0, 2));
 /// assert_eq!(g.neighbors(1), &[0, 2]);
+/// g.remove_edge(1, 2);
+/// assert_eq!(g.neighbors(1), &[0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     points: Vec<Point>,
-    adjacency: Vec<Vec<usize>>,
-    edge_count: usize,
+    /// Row boundaries, `n + 1` entries from `0` to `targets.len()`.
+    offsets: Vec<usize>,
+    /// Every row's neighbors, ascending within a row; each undirected
+    /// edge appears once in each of its two rows.
+    targets: Vec<usize>,
 }
 
 impl Graph {
@@ -41,74 +54,64 @@ impl Graph {
         let n = points.len();
         Graph {
             points,
-            adjacency: vec![Vec::new(); n],
-            edge_count: 0,
+            offsets: vec![0; n + 1],
+            targets: Vec::new(),
         }
     }
 
     /// Creates a graph with the given positions and edges.
     ///
-    /// Duplicate edges are ignored.
+    /// The edges may arrive in any order and orientation; duplicates are
+    /// ignored. A counting sort places every edge in both of its rows,
+    /// then each row is sorted and deduplicated in place: `O(n + m)` plus
+    /// the row sorts, which are linear on rows that arrive ascending.
     ///
     /// # Panics
     /// Panics on out-of-bounds endpoints or self-loops.
     pub fn with_edges(points: Vec<Point>, edges: impl IntoIterator<Item = (usize, usize)>) -> Self {
-        let mut g = Graph::new(points);
-        for (u, v) in edges {
-            g.add_edge(u, v);
-        }
-        g
-    }
-
-    /// Creates a graph from a bulk edge list in one pass: canonicalize,
-    /// sort, dedup, then fill exact-capacity adjacency rows.
-    ///
-    /// This is the fast path for topology builders that already hold
-    /// their full edge set: `with_edges` pays `O(degree)` per insertion
-    /// for the sorted-insert shifting in [`Graph::add_edge`], while this
-    /// constructor pays one `O(m log m)` sort total and never moves an
-    /// adjacency entry twice. The edges may arrive in any order and
-    /// orientation; duplicates are ignored.
-    ///
-    /// # Panics
-    /// Panics on out-of-bounds endpoints or self-loops.
-    pub fn from_sorted_edges(points: Vec<Point>, edges: Vec<(usize, usize)>) -> Self {
         let n = points.len();
-        let mut edges: Vec<(usize, usize)> = edges
+        let edges: Vec<(usize, usize)> = edges
             .into_iter()
-            .map(|(u, v)| {
-                assert!(u != v, "self-loop {u} is not a wireless link");
-                assert!(
-                    u < n && v < n,
-                    "edge ({u}, {v}) out of bounds for {n} nodes"
-                );
-                (u.min(v), u.max(v))
-            })
+            .inspect(|&(u, v)| check_endpoints(n, u, v))
             .collect();
-        edges.sort_unstable();
-        edges.dedup();
-        let mut degree = vec![0usize; n];
+        let mut offsets = vec![0; n + 1];
         for &(u, v) in &edges {
-            degree[u] += 1;
-            degree[v] += 1;
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
         }
-        let mut adjacency: Vec<Vec<usize>> =
-            degree.iter().map(|&d| Vec::with_capacity(d)).collect();
-        // With edges sorted by (min, max), a forward pass over second
-        // components fills each row's smaller-than-self neighbors in
-        // ascending order, and a second forward pass appends the
-        // larger-than-self neighbors, also ascending — every row comes
-        // out sorted without a single shift or per-row sort.
-        for &(u, v) in &edges {
-            adjacency[v].push(u);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        for &(u, v) in &edges {
-            adjacency[u].push(v);
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets = vec![0; offsets[n]];
+        for (u, v) in edges {
+            targets[cursor[u]] = v;
+            cursor[u] += 1;
+            targets[cursor[v]] = u;
+            cursor[v] += 1;
         }
+        // Sort each row and compact away duplicates. The write position
+        // never passes the read position, so no unread entry is lost.
+        let mut len = 0;
+        for v in 0..n {
+            let (start, end) = (offsets[v], offsets[v + 1]);
+            offsets[v] = len;
+            targets[start..end].sort_unstable();
+            for i in start..end {
+                let w = targets[i];
+                if len == offsets[v] || targets[len - 1] != w {
+                    targets[len] = w;
+                    len += 1;
+                }
+            }
+        }
+        offsets[n] = len;
+        targets.truncate(len);
+        targets.shrink_to_fit();
         Graph {
             points,
-            edge_count: edges.len(),
-            adjacency,
+            offsets,
+            targets,
         }
     }
 
@@ -121,13 +124,20 @@ impl Graph {
     /// Number of (undirected) edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.targets.len() / 2
     }
 
     /// The node positions, indexable by node id.
     #[inline]
     pub fn points(&self) -> &[Point] {
         &self.points
+    }
+
+    /// The CSR arrays `(offsets, targets)`: node `v`'s sorted neighbors
+    /// are `targets[offsets[v]..offsets[v + 1]]`.
+    #[inline]
+    pub fn csr(&self) -> (&[usize], &[usize]) {
+        (&self.offsets, &self.targets)
     }
 
     /// Position of node `v`.
@@ -145,7 +155,7 @@ impl Graph {
     /// Panics if `v` is out of bounds.
     #[inline]
     pub fn neighbors(&self, v: usize) -> &[usize] {
-        &self.adjacency[v]
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// Degree of node `v`.
@@ -154,13 +164,13 @@ impl Graph {
     /// Panics if `v` is out of bounds.
     #[inline]
     pub fn degree(&self, v: usize) -> usize {
-        self.adjacency[v].len()
+        self.offsets[v + 1] - self.offsets[v]
     }
 
     /// True when the undirected edge `{u, v}` is present.
     #[inline]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.adjacency[u].binary_search(&v).is_ok()
+        self.neighbors(u).binary_search(&v).is_ok()
     }
 
     /// Appends a new isolated node at `p`, returning its index.
@@ -169,53 +179,65 @@ impl Graph {
     /// indices are unaffected.
     pub fn push_node(&mut self, p: Point) -> usize {
         self.points.push(p);
-        self.adjacency.push(Vec::new());
+        self.offsets.push(self.targets.len());
         self.points.len() - 1
     }
 
     /// Inserts the undirected edge `{u, v}`; returns `false` if it was
-    /// already present.
+    /// already present. Shifts the arrays: `O(n + m)`.
     ///
     /// # Panics
     /// Panics on out-of-bounds endpoints or when `u == v`.
     pub fn add_edge(&mut self, u: usize, v: usize) -> bool {
-        assert!(u != v, "self-loop {u} is not a wireless link");
-        assert!(
-            u < self.points.len() && v < self.points.len(),
-            "edge ({u}, {v}) out of bounds for {} nodes",
-            self.points.len()
-        );
-        match self.adjacency[u].binary_search(&v) {
-            Ok(_) => false,
-            Err(iu) => {
-                self.adjacency[u].insert(iu, v);
-                let iv = self.adjacency[v]
-                    .binary_search(&u)
-                    .expect_err("adjacency is symmetric: v does not list u when u does not list v");
-                self.adjacency[v].insert(iv, u);
-                self.edge_count += 1;
-                true
-            }
-        }
+        check_endpoints(self.node_count(), u, v);
+        let (lo, hi) = (u.min(v), u.max(v));
+        let Err(at_hi) = self.neighbors(hi).binary_search(&lo) else {
+            return false;
+        };
+        let at_lo = self
+            .neighbors(lo)
+            .binary_search(&hi)
+            .expect_err("adjacency is symmetric: lo does not list hi when hi does not list lo");
+        // The later row first, so the earlier row's slot stays valid.
+        self.targets.insert(self.offsets[hi] + at_hi, lo);
+        self.targets.insert(self.offsets[lo] + at_lo, hi);
+        self.shift_rows(lo, hi, 1);
+        true
     }
 
     /// Removes the undirected edge `{u, v}`; returns `false` if it was
-    /// absent.
+    /// absent. Shifts the arrays: `O(n + m)`.
     ///
     /// # Panics
     /// Panics on out-of-bounds endpoints.
     pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
-        match self.adjacency[u].binary_search(&v) {
-            Err(_) => false,
-            Ok(iu) => {
-                self.adjacency[u].remove(iu);
-                let iv = self.adjacency[v]
-                    .binary_search(&u)
-                    .expect("adjacency lists mirror each other");
-                self.adjacency[v].remove(iv);
-                self.edge_count -= 1;
-                true
-            }
+        let n = self.node_count();
+        assert!(
+            u < n && v < n,
+            "edge ({u}, {v}) out of bounds for {n} nodes"
+        );
+        let (lo, hi) = (u.min(v), u.max(v));
+        let Ok(at_hi) = self.neighbors(hi).binary_search(&lo) else {
+            return false;
+        };
+        let at_lo = self
+            .neighbors(lo)
+            .binary_search(&hi)
+            .expect("adjacency lists mirror each other");
+        self.targets.remove(self.offsets[hi] + at_hi);
+        self.targets.remove(self.offsets[lo] + at_lo);
+        self.shift_rows(lo, hi, -1);
+        true
+    }
+
+    /// Moves the row boundaries after one slot was inserted (`delta = 1`)
+    /// or removed (`delta = -1`) in each of rows `lo < hi`.
+    fn shift_rows(&mut self, lo: usize, hi: usize, delta: isize) {
+        for o in &mut self.offsets[lo + 1..=hi] {
+            *o = o.wrapping_add_signed(delta);
+        }
+        for o in &mut self.offsets[hi + 1..] {
+            *o = o.wrapping_add_signed(2 * delta);
         }
     }
 
@@ -230,28 +252,22 @@ impl Graph {
 
     /// All edges as `(u, v)` pairs with `u < v`, in sorted order.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.adjacency
-            .iter()
-            .enumerate()
-            .flat_map(|(u, nbrs)| nbrs.iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
-    }
-
-    /// An edgeless copy sharing this graph's vertex set.
-    pub fn same_vertices(&self) -> Graph {
-        Graph::new(self.points.clone())
+        (0..self.node_count()).flat_map(move |u| {
+            self.neighbors(u)
+                .iter()
+                .filter(move |&&v| u < v)
+                .map(move |&v| (u, v))
+        })
     }
 
     /// The subgraph keeping only edges whose two endpoints satisfy `keep`.
     ///
     /// The vertex set (and so the node indices) is unchanged.
     pub fn filter_edges(&self, mut keep: impl FnMut(usize, usize) -> bool) -> Graph {
-        let mut g = self.same_vertices();
-        for (u, v) in self.edges() {
-            if keep(u, v) {
-                g.add_edge(u, v);
-            }
-        }
-        g
+        Graph::with_edges(
+            self.points.clone(),
+            self.edges().filter(|&(u, v)| keep(u, v)),
+        )
     }
 
     /// The union of this graph's edges with `other`'s (same vertex set).
@@ -264,11 +280,7 @@ impl Graph {
             other.node_count(),
             "graph union requires a shared vertex set"
         );
-        let mut g = self.clone();
-        for (u, v) in other.edges() {
-            g.add_edge(u, v);
-        }
-        g
+        Graph::with_edges(self.points.clone(), self.edges().chain(other.edges()))
     }
 
     /// True when every node is reachable from every other.
@@ -341,6 +353,15 @@ impl Graph {
     }
 }
 
+/// Panics unless `{u, v}` is a link between two of `n` nodes.
+fn check_endpoints(n: usize, u: usize, v: usize) {
+    assert!(u != v, "self-loop {u} is not a wireless link");
+    assert!(
+        u < n && v < n,
+        "edge ({u}, {v}) out of bounds for {n} nodes"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,6 +397,12 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_rejected() {
         square().add_edge(0, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn remove_edge_out_of_bounds_rejected() {
+        square().remove_edge(0, 99);
     }
 
     #[test]
@@ -436,43 +463,15 @@ mod tests {
     }
 
     #[test]
-    fn from_sorted_edges_matches_incremental_build() {
-        let pts: Vec<Point> = (0..40)
-            .map(|i| Point::new((i * 7 % 40) as f64, (i * 13 % 40) as f64))
-            .collect();
-        // Deterministic pseudo-random edge soup with duplicates and both
-        // orientations.
-        let mut edges = Vec::new();
-        let mut x = 0x2545_f491u64;
-        for _ in 0..200 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let u = (x >> 33) as usize % 40;
-            let v = (x >> 13) as usize % 40;
-            if u != v {
-                edges.push((u, v));
-                edges.push((v, u));
-            }
-        }
-        let bulk = Graph::from_sorted_edges(pts.clone(), edges.clone());
-        let incremental = Graph::with_edges(pts, edges);
-        assert_eq!(bulk, incremental);
-        for v in 0..bulk.node_count() {
-            assert!(bulk.neighbors(v).windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "self-loop")]
-    fn from_sorted_edges_rejects_self_loops() {
-        Graph::from_sorted_edges(vec![Point::ORIGIN, Point::new(1.0, 0.0)], vec![(1, 1)]);
+    fn with_edges_rejects_self_loops() {
+        Graph::with_edges(vec![Point::ORIGIN, Point::new(1.0, 0.0)], [(1, 1)]);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn from_sorted_edges_rejects_out_of_bounds() {
-        Graph::from_sorted_edges(vec![Point::ORIGIN], vec![(0, 3)]);
+    fn with_edges_rejects_out_of_bounds() {
+        Graph::with_edges(vec![Point::ORIGIN], [(0, 3)]);
     }
 
     #[test]

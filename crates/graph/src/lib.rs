@@ -8,7 +8,7 @@
 //! vertex set; this crate provides that shared representation plus the
 //! measurement machinery the paper's evaluation section uses:
 //!
-//! * [`Graph`] — an embedded graph: point positions + adjacency lists,
+//! * [`Graph`] — an embedded graph: point positions + one CSR adjacency,
 //! * [`gen`] — workload generators (uniform, perturbed grid, clustered)
 //!   and the unit-disk edge builder with grid-bucket neighbor search,
 //! * [`paths`] — BFS hop distances and Dijkstra length distances,
@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod collections;
-mod csr;
 pub mod diameter;
 pub mod gen;
 mod graph;
@@ -45,6 +44,5 @@ pub mod stats;
 pub mod stretch;
 pub mod svg;
 
-pub use csr::CsrGraph;
 pub use geospan_geometry::Point;
 pub use graph::Graph;

@@ -9,8 +9,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
-use geospan_geometry::Point;
-
 use crate::Graph;
 
 /// Hop distance from `src` to every node (`None` for unreachable nodes).
@@ -22,70 +20,28 @@ use crate::Graph;
 /// ```
 /// use geospan_graph::{Graph, Point};
 /// use geospan_graph::paths::bfs_hops;
-/// let mut g = Graph::new(vec![Point::new(0.0, 0.0); 0]);
-/// # let mut g = Graph::with_edges(
-/// #   vec![Point::new(0.,0.), Point::new(1.,0.), Point::new(2.,0.)],
-/// #   [(0,1),(1,2)]);
+/// let g = Graph::with_edges(
+///     vec![Point::new(0.,0.), Point::new(1.,0.), Point::new(2.,0.)],
+///     [(0,1),(1,2)]);
 /// let d = bfs_hops(&g, 0);
 /// assert_eq!(d, vec![Some(0), Some(1), Some(2)]);
 /// ```
 pub fn bfs_hops(g: &Graph, src: usize) -> Vec<Option<u32>> {
-    bfs_hops_over(g.node_count(), src, |u| g.neighbors(u))
+    hop_row(g, src).into_iter().map(hop).collect()
 }
 
-/// A node id as an adjacency slice stores it: `usize` in a [`Graph`],
-/// `u32` in a [`crate::CsrGraph`].
-pub(crate) trait NodeId: Copy {
-    /// The id as an index.
-    fn index(self) -> usize;
-}
-
-impl NodeId for usize {
-    #[inline]
-    fn index(self) -> usize {
-        self
-    }
-}
-
-impl NodeId for u32 {
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// [`hop_row_over`] with unreachable nodes as `None`: the search behind
-/// [`bfs_hops`] and [`crate::CsrGraph::bfs_hops`].
-///
-/// # Panics
-/// Panics if `src >= n`.
-pub(crate) fn bfs_hops_over<'g, I: NodeId + 'g>(
-    n: usize,
-    src: usize,
-    neighbors: impl Fn(usize) -> &'g [I],
-) -> Vec<Option<u32>> {
-    hop_row_over(n, src, neighbors)
-        .into_iter()
-        .map(hop)
-        .collect()
-}
-
-/// A hop row's entry for a node the search did not reach. Node ids fit
-/// in `u32`, so no real hop count reaches it.
+/// A hop row's entry for a node the search did not reach. A hop count
+/// is below the node count, so no real one reaches it.
 const UNREACHED: u32 = u32::MAX;
 
-/// The one BFS: hop distances from `src` over `n` nodes whose sorted
-/// neighbor slices `neighbors` returns, [`UNREACHED`] where none exists.
-/// Half the size of a `Vec<Option<u32>>` row, which matters to the rows
-/// [`DistanceOracle`] keeps.
+/// The one BFS: hop distances from `src`, [`UNREACHED`] where none
+/// exists. Half the size of a `Vec<Option<u32>>` row, which matters to
+/// the rows [`DistanceOracle`] keeps.
 ///
 /// # Panics
-/// Panics if `src >= n`.
-fn hop_row_over<'g, I: NodeId + 'g>(
-    n: usize,
-    src: usize,
-    neighbors: impl Fn(usize) -> &'g [I],
-) -> Vec<u32> {
+/// Panics if `src` is out of bounds.
+fn hop_row(g: &Graph, src: usize) -> Vec<u32> {
+    let n = g.node_count();
     assert!(src < n, "source {src} out of bounds for {n} nodes");
     let mut dist = vec![UNREACHED; n];
     dist[src] = 0;
@@ -93,8 +49,7 @@ fn hop_row_over<'g, I: NodeId + 'g>(
     q.push_back(src);
     while let Some(u) = q.pop_front() {
         let du = dist[u];
-        for &v in neighbors(u) {
-            let v = v.index();
+        for &v in g.neighbors(u) {
             if dist[v] == UNREACHED {
                 dist[v] = du + 1;
                 q.push_back(v);
@@ -102,11 +57,6 @@ fn hop_row_over<'g, I: NodeId + 'g>(
         }
     }
     dist
-}
-
-/// [`hop_row_over`] on a [`Graph`].
-fn hop_row(g: &Graph, src: usize) -> Vec<u32> {
-    hop_row_over(g.node_count(), src, |u| g.neighbors(u))
 }
 
 /// A [`hop_row`] entry as a hop count.
@@ -146,21 +96,7 @@ impl PartialOrd for HeapEntry {
 /// # Panics
 /// Panics if `src` is out of bounds.
 pub fn dijkstra_lengths(g: &Graph, src: usize) -> Vec<Option<f64>> {
-    dijkstra_lengths_over(g.points(), src, |u| g.neighbors(u))
-}
-
-/// The one Dijkstra behind [`dijkstra_lengths`] and
-/// [`crate::CsrGraph::dijkstra_lengths`]: Euclidean distances from `src`
-/// over the nodes at `points`, whose sorted neighbor slices `neighbors`
-/// returns.
-///
-/// # Panics
-/// Panics if `src` is out of bounds.
-pub(crate) fn dijkstra_lengths_over<'g, I: NodeId + 'g>(
-    points: &[Point],
-    src: usize,
-    neighbors: impl Fn(usize) -> &'g [I],
-) -> Vec<Option<f64>> {
+    let points = g.points();
     let n = points.len();
     assert!(src < n, "source {src} out of bounds for {n} nodes");
     let mut dist: Vec<Option<f64>> = vec![None; n];
@@ -176,8 +112,7 @@ pub(crate) fn dijkstra_lengths_over<'g, I: NodeId + 'g>(
             continue;
         }
         done[u] = true;
-        for &v in neighbors(u) {
-            let v = v.index();
+        for &v in g.neighbors(u) {
             if done[v] {
                 continue;
             }
@@ -348,8 +283,9 @@ struct LengthSearch {
     expanded: u64,
 }
 
-/// `2⁻⁵³⁶`: twice the absolute error of one [`Point::distance`] whose
-/// squared differences underflow (see [`LengthSearch`]).
+/// `2⁻⁵³⁶`: twice the absolute error of one
+/// [`Point::distance`](crate::Point::distance) whose squared differences
+/// underflow (see [`LengthSearch`]).
 const UNDERFLOW_SLACK: f64 = f64::from_bits((1023 - 536) << 52);
 
 impl LengthSearch {

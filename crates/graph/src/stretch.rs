@@ -8,6 +8,7 @@
 
 use rayon::prelude::*;
 
+use crate::paths::{bfs_hops, dijkstra_lengths};
 use crate::Graph;
 
 /// Options controlling which node pairs enter the stretch statistics.
@@ -61,14 +62,12 @@ pub struct StretchReport {
 /// [`disconnected_pairs`](StretchReport::disconnected_pairs) and excluded
 /// from the ratios.
 ///
-/// Runs one BFS and one Dijkstra per node and graph: `O(n · m log n)`.
-/// Both graphs are first frozen to CSR ([`Graph::freeze`]) so the `2n`
-/// independent searches scan flat `u32` adjacency instead of chasing
-/// `Vec<Vec<usize>>`; freezing preserves neighbor order exactly, so the
-/// report is bit-identical to the unfrozen computation. Sources are
-/// processed in parallel; the per-source partial statistics are folded
-/// serially in source order, so the report is also bit-identical for
-/// every thread count, including `RAYON_NUM_THREADS=1`.
+/// Runs one BFS ([`bfs_hops`]) and one Dijkstra ([`dijkstra_lengths`])
+/// per node and graph: `O(n · m log n)`, each search scanning the
+/// graph's flat CSR rows. Sources are processed in parallel; the
+/// per-source partial statistics are folded serially in source order, so
+/// the report is bit-identical for every thread count, including
+/// `RAYON_NUM_THREADS=1`.
 ///
 /// The serial fold is the only way to write it: the rayon stand-in
 /// offers `map` and an input-ordered `collect`,
@@ -126,15 +125,13 @@ pub fn stretch_factors(base: &Graph, sub: &Graph, opts: StretchOptions) -> Stret
         disconnected_pairs: usize,
     }
 
-    let cbase = base.freeze();
-    let csub = sub.freeze();
     let partials: Vec<SourcePartial> = (0..n)
         .into_par_iter()
         .map(|u| {
-            let base_len = cbase.dijkstra_lengths(u);
-            let base_hop = cbase.bfs_hops(u);
-            let sub_len = csub.dijkstra_lengths(u);
-            let sub_hop = csub.bfs_hops(u);
+            let base_len = dijkstra_lengths(base, u);
+            let base_hop = bfs_hops(base, u);
+            let sub_len = dijkstra_lengths(sub, u);
+            let sub_hop = bfs_hops(sub, u);
             let mut p = SourcePartial::default();
             for v in u + 1..n {
                 let Some(bl) = base_len[v] else { continue };

@@ -1,5 +1,7 @@
 //! Property-based tests for the graph substrate.
 
+use std::collections::BTreeSet;
+
 use geospan_graph::gen::{gaussian_clusters, uniform_points, UnitDiskBuilder};
 use geospan_graph::paths::{
     bfs_hops, dijkstra_lengths, pair_distances, path_length, shortest_length_path, DistanceOracle,
@@ -312,25 +314,83 @@ proptest! {
         assert_lengths_exact(&UnitDiskBuilder::new(radius).build(&pts))?;
     }
 
+    /// `with_edges` accepts any order, orientation and multiplicity, and
+    /// its rows are the sorted, deduplicated neighbor sets.
     #[test]
-    fn graph_edit_roundtrip(edges in prop::collection::vec((0usize..20, 0usize..20), 0..60)) {
-        let pts = uniform_points(20, 50.0, 99);
-        let mut g = Graph::new(pts);
-        let mut reference = std::collections::HashSet::new();
-        for (u, v) in edges {
-            if u != v {
-                let added = g.add_edge(u, v);
-                let fresh = reference.insert((u.min(v), u.max(v)));
-                prop_assert_eq!(added, fresh);
-            }
+    fn with_edges_rows_match_sorted_dedup_reference(
+        n in 1usize..30,
+        raw in prop::collection::vec((0usize..30, 0usize..30, any::<bool>()), 0..120),
+    ) {
+        let edges: Vec<(usize, usize)> = raw
+            .into_iter()
+            .map(|(u, v, flip)| (u % n, v % n, flip))
+            .filter(|&(u, v, _)| u != v)
+            .map(|(u, v, flip)| if flip { (v, u) } else { (u, v) })
+            .collect();
+        let g = Graph::with_edges(uniform_points(n, 50.0, 7), edges.iter().copied());
+        let mut rows: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+        for &(u, v) in &edges {
+            rows[u].insert(v);
+            rows[v].insert(u);
         }
-        prop_assert_eq!(g.edge_count(), reference.len());
-        for &(u, v) in &reference {
-            prop_assert!(g.has_edge(u, v));
-            prop_assert!(g.remove_edge(v, u));
+        assert_csr_invariants(&g)?;
+        for (v, row) in rows.iter().enumerate() {
+            prop_assert_eq!(g.neighbors(v), row.iter().copied().collect::<Vec<_>>());
         }
-        prop_assert_eq!(g.edge_count(), 0);
     }
+
+    /// Single edits keep the CSR layout valid after every step, agree
+    /// with a reference edge set, and end where one bulk build of the
+    /// surviving edges does.
+    #[test]
+    fn edits_keep_csr_invariants(
+        ops in prop::collection::vec((0u8..3, 0usize..24, 0usize..24), 0..80),
+    ) {
+        let mut pts = uniform_points(4, 50.0, 99);
+        let mut g = Graph::new(pts.clone());
+        let mut reference: BTreeSet<(usize, usize)> = BTreeSet::new();
+        for (op, u, v) in ops {
+            let n = g.node_count();
+            let (u, v) = (u % n, v % n);
+            match op {
+                0 if u != v => {
+                    let fresh = reference.insert((u.min(v), u.max(v)));
+                    prop_assert_eq!(g.add_edge(u, v), fresh);
+                }
+                1 => {
+                    let present = reference.remove(&(u.min(v), u.max(v)));
+                    prop_assert_eq!(g.remove_edge(u, v), present);
+                }
+                2 => {
+                    let p = Point::new(u as f64, v as f64);
+                    pts.push(p);
+                    prop_assert_eq!(g.push_node(p), n);
+                }
+                _ => {}
+            }
+            assert_csr_invariants(&g)?;
+            prop_assert_eq!(g.edge_count(), reference.len());
+        }
+        prop_assert_eq!(g, Graph::with_edges(pts, reference));
+    }
+}
+
+/// Offsets run monotonically from 0 to the slot count, every row is
+/// strictly ascending and mirrored, and the edge count is half the slots.
+fn assert_csr_invariants(g: &Graph) -> Result<(), TestCaseError> {
+    let (offsets, targets) = g.csr();
+    prop_assert_eq!(offsets.len(), g.node_count() + 1);
+    prop_assert_eq!(offsets[0], 0);
+    prop_assert_eq!(offsets[g.node_count()], targets.len());
+    prop_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+    prop_assert_eq!(g.edge_count() * 2, targets.len());
+    for u in 0..g.node_count() {
+        prop_assert!(g.neighbors(u).windows(2).all(|w| w[0] < w[1]));
+        for &v in g.neighbors(u) {
+            prop_assert!(v != u && g.has_edge(v, u));
+        }
+    }
+    Ok(())
 }
 
 proptest! {

@@ -34,7 +34,7 @@ use geospan_sim::{
     Context, FaultReport, MessageKind, MessageStats, Network, Protocol, QuiescenceTimeout, Radio,
 };
 
-use crate::ldel::LocalDelaunay;
+use crate::ldel::{assemble_graph, LocalDelaunay};
 
 /// Messages of the localized Delaunay protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -566,7 +566,6 @@ pub(crate) fn assemble<'a>(
     nodes: impl IntoIterator<Item = (usize, &'a [(usize, usize)], &'a BTreeSet<[usize; 3]>)>,
     crashed: &VecSet,
 ) -> LocalDelaunay {
-    let mut graph = g.same_vertices();
     let mut gabriel: BTreeSet<(usize, usize)> = BTreeSet::new();
     let mut triangles: BTreeSet<[usize; 3]> = BTreeSet::new();
     for (id, node_gabriel, node_tris) in nodes {
@@ -584,20 +583,11 @@ pub(crate) fn assemble<'a>(
             }
         }
     }
-    for &(u, v) in &gabriel {
-        graph.add_edge(u, v);
-    }
-    for &[a, b, c] in &triangles {
-        graph.add_edge(a, b);
-        graph.add_edge(b, c);
-        graph.add_edge(a, c);
-    }
-    let mut gabriel_edges: Vec<(usize, usize)> = gabriel.into_iter().collect();
-    gabriel_edges.sort_unstable();
-    let mut triangles: Vec<[usize; 3]> = triangles.into_iter().collect();
-    triangles.sort_unstable();
+    // Set order is ascending, so both lists come out sorted.
+    let gabriel_edges: Vec<(usize, usize)> = gabriel.into_iter().collect();
+    let triangles: Vec<[usize; 3]> = triangles.into_iter().collect();
     LocalDelaunay {
-        graph,
+        graph: assemble_graph(g, &triangles, &gabriel_edges),
         triangles,
         gabriel_edges,
     }

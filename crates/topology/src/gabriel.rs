@@ -43,13 +43,14 @@ pub fn gabriel(udg: &Graph) -> Graph {
             !common_neighbors(udg, u, v).any(|w| gabriel_test(pu, pv, udg.position(w)))
         })
         .collect();
-    let mut g = udg.same_vertices();
-    for ((u, v), k) in edges.into_iter().zip(keep) {
-        if k {
-            g.add_edge(u, v);
-        }
-    }
-    g
+    Graph::with_edges(
+        udg.points().to_vec(),
+        edges
+            .into_iter()
+            .zip(keep)
+            .filter(|&(_, k)| k)
+            .map(|(e, _)| e),
+    )
 }
 
 #[cfg(test)]

@@ -236,8 +236,12 @@ fn unpack_key(k: u128) -> [usize; 3] {
 }
 
 /// Builds the result graph from triangle sides plus Gabriel edges in one
-/// bulk pass (no per-edge sorted inserts).
-fn assemble_graph(g: &Graph, triangles: &[[usize; 3]], gabriel_edges: &[(usize, usize)]) -> Graph {
+/// bulk pass.
+pub(crate) fn assemble_graph(
+    g: &Graph,
+    triangles: &[[usize; 3]],
+    gabriel_edges: &[(usize, usize)],
+) -> Graph {
     let mut edges: Vec<(usize, usize)> =
         Vec::with_capacity(gabriel_edges.len() + 3 * triangles.len());
     edges.extend_from_slice(gabriel_edges);
@@ -246,7 +250,7 @@ fn assemble_graph(g: &Graph, triangles: &[[usize; 3]], gabriel_edges: &[(usize, 
         edges.push((b, c));
         edges.push((a, c));
     }
-    Graph::from_sorted_edges(g.points().to_vec(), edges)
+    Graph::with_edges(g.points().to_vec(), edges)
 }
 
 /// Panics unless all node positions are pairwise distinct (the local

@@ -81,13 +81,13 @@ pub fn delaunay(g: &Graph) -> Graph {
 /// Panics if two nodes share a position.
 pub fn unit_delaunay(udg: &Graph) -> Graph {
     let tri = Triangulation::build(udg.points()).expect("distinct node positions");
-    let mut g = udg.same_vertices();
-    for &(u, v) in tri.edges() {
-        if udg.has_edge(u, v) {
-            g.add_edge(u, v);
-        }
-    }
-    g
+    Graph::with_edges(
+        udg.points().to_vec(),
+        tri.edges()
+            .iter()
+            .copied()
+            .filter(|&(u, v)| udg.has_edge(u, v)),
+    )
 }
 
 #[cfg(test)]

@@ -240,12 +240,10 @@ pub fn run_rdg(
     });
     net.run_phases(3, net.round_budget())?;
     let (nodes, stats) = net.into_parts();
-    let mut out = g.same_vertices();
-    for node in &nodes {
-        for &(x, y) in &node.surviving {
-            out.add_edge(x, y);
-        }
-    }
+    let out = Graph::with_edges(
+        g.points().to_vec(),
+        nodes.iter().flat_map(|node| node.surviving.iter().copied()),
+    );
     Ok((out, stats))
 }
 

@@ -57,11 +57,7 @@ pub fn yao_directed(udg: &Graph, k: usize) -> Vec<(usize, usize)> {
 /// assert_eq!(y.edge_count(), 2); // path is preserved
 /// ```
 pub fn yao(udg: &Graph, k: usize) -> Graph {
-    let mut g = udg.same_vertices();
-    for (u, v) in yao_directed(udg, k) {
-        g.add_edge(u, v);
-    }
-    g
+    Graph::with_edges(udg.points().to_vec(), yao_directed(udg, k))
 }
 
 /// The Yao–Yao graph `YY_k` (a bounded-degree variant, in the spirit of
@@ -90,13 +86,11 @@ pub fn yao_yao(udg: &Graph, k: usize) -> Graph {
             best_in[v][cone] = Some(cand);
         }
     }
-    let mut g = udg.same_vertices();
-    for (v, cones) in best_in.into_iter().enumerate() {
-        for b in cones.into_iter().flatten() {
-            g.add_edge(b.1, v);
-        }
-    }
-    g
+    let edges = best_in
+        .into_iter()
+        .enumerate()
+        .flat_map(|(v, cones)| cones.into_iter().flatten().map(move |b| (b.1, v)));
+    Graph::with_edges(udg.points().to_vec(), edges)
 }
 
 /// The θ-graph on the unit disk graph: like [`yao`], but each cone keeps
@@ -112,7 +106,7 @@ pub fn yao_yao(udg: &Graph, k: usize) -> Graph {
 pub fn theta(udg: &Graph, k: usize) -> Graph {
     assert!(k >= 3, "theta graph needs at least 3 cones, got {k}");
     let sector = std::f64::consts::TAU / k as f64;
-    let mut g = udg.same_vertices();
+    let mut edges = Vec::new();
     for u in 0..udg.node_count() {
         let pu = udg.position(u);
         let mut best: Vec<Option<(f64, usize)>> = vec![None; k];
@@ -127,11 +121,9 @@ pub fn theta(udg: &Graph, k: usize) -> Graph {
                 best[cone] = Some(cand);
             }
         }
-        for b in best.into_iter().flatten() {
-            g.add_edge(u, b.1);
-        }
+        edges.extend(best.into_iter().flatten().map(|b| (u, b.1)));
     }
-    g
+    Graph::with_edges(udg.points().to_vec(), edges)
 }
 
 /// The Yao + Sink structure of Li, Wan & Wang ("Sparse power efficient
@@ -161,7 +153,7 @@ pub fn yao_sink(udg: &Graph, k: usize) -> Graph {
         in_nbrs[v].push(u);
     }
 
-    let mut g = udg.same_vertices();
+    let mut edges = Vec::new();
     #[expect(
         clippy::needless_range_loop,
         reason = "root indexes the graph and in_nbrs alike"
@@ -197,13 +189,13 @@ pub fn yao_sink(udg: &Graph, k: usize) -> Graph {
                     })
                     .expect("non-empty cone");
                 debug_assert!(udg.has_edge(w, v), "sink link must be a UDG edge");
-                g.add_edge(w, v);
+                edges.push((w, v));
                 cone_members.retain(|&u| u != w);
                 stack.push((w, cone_members));
             }
         }
     }
-    g
+    Graph::with_edges(udg.points().to_vec(), edges)
 }
 
 #[cfg(test)]

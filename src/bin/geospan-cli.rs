@@ -151,6 +151,15 @@ impl Flags {
             Some(v) => v.parse().map_err(|_| format!("invalid value for --{key}")),
         }
     }
+
+    /// Rejects `--flag` unless `enabled`, so that a flag whose enabling
+    /// flag is absent is refused rather than silently ignored.
+    fn requires(&self, flag: &str, enabled: bool, enabling: &str) -> Result<(), String> {
+        if self.kv.contains_key(flag) && !enabled {
+            return Err(format!("--{flag} needs {enabling}"));
+        }
+        Ok(())
+    }
 }
 
 fn load_nodes(flags: &Flags) -> Result<Vec<Point>, String> {
@@ -403,12 +412,21 @@ fn cmd_traffic(flags: &Flags) -> Result<(), String> {
         Some(d) => d,
         None => return Err(format!("unknown discipline `{discipline_name}`")),
     };
+    flags.requires(
+        "quantum",
+        matches!(discipline, Discipline::Drr { .. }),
+        "--discipline drr",
+    )?;
     let retries: u32 = flags.get_or("retries", 0)?;
+    flags.requires("ack-timeout", retries > 0, "--retries > 0")?;
     let reliability = (retries > 0).then_some(ReliabilityConfig {
         max_retries: retries,
         ack_timeout: flags.get_or("ack-timeout", 3)?,
     });
-    let overload = if flags.kv.contains_key("high-watermark") {
+    let watermarks = flags.kv.contains_key("high-watermark");
+    flags.requires("low-watermark", watermarks, "--high-watermark")?;
+    flags.requires("backoff-factor", watermarks, "--high-watermark")?;
+    let overload = if watermarks {
         let high: usize = flags.get("high-watermark")?;
         // Mirror OverloadConfig::for_capacity's 3:1 hysteresis gap.
         let low: usize = flags.get_or("low-watermark", high / 3)?;
@@ -426,7 +444,9 @@ fn cmd_traffic(flags: &Flags) -> Result<(), String> {
     } else {
         None
     };
-    let admission = if flags.kv.contains_key("admit-ticks") {
+    let token_bucket = flags.kv.contains_key("admit-ticks");
+    flags.requires("admit-burst", token_bucket, "--admit-ticks")?;
+    let admission = if token_bucket {
         AdmissionPolicy::TokenBucket {
             ticks_per_token: flags.get("admit-ticks")?,
             burst: flags.get_or("admit-burst", 1)?,

@@ -604,6 +604,38 @@ fn bad_usage_fails_cleanly() {
         err.contains("--low-watermark 9 is above --high-watermark 4"),
         "{err}"
     );
+
+    // A flag whose enabling flag is absent is refused, naming both.
+    for (flags, want) in [
+        (
+            &["--low-watermark", "2"][..],
+            "--low-watermark needs --high-watermark",
+        ),
+        (
+            &["--backoff-factor", "2"][..],
+            "--backoff-factor needs --high-watermark",
+        ),
+        (
+            &["--admit-burst", "3"][..],
+            "--admit-burst needs --admit-ticks",
+        ),
+        (
+            &["--retries", "0", "--ack-timeout", "5"][..],
+            "--ack-timeout needs --retries > 0",
+        ),
+        (&["--quantum", "2"][..], "--quantum needs --discipline drr"),
+    ] {
+        let out = cli()
+            .args(["traffic", "--nodes"])
+            .arg(&nodes)
+            .args(["--radius", "5"])
+            .args(flags)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(want), "{flags:?}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
