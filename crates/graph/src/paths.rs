@@ -3,13 +3,15 @@
 //! The paper's spanner definitions compare, for every node pair, the
 //! shortest *hop* path and the shortest *length* path in a topology
 //! against the same quantities in the full unit disk graph. These are the
-//! single-source primitives behind those comparisons.
+//! single-source primitives behind those comparisons, and the batched
+//! [`pair_distances`] and [`DistanceOracle`] that answer many pairs with
+//! one 64-source BFS per block of nearby sources.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
-use crate::Graph;
+use crate::{Graph, Point};
 
 /// Hop distance from `src` to every node (`None` for unreachable nodes).
 ///
@@ -65,6 +67,105 @@ fn hop(h: u32) -> Option<u32> {
     (h != UNREACHED).then_some(h)
 }
 
+/// Sources one [`multi_bfs`] pass carries: one bit of a `u64` each.
+const BATCH: usize = 64;
+
+/// One BFS from up to [`BATCH`] sources at once (Then et al., "The More
+/// the Merrier", VLDB 2014). Source `i` is bit `i` of a word per node:
+/// `seen` holds the sources that reached the node, `visit` those that
+/// reached it at the current level and push on from it, `next` those
+/// arriving at the next level. Only the frontier's rows are scanned, so a
+/// pass costs one traversal however many of its sources share the work.
+///
+/// Calls `reach(level, v, bits)` once for every level at which new
+/// sources reach `v`, with their bits; a source reaches itself at level
+/// 0. Repeated sources share a node and report their bits together.
+fn multi_bfs(g: &Graph, sources: &[usize], mut reach: impl FnMut(u32, usize, u64)) {
+    debug_assert!(sources.len() <= BATCH);
+    let n = g.node_count();
+    let (offsets, targets) = g.csr();
+    let mut seen = vec![0u64; n];
+    let mut visit = vec![0u64; n];
+    let mut next = vec![0u64; n];
+    let mut frontier = Vec::new();
+    for (i, &s) in sources.iter().enumerate() {
+        if visit[s] == 0 {
+            frontier.push(s);
+        }
+        visit[s] |= 1 << i;
+    }
+    for &s in &frontier {
+        seen[s] = visit[s];
+        reach(0, s, visit[s]);
+    }
+    let mut reached = Vec::new();
+    let mut level = 0;
+    while !frontier.is_empty() {
+        level += 1;
+        for &u in &frontier {
+            let bits = std::mem::take(&mut visit[u]);
+            for &v in &targets[offsets[u]..offsets[u + 1]] {
+                let new = bits & !seen[v];
+                if new != 0 {
+                    if next[v] == 0 {
+                        reached.push(v);
+                    }
+                    next[v] |= new;
+                }
+            }
+        }
+        frontier.clear();
+        for &v in &reached {
+            let bits = std::mem::take(&mut next[v]);
+            seen[v] |= bits;
+            visit[v] = bits;
+            reach(level, v, bits);
+        }
+        std::mem::swap(&mut frontier, &mut reached);
+    }
+}
+
+/// The indices `0..count` sorted by the Morton (Z-order) key of
+/// `position(i)`, ties by index. The key interleaves the bits of each
+/// coordinate quantised to 16 bits across the positions' bounding box,
+/// so nearby positions sort together and a [`multi_bfs`] pass from 64
+/// consecutive ones shares most of its traversal. The order changes only
+/// how fast the passes run, never what they report. Float-to-int casts
+/// saturate and map NaN to 0, so no coordinate (infinite, or a range
+/// that overflows) can panic here.
+fn morton_order(count: usize, position: impl Fn(usize) -> Point) -> Vec<usize> {
+    let (mut lo, mut hi) = (
+        Point::new(f64::MAX, f64::MAX),
+        Point::new(f64::MIN, f64::MIN),
+    );
+    for i in 0..count {
+        let p = position(i);
+        (lo.x, lo.y) = (lo.x.min(p.x), lo.y.min(p.y));
+        (hi.x, hi.y) = (hi.x.max(p.x), hi.y.max(p.y));
+    }
+    let quantise = |x: f64, lo: f64, hi: f64| spread_bits(((x - lo) / (hi - lo) * 65535.0) as u16);
+    let mut keyed: Vec<(u32, usize)> = (0..count)
+        .map(|i| {
+            let p = position(i);
+            (
+                quantise(p.x, lo.x, hi.x) | quantise(p.y, lo.y, hi.y) << 1,
+                i,
+            )
+        })
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
+/// The bits of `q` moved to the even positions of a `u32`.
+fn spread_bits(q: u16) -> u32 {
+    let mut x = u32::from(q);
+    x = (x | x << 8) & 0x00ff_00ff;
+    x = (x | x << 4) & 0x0f0f_0f0f;
+    x = (x | x << 2) & 0x3333_3333;
+    (x | x << 1) & 0x5555_5555
+}
+
 /// Max-heap entry ordered by *smallest* distance first.
 #[derive(Debug, PartialEq)]
 struct HeapEntry {
@@ -97,8 +198,37 @@ impl PartialOrd for HeapEntry {
 /// Panics if `src` is out of bounds.
 pub fn dijkstra_lengths(g: &Graph, src: usize) -> Vec<Option<f64>> {
     let points = g.points();
-    let n = points.len();
+    dijkstra(g, src, |u, v, _| points[u].distance(points[v]))
+}
+
+/// Every edge slot's length, aligned with the targets of
+/// [`Graph::csr`]: the slot of `v` in `u`'s row holds
+/// `points[u].distance(points[v])`, the value [`dijkstra_lengths`]
+/// computes for that edge, so searches that read it agree to the bit.
+fn slot_lengths(g: &Graph) -> Vec<f64> {
+    let points = g.points();
+    let (offsets, targets) = g.csr();
+    let mut lengths = Vec::with_capacity(targets.len());
+    for (u, row) in offsets.windows(2).enumerate() {
+        lengths.extend(
+            targets[row[0]..row[1]]
+                .iter()
+                .map(|&v| points[u].distance(points[v])),
+        );
+    }
+    lengths
+}
+
+/// The one Dijkstra: `weight(u, v, slot)` is the length of the edge in
+/// slot `slot` of [`Graph::csr`], from `u` to `v`.
+fn dijkstra(
+    g: &Graph,
+    src: usize,
+    weight: impl Fn(usize, usize, usize) -> f64,
+) -> Vec<Option<f64>> {
+    let n = g.node_count();
     assert!(src < n, "source {src} out of bounds for {n} nodes");
+    let (offsets, targets) = g.csr();
     let mut dist: Vec<Option<f64>> = vec![None; n];
     let mut done = vec![false; n];
     let mut heap = BinaryHeap::with_capacity(n);
@@ -112,11 +242,11 @@ pub fn dijkstra_lengths(g: &Graph, src: usize) -> Vec<Option<f64>> {
             continue;
         }
         done[u] = true;
-        for &v in g.neighbors(u) {
+        for (slot, &v) in (offsets[u]..).zip(&targets[offsets[u]..offsets[u + 1]]) {
             if done[v] {
                 continue;
             }
-            let cand = du + points[u].distance(points[v]);
+            let cand = du + weight(u, v, slot);
             if dist[v].is_none_or(|dv| cand < dv) {
                 dist[v] = Some(cand);
                 heap.push(HeapEntry {
@@ -268,9 +398,13 @@ pub fn path_length(g: &Graph, path: &[usize]) -> f64 {
 /// is replaced by the trivial lower bound 0.
 ///
 /// `dist` and `to_goal` are valid for a node only where `stamp` holds
-/// the current `epoch`, so a search costs no `O(n)` clear.
+/// the current `epoch`, so a search costs no `O(n)` clear. Edge lengths
+/// are read from [`slot_lengths`], computed once per searcher, which the
+/// searcher's Dijkstra rows ([`LengthSearch::row`]) share.
 #[derive(Debug)]
 struct LengthSearch {
+    /// [`slot_lengths`] of the searched graph.
+    slot_len: Vec<f64>,
     stamp: Vec<u32>,
     epoch: u32,
     /// Best length from the source found so far (`g`).
@@ -289,8 +423,10 @@ struct LengthSearch {
 const UNDERFLOW_SLACK: f64 = f64::from_bits((1023 - 536) << 52);
 
 impl LengthSearch {
-    fn new(n: usize) -> Self {
+    fn new(g: &Graph) -> Self {
+        let n = g.node_count();
         LengthSearch {
+            slot_len: slot_lengths(g),
             stamp: vec![0; n],
             epoch: 0,
             dist: vec![0.0; n],
@@ -311,6 +447,11 @@ impl LengthSearch {
             && queries as u128 * u128::from(self.expanded) >= n * u128::from(self.searches)
     }
 
+    /// [`dijkstra_lengths`]`(g, src)`, bit for bit, over the slot lengths.
+    fn row(&self, g: &Graph, src: usize) -> Vec<Option<f64>> {
+        dijkstra(g, src, |_, _, slot| self.slot_len[slot])
+    }
+
     /// Starts a search: invalidates every node's `dist` and `to_goal`.
     fn next_epoch(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
@@ -329,6 +470,7 @@ impl LengthSearch {
         self.next_epoch();
         self.searches += 1;
         let points = g.points();
+        let (offsets, targets) = g.csr();
         let n = points.len();
         let goal = points[dst];
         let margin = (n + 16) as f64 * f64::EPSILON;
@@ -358,8 +500,9 @@ impl LengthSearch {
                 continue; // `dist[u]` dropped since this entry was pushed
             }
             self.expanded += 1;
-            for &v in g.neighbors(u) {
-                let cand = du + points[u].distance(points[v]);
+            let row = offsets[u]..offsets[u + 1];
+            for (&v, &length) in targets[row.clone()].iter().zip(&self.slot_len[row]) {
+                let cand = du + length;
                 if self.stamp[v] != self.epoch {
                     self.stamp[v] = self.epoch;
                     self.to_goal[v] = to_goal(v);
@@ -386,10 +529,17 @@ impl LengthSearch {
 
 /// A lazy shortest-path oracle over one graph.
 ///
-/// Per-source BFS hop rows are computed on first use and cached, so
-/// measuring many packets against the same few sources — the traffic
-/// engine's per-packet stretch accounting — costs one BFS per distinct
-/// source instead of one per query.
+/// Hop rows are computed on first use and cached, so measuring many
+/// packets against the same sources — the traffic engine's per-packet
+/// stretch accounting — costs one traversal per source at most, not one
+/// per query. The nodes are cut into blocks of 64 consecutive nodes in
+/// the Morton order of their positions (the order [`pair_distances`]
+/// batches by). A block's first source to miss gets its own [`bfs_hops`]
+/// row. The second shows the block is in use: one 64-source BFS then
+/// computes the rows of every source of the block that has none, so the
+/// oracle keeps a row for every source of each block it touched twice.
+/// A few sources scattered over a large graph thus cost one row each,
+/// not 64.
 ///
 /// Lengths come from the same exact goal-directed search as
 /// [`pair_distances`]: an A* per query, aimed at the target, equal bit
@@ -401,6 +551,8 @@ impl LengthSearch {
 /// [`pair_distances`] online: once a source's length queries times the
 /// mean number of nodes a search expanded reach `n`, that source's
 /// [`dijkstra_lengths`] row is computed and cached, and answers the rest.
+/// Searches and rows read edge lengths from one array, computed at the
+/// first length query.
 ///
 /// # Example
 /// ```
@@ -418,22 +570,39 @@ pub struct DistanceOracle<'a> {
     g: &'a Graph,
     /// BFS hop rows per source, [`UNREACHED`] where no path exists.
     hops: Vec<Option<Vec<u32>>>,
+    /// Every node, in [`morton_order`]: block `b` is
+    /// `by_position[b * BATCH..][..BATCH]`.
+    by_position: Vec<usize>,
+    /// Each node's block.
+    block_of: Vec<usize>,
+    /// Whether a source of the block has missed before.
+    missed: Vec<bool>,
     lengths: Vec<Option<Vec<Option<f64>>>>,
     /// Length queries per source that have no cached row.
     queries: Vec<usize>,
-    search: LengthSearch,
+    /// Created by the first length query.
+    search: Option<LengthSearch>,
 }
 
 impl<'a> DistanceOracle<'a> {
     /// An oracle over `g` with no rows computed yet.
     pub fn new(g: &'a Graph) -> Self {
         let n = g.node_count();
+        let points = g.points();
+        let by_position = morton_order(n, |v| points[v]);
+        let mut block_of = vec![0; n];
+        for (rank, &v) in by_position.iter().enumerate() {
+            block_of[v] = rank / BATCH;
+        }
         DistanceOracle {
             g,
             hops: vec![None; n],
+            by_position,
+            block_of,
+            missed: vec![false; n.div_ceil(BATCH)],
             lengths: vec![None; n],
             queries: vec![0; n],
-            search: LengthSearch::new(n),
+            search: None,
         }
     }
 
@@ -442,7 +611,33 @@ impl<'a> DistanceOracle<'a> {
     /// # Panics
     /// Panics if either endpoint is out of bounds.
     pub fn hops(&mut self, src: usize, dst: usize) -> Option<u32> {
+        if self.hops[src].is_none() && std::mem::replace(&mut self.missed[self.block_of[src]], true)
+        {
+            self.fill_block(self.block_of[src]);
+        }
         hop(self.hops[src].get_or_insert_with(|| hop_row(self.g, src))[dst])
+    }
+
+    /// Computes, in one [`multi_bfs`] pass, the hop row of every source
+    /// of `block` that has none.
+    fn fill_block(&mut self, block: usize) {
+        let n = self.g.node_count();
+        let members = &self.by_position[block * BATCH..n.min((block + 1) * BATCH)];
+        let sources: Vec<usize> = members
+            .iter()
+            .copied()
+            .filter(|&s| self.hops[s].is_none())
+            .collect();
+        let mut rows = vec![vec![UNREACHED; n]; sources.len()];
+        multi_bfs(self.g, &sources, |level, v, mut bits| {
+            while bits != 0 {
+                rows[bits.trailing_zeros() as usize][v] = level;
+                bits &= bits - 1;
+            }
+        });
+        for (s, row) in sources.into_iter().zip(rows) {
+            self.hops[s] = Some(row);
+        }
     }
 
     /// Euclidean shortest-path length from `src` to `dst` (`None` when
@@ -456,10 +651,12 @@ impl<'a> DistanceOracle<'a> {
             return row[dst];
         }
         self.queries[src] += 1;
-        if self.search.prefers_row(self.queries[src]) {
-            return self.lengths[src].insert(dijkstra_lengths(self.g, src))[dst];
+        let g = self.g;
+        let search = self.search.get_or_insert_with(|| LengthSearch::new(g));
+        if search.prefers_row(self.queries[src]) {
+            return self.lengths[src].insert(search.row(g, src))[dst];
         }
-        self.search.length(self.g, src, dst)
+        search.length(g, src, dst)
     }
 }
 
@@ -468,14 +665,20 @@ impl<'a> DistanceOracle<'a> {
 ///
 /// Returns exactly what [`DistanceOracle::hops`] and
 /// [`DistanceOracle::length`] would, and what [`bfs_hops`] and
-/// [`dijkstra_lengths`] rows would: hops from one BFS row per distinct
-/// source, lengths bit-identical to Dijkstra's. The sources are visited
-/// in ascending order and every row is dropped once its pairs are
-/// answered, so memory is `O(n + pairs)` rather than the oracle's
-/// `O(n · sources)`.
+/// [`dijkstra_lengths`] rows would: hop counts equal, lengths
+/// bit-identical to Dijkstra's.
+///
+/// Hops come from one 64-source BFS per 64 distinct sources. Every node
+/// carries one `u64` word per BFS state, one bit per source, and a pass
+/// scans only the frontier's rows (Then et al., "The More the Merrier",
+/// VLDB 2014). The sources are batched in the Morton order of their
+/// positions, so a batch's sources lie close together and share most of
+/// their traversal. Each pair waits in a list at its destination and is
+/// answered at the level its source's bit arrives there. No row is kept,
+/// so memory is `O(n + pairs)` rather than the oracle's `O(n · sources)`.
 ///
 /// A length comes from one of two exact computations, chosen per source
-/// by cost alone:
+/// by cost alone, with the sources visited in ascending order:
 ///
 /// * an A* search aimed at the target, on the key `g + |vd|`. In a unit
 ///   disk graph `|vd|` is a consistent lower bound on the remaining
@@ -488,14 +691,16 @@ impl<'a> DistanceOracle<'a> {
 ///   the derivation is on the search in the source.
 /// * one [`dijkstra_lengths`] row, which settles every node.
 ///
-/// With `k` pairs at a source and `s̄` the mean number of nodes the
-/// searches of this batch expanded so far, the source gets a row when
-/// `k · s̄ ≥ n` and `k` searches otherwise; the first source always
-/// searches. Pairs the BFS row finds unreachable get `None` without a
-/// length search.
+/// Both read each edge's length from one array computed per call, with
+/// the expression [`dijkstra_lengths`] uses. With `k` pairs at a source
+/// and `s̄` the mean number of nodes the searches of this batch expanded
+/// so far, the source gets a row when `k · s̄ ≥ n` and `k` searches
+/// otherwise; the first source always searches. Pairs the BFS finds
+/// unreachable get `None` without a length search.
 ///
 /// # Panics
-/// Panics if an endpoint is out of bounds.
+/// Panics if a source or a destination is out of bounds, before any
+/// search runs.
 ///
 /// # Example
 /// ```
@@ -507,28 +712,71 @@ impl<'a> DistanceOracle<'a> {
 /// assert_eq!(pair_distances(&g, &[(2, 0), (0, 1)]), vec![(Some(2), Some(2.0)), (Some(1), Some(1.0))]);
 /// ```
 pub fn pair_distances(g: &Graph, pairs: &[(usize, usize)]) -> Vec<(Option<u32>, Option<f64>)> {
+    let n = g.node_count();
+    for &(src, dst) in pairs {
+        assert!(src < n, "source {src} out of bounds for {n} nodes");
+        assert!(dst < n, "destination {dst} out of bounds for {n} nodes");
+    }
     let mut order: Vec<usize> = (0..pairs.len()).collect();
     order.sort_by_key(|&i| pairs[i].0);
+    let groups: Vec<&[usize]> = order.chunk_by(|&a, &b| pairs[a].0 == pairs[b].0).collect();
+    let hops = batched_hops(g, pairs, &groups);
     let mut out = vec![(None, None); pairs.len()];
-    let mut search = LengthSearch::new(g.node_count());
-    for group in order.chunk_by(|&a, &b| pairs[a].0 == pairs[b].0) {
+    let mut search = LengthSearch::new(g);
+    for group in groups {
         let src = pairs[group[0]].0;
-        let hops = hop_row(g, src);
-        let row = search
-            .prefers_row(group.len())
-            .then(|| dijkstra_lengths(g, src));
+        let row = search.prefers_row(group.len()).then(|| search.row(g, src));
         for &i in group {
             let dst = pairs[i].1;
-            let h = hop(hops[dst]);
-            let length = match (h, &row) {
+            let length = match (hops[i], &row) {
                 (None, _) => None,
                 (Some(_), Some(row)) => row[dst],
                 (Some(_), None) => search.length(g, src, dst),
             };
-            out[i] = (h, length);
+            out[i] = (hops[i], length);
         }
     }
     out
+}
+
+/// The hop counts of `pairs`, whose indices `groups` partitions by
+/// source: one [`multi_bfs`] pass per [`BATCH`] groups, in the Morton
+/// order of their sources.
+fn batched_hops(g: &Graph, pairs: &[(usize, usize)], groups: &[&[usize]]) -> Vec<Option<u32>> {
+    /// The end of a destination's list of waiting pairs.
+    const END: usize = usize::MAX;
+    let points = g.points();
+    let source = |k: usize| pairs[groups[k][0]].0;
+    let mut hops = vec![None; pairs.len()];
+    // The pairs of the current pass waiting at each destination `d`:
+    // `first[d]`, then along `link`; `bit[i]` is pair `i`'s source bit.
+    let mut first = vec![END; g.node_count()];
+    let mut link = vec![END; pairs.len()];
+    let mut bit = vec![0u8; pairs.len()];
+    for batch in morton_order(groups.len(), |k| points[source(k)]).chunks(BATCH) {
+        for (b, &k) in batch.iter().enumerate() {
+            for &i in groups[k] {
+                let d = pairs[i].1;
+                (link[i], first[d], bit[i]) = (first[d], i, b as u8);
+            }
+        }
+        let sources: Vec<usize> = batch.iter().map(|&k| source(k)).collect();
+        multi_bfs(g, &sources, |level, v, bits| {
+            let mut i = first[v];
+            while i != END {
+                if bits >> bit[i] & 1 != 0 {
+                    hops[i] = Some(level);
+                }
+                i = link[i];
+            }
+        });
+        for &k in batch {
+            for &i in groups[k] {
+                first[pairs[i].1] = END;
+            }
+        }
+    }
+    hops
 }
 
 #[cfg(test)]
@@ -634,7 +882,7 @@ mod tests {
         let chord = g.edge_length(0, 4);
         let want = dijkstra_lengths(&g, 0)[4].unwrap();
         assert!(want < chord);
-        let got = LengthSearch::new(5).length(&g, 0, 4).unwrap();
+        let got = LengthSearch::new(&g).length(&g, 0, 4).unwrap();
         assert_eq!(got.to_bits(), want.to_bits());
     }
 
@@ -659,13 +907,13 @@ mod tests {
         assert!(g.points()[2].distance(g.points()[1]).is_infinite());
         let want = dijkstra_lengths(&g, 0)[1];
         assert_eq!(want, Some(3.0 * e));
-        assert_eq!(LengthSearch::new(6).length(&g, 0, 1), want);
+        assert_eq!(LengthSearch::new(&g).length(&g, 0, 1), want);
     }
 
     #[test]
     fn search_scratch_survives_epoch_wraparound() {
         let g = diamond();
-        let mut search = LengthSearch::new(g.node_count());
+        let mut search = LengthSearch::new(&g);
         search.epoch = u32::MAX - 1;
         for _ in 0..3 {
             for src in 0..g.node_count() {
@@ -675,6 +923,42 @@ mod tests {
             }
         }
         assert!(search.epoch < 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "source 5 out of bounds for 5 nodes")]
+    fn pair_distances_rejects_an_out_of_bounds_source() {
+        pair_distances(&diamond(), &[(0, 1), (5, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "destination 9 out of bounds for 5 nodes")]
+    fn pair_distances_rejects_an_out_of_bounds_destination() {
+        pair_distances(&diamond(), &[(0, 1), (2, 9)]);
+    }
+
+    /// Infinite, NaN, extreme and subnormal coordinates, and ranges that
+    /// overflow: the order is still a permutation, ties by index.
+    #[test]
+    fn morton_order_takes_any_coordinate() {
+        let xs = [
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE / 4.0,
+            -1e300,
+        ];
+        let points: Vec<Point> = xs
+            .iter()
+            .flat_map(|&x| xs.iter().map(move |&y| Point::new(x, y)))
+            .collect();
+        let mut order = morton_order(points.len(), |i| points[i]);
+        order.sort_unstable();
+        assert!(order.iter().copied().eq(0..points.len()));
+        assert_eq!(morton_order(3, |_| Point::new(1.0, 1.0)), vec![0, 1, 2]);
     }
 
     #[test]

@@ -21,28 +21,92 @@ fn deployment() -> impl Strategy<Value = (Vec<Point>, f64)> {
 /// every two points whose integer offset has squared length at most
 /// `reach_sq`. Equal-length paths abound and differ only in rounding;
 /// the tiny scale makes every squared difference underflow.
-fn lattice() -> impl Strategy<Value = Graph> {
-    (1usize..9, 1usize..9, 0usize..4, 0usize..5).prop_map(|(w, h, reach, scale)| {
-        let reach_sq = [1, 2, 4, 5][reach];
-        let scale = [1.0, 0.1, 3.0, 1e-160, 1e150][scale];
-        let at = |i: usize| ((i % w) as i64, (i / w) as i64);
-        let points = (0..w * h)
-            .map(|i| {
-                let (x, y) = at(i);
-                Point::new(x as f64 * scale, y as f64 * scale)
-            })
-            .collect();
-        let mut edges = Vec::new();
-        for u in 0..w * h {
-            for v in u + 1..w * h {
-                let ((ux, uy), (vx, vy)) = (at(u), at(v));
-                if (ux - vx).pow(2) + (uy - vy).pow(2) <= reach_sq {
-                    edges.push((u, v));
-                }
+fn lattice_graph(w: usize, h: usize, reach_sq: i64, scale: f64) -> Graph {
+    let at = |i: usize| ((i % w) as i64, (i / w) as i64);
+    let points = (0..w * h)
+        .map(|i| {
+            let (x, y) = at(i);
+            Point::new(x as f64 * scale, y as f64 * scale)
+        })
+        .collect();
+    let mut edges = Vec::new();
+    for u in 0..w * h {
+        for v in u + 1..w * h {
+            let ((ux, uy), (vx, vy)) = (at(u), at(v));
+            if (ux - vx).pow(2) + (uy - vy).pow(2) <= reach_sq {
+                edges.push((u, v));
             }
         }
-        Graph::with_edges(points, edges)
+    }
+    Graph::with_edges(points, edges)
+}
+
+/// Squared reaches of [`lattice_graph`]: 4, 8, 12 and 20 neighbours.
+const REACH_SQ: [i64; 4] = [1, 2, 4, 5];
+
+/// [`lattice_graph`]s of up to 8 × 8 points at five scales.
+fn lattice() -> impl Strategy<Value = Graph> {
+    (1usize..9, 1usize..9, 0usize..4, 0usize..5).prop_map(|(w, h, reach, scale)| {
+        let scale = [1.0, 0.1, 3.0, 1e-160, 1e150][scale];
+        lattice_graph(w, h, REACH_SQ[reach], scale)
     })
+}
+
+/// Unit disk graphs of 65 to 299 nodes, more than one 64-source pass of
+/// [`pair_distances`]: uniform, cut into three strips 400 apart (further
+/// than any radius here, so several components), or with the last
+/// quarter of the points repeating the first (coincident nodes).
+fn multi_batch_udg() -> impl Strategy<Value = Graph> {
+    (65usize..300, 20.0f64..60.0, 0usize..3, any::<u64>()).prop_map(|(n, radius, shape, seed)| {
+        let mut pts = uniform_points(n, 150.0, seed);
+        match shape {
+            1 => {
+                for (i, p) in pts.iter_mut().enumerate() {
+                    p.x += 400.0 * (i % 3) as f64;
+                }
+            }
+            2 => {
+                for i in 0..n / 4 {
+                    pts[n - 1 - i] = pts[i];
+                }
+            }
+            _ => {}
+        }
+        UnitDiskBuilder::new(radius).build(&pts)
+    })
+}
+
+/// SplitMix64: the seeded draws of [`assert_sources_exact`].
+fn split_mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn shuffle<T>(items: &mut [T], state: &mut u64) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, (split_mix(state) % (i as u64 + 1)) as usize);
+    }
+}
+
+/// Pairs from exactly `k` distinct sources of `g`, in a seeded shuffle:
+/// each source with itself, with a random destination twice, and with
+/// one more, checked by [`assert_batch_exact`].
+fn assert_sources_exact(g: &Graph, k: usize, seed: u64) -> Result<(), TestCaseError> {
+    let n = g.node_count();
+    let mut state = seed;
+    let mut nodes: Vec<usize> = (0..n).collect();
+    shuffle(&mut nodes, &mut state);
+    let mut pairs = Vec::new();
+    for &s in &nodes[..k] {
+        let d = (split_mix(&mut state) % n as u64) as usize;
+        let e = (split_mix(&mut state) % n as u64) as usize;
+        pairs.extend([(s, s), (s, d), (s, e), (s, d)]);
+    }
+    shuffle(&mut pairs, &mut state);
+    assert_batch_exact(g, &pairs)
 }
 
 /// A chain of 4 or 5 points a hair off the segment between its ends,
@@ -102,23 +166,23 @@ fn assert_lengths_exact(g: &Graph) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// `pair_distances(g, pairs)` against raw [`bfs_hops`] and
+/// `pair_distances(g, pairs)`, and one [`DistanceOracle`] asked the
+/// pairs in their order, against raw [`bfs_hops`] and
 /// [`dijkstra_lengths`] rows, lengths to the bit.
 fn assert_batch_exact(g: &Graph, pairs: &[(usize, usize)]) -> Result<(), TestCaseError> {
     let batched = pair_distances(g, pairs);
     prop_assert_eq!(batched.len(), pairs.len());
+    let mut oracle = DistanceOracle::new(g);
     let mut rows = vec![None; g.node_count()];
     for (&(s, d), &(hops, len)) in pairs.iter().zip(&batched) {
         let (hop_row, len_row) =
             rows[s].get_or_insert_with(|| (bfs_hops(g, s), dijkstra_lengths(g, s)));
-        prop_assert_eq!(hops, hop_row[d]);
-        prop_assert_eq!(
-            len.map(f64::to_bits),
-            len_row[d].map(f64::to_bits),
-            "{} -> {}",
-            s,
-            d
-        );
+        let want = len_row[d].map(f64::to_bits);
+        prop_assert_eq!(hops, hop_row[d], "hops {} -> {}", s, d);
+        prop_assert_eq!(len.map(f64::to_bits), want, "length {} -> {}", s, d);
+        prop_assert_eq!(oracle.hops(s, d), hop_row[d], "oracle hops {} -> {}", s, d);
+        let len = oracle.length(s, d).map(f64::to_bits);
+        prop_assert_eq!(len, want, "oracle length {} -> {}", s, d);
     }
     Ok(())
 }
@@ -372,6 +436,48 @@ proptest! {
             prop_assert_eq!(g.edge_count(), reference.len());
         }
         prop_assert_eq!(g, Graph::with_edges(pts, reference));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Exactly one and two full 64-source passes, two and a partial
+    /// one, and every node as a source (a partial last pass unless `n`
+    /// is a multiple of 64).
+    #[test]
+    fn pair_distances_cross_batch_boundaries(
+        g in multi_batch_udg(),
+        partial in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        let n = g.node_count();
+        for k in [64, 128, 128 + partial, n] {
+            if k <= n {
+                assert_sources_exact(&g, k, seed)?;
+            }
+        }
+    }
+
+    /// The same on 72- to 289-node lattices, at the scales where squared
+    /// differences underflow (1e-160) and where they approach overflow
+    /// (1e150).
+    #[test]
+    fn pair_distances_cross_batch_boundaries_on_lattices(
+        w in 9usize..18,
+        h in 8usize..18,
+        reach in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        for scale in [1e-160, 1e150] {
+            let g = lattice_graph(w, h, REACH_SQ[reach], scale);
+            let n = g.node_count();
+            for k in [64, 128, n] {
+                if k <= n {
+                    assert_sources_exact(&g, k, seed)?;
+                }
+            }
+        }
     }
 }
 

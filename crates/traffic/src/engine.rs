@@ -179,8 +179,8 @@ pub(crate) fn aggregate(udg: &Graph, cores: Vec<ShardCore<'_>>) -> TrafficOutcom
         records.push(rec);
     }
     // Stretch against UDG shortest paths. The baselines are computed
-    // source by source without keeping rows, then folded in packet
-    // order so the float sums do not depend on the batching.
+    // in batches of 64 sources without keeping rows, then folded in
+    // packet order so the float sums do not depend on the batching.
     let stretched = |r: &&PacketRecord| r.outcome == PacketOutcome::Delivered && r.src != r.dst;
     let pairs: Vec<(usize, usize)> = records
         .iter()
