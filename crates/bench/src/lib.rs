@@ -12,7 +12,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod churn;
 pub mod cli;
 pub mod extensions;

@@ -58,9 +58,7 @@ pub use predicates::{
 };
 pub use segment::{segments_cross, segments_properly_cross, SegmentIntersection};
 pub use star::{delaunay_star, Tie};
-pub use triangulation::{
-    delaunay_triangles, DelaunayScratch, Triangle, Triangulation, TriangulationError,
-};
+pub use triangulation::{delaunay_triangles, Triangle, Triangulation, TriangulationError};
 
 /// Pseudo-angle of the vector `(dx, dy)`: a monotone surrogate for
 /// `atan2(dy, dx)` that maps the full turn to `[0, 4)` without

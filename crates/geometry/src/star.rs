@@ -7,8 +7,9 @@ use crate::{incircle, orient2d, CirclePosition, Orientation, Point, Triangle};
 /// equally near nearest neighbours, four cocircular points, a point
 /// collinear with a star edge, or a walk that does not close.
 ///
-/// The caller falls back to a full triangulation ([`crate::DelaunayScratch`]),
-/// whose insertion order then breaks the tie.
+/// The caller falls back to a full triangulation
+/// ([`crate::delaunay_triangles`]), whose insertion order then breaks the
+/// tie.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tie;
 
@@ -35,7 +36,7 @@ const NEAR_TIE: f64 = 16.0 * f64::EPSILON;
 /// When it returns `Ok`, every star triangle's circumcircle has no other
 /// point inside or on it, so the triangles are exactly those incident to
 /// the centre in *every* Delaunay triangulation of `points` — in
-/// particular in [`crate::DelaunayScratch`]'s.
+/// particular in the one [`crate::delaunay_triangles`] builds.
 ///
 /// Fewer than three points have no triangles.
 ///
@@ -45,8 +46,8 @@ const NEAR_TIE: f64 = 16.0 * f64::EPSILON;
 ///
 /// # Panics
 /// Panics if `centre` is out of bounds. Points must be finite and
-/// pairwise distinct (debug-asserted), as for
-/// [`crate::DelaunayScratch::triangles_into_assuming_distinct`].
+/// pairwise distinct (debug-asserted), as [`crate::delaunay_triangles`]
+/// checks.
 ///
 /// # Example
 /// ```

@@ -152,9 +152,7 @@ impl Triangulation {
     /// infinite coordinates.
     pub fn build(points: &[Point]) -> Result<Self, TriangulationError> {
         check_distinct_finite(points)?;
-        let mut scratch = DelaunayScratch::new();
-        let core = Core::run(points, &mut scratch);
-        Ok(core.finish(points))
+        Ok(Core::run(points).finish(points))
     }
 
     /// The input points, in their original order.
@@ -278,111 +276,25 @@ pub(crate) fn check_distinct_finite(points: &[Point]) -> Result<(), Triangulatio
 /// keys).
 ///
 /// This is the path for callers that consume only the triangle list —
-/// the distributed LDel¹ node's tie fallback, when
-/// [`crate::delaunay_star`] meets an exact degeneracy; it produces
-/// exactly the triangles [`Triangulation::build`] would.
+/// the LDel¹ constructions' tie fallback, when [`crate::delaunay_star`]
+/// meets an exact degeneracy; it produces exactly the triangles
+/// [`Triangulation::build`] would, so cocircular ties are broken by the
+/// same insertion order.
 ///
 /// # Errors
 /// Same contract as [`Triangulation::build`].
 pub fn delaunay_triangles(points: &[Point]) -> Result<Vec<Triangle>, TriangulationError> {
-    let mut scratch = DelaunayScratch::new();
-    let mut out = Vec::new();
-    scratch.triangles_into(points, &mut out)?;
-    Ok(out)
-}
-
-/// Reusable Bowyer–Watson working memory.
-///
-/// One `DelaunayScratch` amortizes every internal buffer — the triangle
-/// arena, the epoch-stamped cavity marks, the flood-fill stack, the
-/// boundary fan — across an arbitrary number of triangulations, so a
-/// caller computing many small local triangulations allocates O(1) per
-/// insertion at steady state instead of rebuilding every buffer per
-/// call. `ldel1` keeps one per worker as its tie fallback: a node whose
-/// [`crate::delaunay_star`] meets an exact degeneracy triangulates its
-/// whole neighbourhood here, so cocircular ties are broken by this
-/// insertion order.
-///
-/// The mark epochs deliberately survive across calls: epochs only ever
-/// increase, so a stale mark from a previous triangulation can never
-/// equal the current epoch and clearing between calls is free.
-///
-/// # Example
-/// ```
-/// use geospan_geometry::{DelaunayScratch, Point};
-/// let mut scratch = DelaunayScratch::new();
-/// let mut tris = Vec::new();
-/// for dy in [0.5, 1.0, 2.0] {
-///     let pts = [
-///         Point::new(0.0, 0.0),
-///         Point::new(4.0, 0.0),
-///         Point::new(4.0, 4.0),
-///         Point::new(0.0, dy),
-///     ];
-///     scratch.triangles_into(&pts, &mut tris).unwrap();
-///     assert_eq!(tris.len(), 2);
-/// }
-/// ```
-#[derive(Debug, Default)]
-pub struct DelaunayScratch {
-    tris: Vec<Tri>,
-    /// Per-triangle cavity mark, epoch-stamped so clearing is free:
-    /// `(epoch, in_conflict)`.
-    mark: Vec<(u32, bool)>,
-    /// Current mark epoch; strictly increasing across calls.
-    epoch: u32,
-    cavity: Vec<usize>,
-    stack: Vec<usize>,
-    boundary: Vec<BoundaryEdge>,
-}
-
-impl DelaunayScratch {
-    /// Creates an empty scratch; buffers grow to fit the largest input
-    /// seen and stay allocated.
-    pub fn new() -> Self {
-        DelaunayScratch::default()
+    check_distinct_finite(points)?;
+    let core = Core::run(points);
+    if core.collinear_chain.is_some() {
+        return Ok(Vec::new());
     }
-
-    /// Computes the Delaunay triangles of `points` into `out` (cleared
-    /// first), reusing this scratch's buffers.
-    ///
-    /// Produces exactly the triangles [`delaunay_triangles`] would — the
-    /// insertion order, and hence every cocircular tie-break, is
-    /// identical.
-    ///
-    /// # Errors
-    /// Same contract as [`Triangulation::build`].
-    pub fn triangles_into(
-        &mut self,
-        points: &[Point],
-        out: &mut Vec<Triangle>,
-    ) -> Result<(), TriangulationError> {
-        check_distinct_finite(points)?;
-        self.triangles_into_assuming_distinct(points, out);
-        Ok(())
-    }
-
-    /// [`DelaunayScratch::triangles_into`] minus the input validation,
-    /// for callers that have already established the points are finite
-    /// and pairwise distinct (e.g. once for a whole deployment rather
-    /// than once per local neighborhood).
-    ///
-    /// Feeding duplicate or non-finite points is a logic error; the
-    /// precondition is debug-asserted.
-    pub fn triangles_into_assuming_distinct(&mut self, points: &[Point], out: &mut Vec<Triangle>) {
-        debug_assert!(check_distinct_finite(points).is_ok());
-        out.clear();
-        let collinear = Core::run(points, self).collinear_chain.is_some();
-        if collinear {
-            return;
-        }
-        out.extend(
-            self.tris
-                .iter()
-                .filter(|t| t.alive && t.ghost == NOT_GHOST)
-                .map(|t| Triangle(t.v)),
-        );
-    }
+    Ok(core
+        .tris
+        .iter()
+        .filter(|t| t.alive && t.ghost == NOT_GHOST)
+        .map(|t| Triangle(t.v))
+        .collect())
 }
 
 /// A boundary edge of an insertion cavity, in the retired triangle's
@@ -397,35 +309,36 @@ struct BoundaryEdge {
     outside: usize,
 }
 
-/// The mutable Bowyer–Watson state; all growable buffers live in the
-/// borrowed [`DelaunayScratch`] so they survive across builds.
-struct Core<'a, 's> {
+/// The mutable Bowyer–Watson state.
+struct Core<'a> {
     pts: &'a [Point],
-    buf: &'s mut DelaunayScratch,
+    tris: Vec<Tri>,
+    /// Per-triangle cavity mark, epoch-stamped so clearing is free:
+    /// `(epoch, in_conflict)`.
+    mark: Vec<(u32, bool)>,
+    /// Current mark epoch, one per insertion.
+    epoch: u32,
+    cavity: Vec<usize>,
+    stack: Vec<usize>,
+    boundary: Vec<BoundaryEdge>,
     /// Hint: a recently alive triangle to start walks from.
     last: usize,
-    /// Indices inserted into the structure so far.
-    inserted: usize,
     /// Entirely-collinear fallback: when `Some`, holds the chain order.
     collinear_chain: Option<Vec<usize>>,
 }
 
-impl<'a, 's> Core<'a, 's> {
-    fn run(points: &'a [Point], buf: &'s mut DelaunayScratch) -> Core<'a, 's> {
+impl<'a> Core<'a> {
+    fn run(points: &'a [Point]) -> Core<'a> {
         let n = points.len();
-        buf.tris.clear();
-        // Epochs must stay strictly increasing within this run; if a
-        // long-lived scratch is anywhere near wrap-around, pay one full
-        // mark reset now.
-        if buf.epoch as u64 + n as u64 + 16 > u32::MAX as u64 {
-            buf.mark.clear();
-            buf.epoch = 0;
-        }
         let mut core = Core {
             pts: points,
-            buf,
+            tris: Vec::new(),
+            mark: Vec::new(),
+            epoch: 0,
+            cavity: Vec::new(),
+            stack: Vec::new(),
+            boundary: Vec::new(),
             last: NO_TRI,
-            inserted: 0,
             collinear_chain: None,
         };
         if n < 3 {
@@ -475,28 +388,28 @@ impl<'a, 's> Core<'a, 's> {
         let (pa, pb, pc) = (self.pts[a], self.pts[b], self.pts[c]);
         let dummy = Point::new(0.0, 0.0);
         // Triangle 0: (a, b, c). Ghosts: 1 across ab, 2 across bc, 3 across ca.
-        self.buf.tris.push(Tri {
+        self.tris.push(Tri {
             v: [a, b, c],
             p: [pa, pb, pc],
             n: [2, 3, 1],
             ghost: NOT_GHOST,
             alive: true,
         });
-        self.buf.tris.push(Tri {
+        self.tris.push(Tri {
             v: [b, a, GHOST],
             p: [pb, pa, dummy],
             n: [3, 2, 0],
             ghost: 2,
             alive: true,
         });
-        self.buf.tris.push(Tri {
+        self.tris.push(Tri {
             v: [c, b, GHOST],
             p: [pc, pb, dummy],
             n: [1, 3, 0],
             ghost: 2,
             alive: true,
         });
-        self.buf.tris.push(Tri {
+        self.tris.push(Tri {
             v: [a, c, GHOST],
             p: [pa, pc, dummy],
             n: [2, 1, 0],
@@ -504,13 +417,12 @@ impl<'a, 's> Core<'a, 's> {
             alive: true,
         });
         self.last = 0;
-        self.inserted = 3;
     }
 
     /// Does triangle `t` conflict with (require removal upon inserting) `p`?
     #[inline]
     fn in_conflict(&self, t: usize, p: Point) -> bool {
-        let tri = &self.buf.tris[t];
+        let tri = &self.tris[t];
         if tri.ghost != NOT_GHOST {
             let k = tri.ghost as usize;
             let pu = tri.p[(k + 1) % 3];
@@ -531,33 +443,32 @@ impl<'a, 's> Core<'a, 's> {
     /// Finds some triangle in conflict with `p`, walking from the hint.
     fn locate(&self, p: Point) -> usize {
         let mut t = self.last;
-        if t == NO_TRI || !self.buf.tris[t].alive {
+        if t == NO_TRI || !self.tris[t].alive {
             t = self
-                .buf
                 .tris
                 .iter()
                 .position(|t| t.alive)
                 .expect("no alive triangle");
         }
         // If the hint is a ghost, step into its real neighbor.
-        if self.buf.tris[t].ghost != NOT_GHOST {
-            t = self.buf.tris[t].n[self.buf.tris[t].ghost as usize];
+        if self.tris[t].ghost != NOT_GHOST {
+            t = self.tris[t].n[self.tris[t].ghost as usize];
         }
-        let limit = 4 * self.buf.tris.len() + 16;
+        let limit = 4 * self.tris.len() + 16;
         let mut steps = 0;
         'walk: while steps < limit {
             steps += 1;
-            let tri = &self.buf.tris[t];
+            let tri = &self.tris[t];
             if tri.ghost != NOT_GHOST {
                 // Reached the hull: p is outside. Walk the ghost ring
                 // until a conflicting ghost is found.
                 let mut g = t;
-                for _ in 0..self.buf.tris.len() + 1 {
+                for _ in 0..self.tris.len() + 1 {
                     if self.in_conflict(g, p) {
                         return g;
                     }
-                    let k = self.buf.tris[g].ghost as usize;
-                    g = self.buf.tris[g].n[(k + 1) % 3]; // next ghost around the hull
+                    let k = self.tris[g].ghost as usize;
+                    g = self.tris[g].n[(k + 1) % 3]; // next ghost around the hull
                 }
                 break 'walk;
             }
@@ -574,46 +485,44 @@ impl<'a, 's> Core<'a, 's> {
             return t;
         }
         // Exceedingly rare fallback (degenerate walk cycles): scan.
-        (0..self.buf.tris.len())
-            .find(|&t| self.buf.tris[t].alive && self.in_conflict(t, p))
+        (0..self.tris.len())
+            .find(|&t| self.tris[t].alive && self.in_conflict(t, p))
             .expect("insertion point conflicts with no triangle")
     }
 
     /// Inserts point index `pi` by cavity retriangulation.
     ///
-    /// All bookkeeping runs on reused scratch buffers and epoch-stamped
-    /// marks — no per-insert allocation or hashing — which is what makes
-    /// thousands of small local triangulations (the `ldel1` workload)
-    /// cheap.
+    /// All bookkeeping runs on buffers reused across insertions and on
+    /// epoch-stamped marks: no per-insert allocation or hashing.
     fn insert(&mut self, pi: usize) {
         let p = self.pts[pi];
         let seed = self.locate(p);
         debug_assert!(self.in_conflict(seed, p));
 
         // Flood-fill the conflict cavity.
-        self.buf.epoch += 1;
-        let epoch = self.buf.epoch;
-        if self.buf.mark.len() < self.buf.tris.len() {
-            let len = self.buf.tris.len();
-            self.buf.mark.resize(len, (0, false));
+        self.epoch += 1;
+        let epoch = self.epoch;
+        if self.mark.len() < self.tris.len() {
+            let len = self.tris.len();
+            self.mark.resize(len, (0, false));
         }
-        let mut cavity = std::mem::take(&mut self.buf.cavity);
+        let mut cavity = std::mem::take(&mut self.cavity);
         cavity.clear();
         cavity.push(seed);
-        self.buf.mark[seed] = (epoch, true);
-        self.buf.stack.clear();
-        self.buf.stack.push(seed);
-        while let Some(t) = self.buf.stack.pop() {
-            let ns = self.buf.tris[t].n;
+        self.mark[seed] = (epoch, true);
+        self.stack.clear();
+        self.stack.push(seed);
+        while let Some(t) = self.stack.pop() {
+            let ns = self.tris[t].n;
             for &nb in &ns {
-                if nb == NO_TRI || self.buf.mark[nb].0 == epoch {
+                if nb == NO_TRI || self.mark[nb].0 == epoch {
                     continue;
                 }
                 let c = self.in_conflict(nb, p);
-                self.buf.mark[nb] = (epoch, c);
+                self.mark[nb] = (epoch, c);
                 if c {
                     cavity.push(nb);
-                    self.buf.stack.push(nb);
+                    self.stack.push(nb);
                 }
             }
         }
@@ -621,13 +530,13 @@ impl<'a, 's> Core<'a, 's> {
         // Collect the boundary fan: edges of cavity triangles whose
         // neighbor lies outside the cavity, in the cavity triangle's
         // own cyclic orientation.
-        let mut boundary = std::mem::take(&mut self.buf.boundary);
+        let mut boundary = std::mem::take(&mut self.boundary);
         boundary.clear();
         for &t in &cavity {
-            let tri = self.buf.tris[t];
+            let tri = self.tris[t];
             for i in 0..3 {
                 let nb = tri.n[i];
-                let nb_in = nb != NO_TRI && self.buf.mark[nb] == (epoch, true);
+                let nb_in = nb != NO_TRI && self.mark[nb] == (epoch, true);
                 if !nb_in {
                     boundary.push(BoundaryEdge {
                         u: tri.v[(i + 1) % 3],
@@ -643,9 +552,9 @@ impl<'a, 's> Core<'a, 's> {
 
         // Retire the cavity and fan new triangles (pi, u, w).
         for &t in &cavity {
-            self.buf.tris[t].alive = false;
+            self.tris[t].alive = false;
         }
-        let base = self.buf.tris.len();
+        let base = self.tris.len();
         for (off, e) in boundary.iter().enumerate() {
             let idx = base + off;
             // `pi` is always a real vertex, so a ghost can only sit at
@@ -657,7 +566,7 @@ impl<'a, 's> Core<'a, 's> {
             } else {
                 NOT_GHOST
             };
-            self.buf.tris.push(Tri {
+            self.tris.push(Tri {
                 v: [pi, e.u, e.w],
                 p: [p, e.pu, e.pw],
                 n: [e.outside, NO_TRI, NO_TRI],
@@ -666,7 +575,7 @@ impl<'a, 's> Core<'a, 's> {
             });
             // Point the outside neighbor back at the new triangle.
             if e.outside != NO_TRI {
-                let out = &mut self.buf.tris[e.outside];
+                let out = &mut self.tris[e.outside];
                 for j in 0..3 {
                     let a = out.v[(j + 1) % 3];
                     let b = out.v[(j + 2) % 3];
@@ -690,13 +599,12 @@ impl<'a, 's> Core<'a, 's> {
                 .iter()
                 .position(|e2| e2.w == e.u)
                 .expect("cavity boundary is a closed fan");
-            self.buf.tris[idx].n[1] = base + across_wp; // across edge (w, p)
-            self.buf.tris[idx].n[2] = base + across_pu; // across edge (p, u)
+            self.tris[idx].n[1] = base + across_wp; // across edge (w, p)
+            self.tris[idx].n[2] = base + across_pu; // across edge (p, u)
         }
         self.last = base;
-        self.inserted += 1;
-        self.buf.cavity = cavity;
-        self.buf.boundary = boundary;
+        self.cavity = cavity;
+        self.boundary = boundary;
     }
 
     /// Converts the working state into the public structure.
@@ -717,7 +625,7 @@ impl<'a, 's> Core<'a, 's> {
                 edge_set.insert(ordered(w[0], w[1]));
             }
         } else {
-            for t in self.buf.tris.iter().filter(|t| t.alive) {
+            for t in self.tris.iter().filter(|t| t.alive) {
                 if t.ghost != NOT_GHOST {
                     continue;
                 }
@@ -729,17 +637,16 @@ impl<'a, 's> Core<'a, 's> {
             }
             // Walk the ghost ring to recover the hull in CCW order.
             if let Some(start) = self
-                .buf
                 .tris
                 .iter()
                 .position(|t| t.alive && t.ghost != NOT_GHOST)
             {
                 let mut g = start;
                 loop {
-                    let k = self.buf.tris[g].ghost as usize;
+                    let k = self.tris[g].ghost as usize;
                     // Stored edge (u, w) reverses hull edge w -> u: emit w.
-                    hull.push(self.buf.tris[g].v[(k + 2) % 3]);
-                    g = self.buf.tris[g].n[(k + 1) % 3];
+                    hull.push(self.tris[g].v[(k + 2) % 3]);
+                    g = self.tris[g].n[(k + 1) % 3];
                     if g == start {
                         break;
                     }

@@ -1,8 +1,8 @@
 //! Property-based tests for the geometry substrate.
 
 use geospan_geometry::{
-    convex_hull, delaunay_star, gabriel_test, in_circumcircle, incircle, orient2d,
-    segments_properly_cross, CirclePosition, DelaunayScratch, Orientation, Point, Tie, Triangle,
+    convex_hull, delaunay_star, delaunay_triangles, gabriel_test, in_circumcircle, incircle,
+    orient2d, segments_properly_cross, CirclePosition, Orientation, Point, Tie, Triangle,
     Triangulation,
 };
 use proptest::prelude::*;
@@ -317,8 +317,7 @@ proptest! {
     #[test]
     fn delaunay_star_is_bowyer_watsons_incident_triangles(shape in 0u8..4, seed in any::<u64>()) {
         let pts = star_input(shape, seed);
-        let mut all = Vec::new();
-        DelaunayScratch::new().triangles_into(&pts, &mut all).unwrap();
+        let all = delaunay_triangles(&pts).unwrap();
         let mut star = Vec::new();
         let mut walked = 0;
         for c in 0..pts.len() {
@@ -371,9 +370,5 @@ fn delaunay_star_ties_on_a_collinear_chain() {
     for c in 0..pts.len() {
         assert_eq!(delaunay_star(&pts, c, &mut star), Err(Tie), "centre {c}");
     }
-    let mut all = Vec::new();
-    DelaunayScratch::new()
-        .triangles_into(&pts, &mut all)
-        .unwrap();
-    assert!(all.is_empty());
+    assert!(delaunay_triangles(&pts).unwrap().is_empty());
 }

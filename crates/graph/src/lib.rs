@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod collections;
-pub mod diameter;
 pub mod gen;
 mod graph;
 pub mod paths;

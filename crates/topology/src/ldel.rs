@@ -32,8 +32,8 @@
 //! the construction is genuinely 1-localized.
 
 use geospan_geometry::{
-    delaunay_star, gabriel_test, in_circumcircle, incircle, orient2d, segments_properly_cross,
-    CirclePosition, DelaunayScratch, Orientation, Point, Triangle, UniformGrid,
+    delaunay_star, delaunay_triangles, gabriel_test, in_circumcircle, incircle, orient2d,
+    segments_properly_cross, CirclePosition, Orientation, Point, Triangle, UniformGrid,
 };
 use geospan_graph::Graph;
 use rayon::prelude::*;
@@ -107,9 +107,9 @@ fn ldel1_parts(g: &Graph) -> (Vec<[usize; 3]>, Vec<(usize, usize)>) {
     // Each node's star is independent — the paper's `O(d log d)`-work-
     // per-node locality — so the node range is split into one contiguous
     // chunk per worker (deterministic regardless of thread count), each
-    // worker reusing one scratch and one id/point/triangle buffer set
-    // across its nodes. Each Gabriel edge is decided once, by its smaller
-    // endpoint, so chunks emit them already sorted.
+    // worker reusing one id/point/triangle buffer set across its nodes.
+    // Each Gabriel edge is decided once, by its smaller endpoint, so
+    // chunks emit them already sorted.
     let workers = rayon::current_num_threads().max(1);
     let chunk = n.div_ceil(workers).max(1);
     let starts: Vec<usize> = (0..n.div_ceil(chunk)).map(|w| w * chunk).collect();
@@ -119,7 +119,6 @@ fn ldel1_parts(g: &Graph) -> (Vec<[usize; 3]>, Vec<(usize, usize)>) {
         .into_par_iter()
         .map(|lo| {
             let hi = (lo + chunk).min(n);
-            let mut scratch = DelaunayScratch::new();
             let mut ids: Vec<usize> = Vec::new();
             let mut pts: Vec<Point> = Vec::new();
             let mut tris: Vec<Triangle> = Vec::new();
@@ -160,14 +159,12 @@ fn ldel1_parts(g: &Graph) -> (Vec<[usize; 3]>, Vec<(usize, usize)>) {
                 } else {
                     // A tie, or a degenerate neighbourhood (degree < 2 or
                     // collinear, where Bowyer–Watson has no triangles):
-                    // the triangles come from the full triangulation, and
-                    // the node's own edges are tested against every
+                    // the triangles come from the full triangulation, which
+                    // cannot fail on the distinct positions checked above,
+                    // and the node's own edges are tested against every
                     // common neighbour.
-                    tris.clear();
-                    if nbrs.len() >= 2 {
-                        scratch.triangles_into_assuming_distinct(&pts, &mut tris);
-                        tris.retain(|t| t.contains(0));
-                    }
+                    tris = delaunay_triangles(&pts).unwrap_or_default();
+                    tris.retain(|t| t.contains(0));
                     for &v in nbrs.iter().filter(|&&v| v > u) {
                         let pv = g.position(v);
                         if !common_neighbors(g, u, v).any(|w| gabriel_test(pu, pv, g.position(w))) {

@@ -1,11 +1,14 @@
-//! Property tests for the proximity topologies, and golden digests of
-//! the distributed LDel¹ and LDel² protocols' outputs, recorded from the
-//! pre-arena protocols (node-id-keyed BTree state), which agreed with
-//! the live ones on every digest.
+//! Property tests for the proximity topologies; golden digests of the
+//! distributed LDel¹ and LDel² protocols' outputs, recorded from the
+//! pre-arena protocols (node-id-keyed BTree state); and golden digests
+//! of the centralized `LDel¹ → PLDel` pipeline, recorded from the seed's
+//! serial pipeline. Both old implementations agreed with the live ones
+//! on every digest.
 
-use geospan_graph::gen::{uniform_points, UnitDiskBuilder};
-use geospan_graph::planarity::is_plane_embedding;
+use geospan_graph::gen::{connected_unit_disk, perturbed_grid, uniform_points, UnitDiskBuilder};
+use geospan_graph::planarity::{crossing_count, is_plane_embedding};
 use geospan_graph::Graph;
+use geospan_graph::Point;
 use geospan_sim::{FaultPlan, FaultReport, MessageStats, Radio};
 use geospan_topology::ldel::LocalDelaunay;
 use geospan_topology::{
@@ -241,4 +244,108 @@ fn ldel2_golden_digests() {
         [4587022266665944260, 3618392793553429737]
     );
     assert_eq!(jittered, perfect);
+}
+
+/// Largest UDG whose crossing count enters a pipeline digest.
+const CROSSING_MAX_N: usize = 2_000;
+
+/// Digest of the `LDel¹ → PLDel` pipeline on `udg`: the triangles,
+/// Gabriel edges and edges of `ldel1` and then of `planarized`, then
+/// `crossing_count(udg)` up to [`CROSSING_MAX_N`] nodes. Asserts on the
+/// way that PLDel is a plane subgraph of `udg` with the same components.
+fn pipeline_digest(udg: &Graph, label: &str) -> u64 {
+    let raw = ldel::ldel1(udg);
+    let pl = ldel::planarized(udg);
+    for (u, v) in pl.graph.edges() {
+        assert!(
+            udg.has_edge(u, v),
+            "{label}: PLDel edge ({u},{v}) not in UDG"
+        );
+    }
+    assert_eq!(crossing_count(&pl.graph), 0, "{label}: PLDel is not plane");
+    assert_eq!(
+        pl.graph.components().len(),
+        udg.components().len(),
+        "{label}: PLDel broke connectivity"
+    );
+    let mut h = Fnv::NEW;
+    for ld in [&raw, &pl] {
+        h.words(ld.triangles.iter().flatten().copied());
+        h.words(ld.gabriel_edges.iter().flat_map(|&(a, b)| [a, b]));
+        h.words(ld.graph.edges().flat_map(|(a, b)| [a, b]));
+    }
+    h.words((udg.node_count() <= CROSSING_MAX_N).then(|| crossing_count(udg)));
+    h.0
+}
+
+/// The connected deployment of `n` nodes at Table I density (side
+/// `200·√(n/100)`, radius 60), seed 1.
+fn table1_udg(n: usize) -> Graph {
+    let side = 200.0 * (n as f64 / 100.0).sqrt();
+    connected_unit_disk(n, side, 60.0, 1).1
+}
+
+#[test]
+fn pldel_golden_digests_on_random_instances() {
+    let digests: Vec<u64> = (0..5)
+        .map(|seed| {
+            let (_pts, udg, _s) = connected_unit_disk(80, 180.0, 55.0, seed * 17 + 1);
+            pipeline_digest(&udg, &format!("random seed {seed}"))
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            14536092394863357539,
+            17087650258087036295,
+            3150382245960810073,
+            16588750349173860104,
+            9118739055913398088,
+        ]
+    );
+}
+
+#[test]
+fn pldel_golden_digests_on_degenerate_layouts() {
+    // Exact grid (jitter 0): massive collinearity and cocircularity, so
+    // the star walk ties and falls back to Bowyer–Watson.
+    let grid = perturbed_grid(9, 9, 20.0, 0.0, 3);
+    // Lightly jittered grid: near-degenerate circumcircles.
+    let jittered = perturbed_grid(9, 9, 20.0, 0.01, 4);
+    // A single line of nodes: no triangles at all.
+    let line: Vec<Point> = (0..15).map(|i| Point::new(i as f64 * 10.0, 5.0)).collect();
+    assert_eq!(
+        [
+            pipeline_digest(&UnitDiskBuilder::new(45.0).build(&grid), "exact grid"),
+            pipeline_digest(
+                &UnitDiskBuilder::new(45.0).build(&jittered),
+                "jittered grid"
+            ),
+            pipeline_digest(&UnitDiskBuilder::new(25.0).build(&line), "collinear line"),
+        ],
+        [
+            3559936337434829097,
+            16432438059204614487,
+            15099786230467766532,
+        ]
+    );
+}
+
+#[test]
+fn pldel_golden_digests_at_table1_density() {
+    assert_eq!(
+        [200, 500].map(|n| pipeline_digest(&table1_udg(n), &format!("n = {n}"))),
+        [6397842895915877809, 7046043293389901958]
+    );
+}
+
+/// Run with `cargo test --release -p geospan-topology --test properties
+/// -- --ignored pldel_golden_digest_at_ten_thousand_nodes`.
+#[test]
+#[ignore = "n = 10 000; use --release"]
+fn pldel_golden_digest_at_ten_thousand_nodes() {
+    assert_eq!(
+        pipeline_digest(&table1_udg(10_000), "n = 10 000"),
+        12121495317998090221
+    );
 }
