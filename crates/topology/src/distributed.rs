@@ -596,10 +596,13 @@ pub(crate) fn assemble<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ldel::planarized;
-    use geospan_graph::gen::connected_unit_disk;
+    use crate::ldel::{crossing_pairs_sharing_a_vertex, planarized};
+    use geospan_graph::gen::{
+        connected_unit_disk, perturbed_grid, uniform_points, UnitDiskBuilder,
+    };
     use geospan_graph::planarity::is_plane_embedding;
     use geospan_sim::{FaultPlan, ReliabilityConfig};
+    use proptest::prelude::*;
 
     #[test]
     fn distributed_matches_centralized() {
@@ -757,6 +760,44 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn accepted_triangles_sharing_a_vertex_never_cross(
+            (n, radius, seed) in (8usize..50, 25.0f64..60.0, any::<u64>()),
+            grid in any::<bool>(),
+        ) {
+            // The centralized planarizer skips these pairs when it
+            // planarizes a protocol run's output. Every node accepts only
+            // triangles of its own star, on every radio. Checked on the
+            // union of the accepted sets of the network `run_ldel_with`
+            // runs, which holds every triangle of its output.
+            let pts = if grid {
+                perturbed_grid(n / 7 + 2, 7, 20.0, 0.0, seed)
+            } else {
+                uniform_points(n, 110.0, seed)
+            };
+            let g = UnitDiskBuilder::new(radius).build(&pts);
+            let lossy = FaultPlan::new(seed).with_loss(0.2);
+            let radios = [
+                Radio::default(),
+                Radio { faults: lossy.clone(), ..Radio::default() },
+                Radio { faults: lossy.with_crash(n / 2, 3), ..Radio::default() },
+            ];
+            for radio in &radios {
+                let mut net = network(&g, radius, radio);
+                net.run_phases(5, net.round_budget()).expect("converges");
+                let mut accepted: Vec<[usize; 3]> =
+                    net.nodes().iter().flat_map(|v| v.accepted.iter().copied()).collect();
+                accepted.sort_unstable();
+                accepted.dedup();
+                let crossing = crossing_pairs_sharing_a_vertex(&g, &accepted);
+                prop_assert!(crossing.is_empty(), "{radio:?}: {crossing:?}");
             }
         }
     }

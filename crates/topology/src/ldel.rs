@@ -24,6 +24,20 @@
 //!   producing the planar spanner `PLDel` with length stretch at most
 //!   `4√3/9 · π ≈ 2.42` times that of the Delaunay triangulation.
 //!
+//! **Triangles that share a corner never cross.** [`ldel1`] accepts a
+//! triangle only when every corner's star holds it, and each node's star
+//! comes from one plane triangulation of its neighbourhood: the unique
+//! Delaunay one, or Bowyer–Watson's when the node ties. So two accepted
+//! triangles that share a vertex `v` are both triangles of `v`'s
+//! triangulation, and no edge of one properly crosses an edge of the
+//! other. The planarizer therefore runs its exact crossing test only on
+//! pairs with disjoint vertex sets. The distributed construction
+//! ([`crate::distributed::run_ldel_with`]) keeps the same invariant on
+//! every radio: a node accepts a triangle only from its own star. The
+//! definitional oracle [`ldel_k`]`(g, 1)` does not: its non-strict
+//! circumcircle test accepts the triangles of both diagonals of an
+//! exact square, so its output is not valid input to [`planarize`].
+//!
 //! These functions operate on any *distance-closed* embedded graph: a
 //! graph that contains **every** edge between its participating nodes
 //! whose length is within the transmission radius (the UDG itself, or the
@@ -32,8 +46,8 @@
 //! the construction is genuinely 1-localized.
 
 use geospan_geometry::{
-    delaunay_star, delaunay_triangles, gabriel_test, in_circumcircle, incircle, orient2d,
-    segments_properly_cross, CirclePosition, Orientation, Point, Triangle, UniformGrid,
+    delaunay_star, delaunay_triangles, gabriel_test, in_circumcircle, segments_properly_cross,
+    CirclePosition, Point, Triangle, UniformGrid,
 };
 use geospan_graph::Graph;
 use rayon::prelude::*;
@@ -128,6 +142,11 @@ fn ldel1_parts(g: &Graph) -> (Vec<[usize; 3]>, Vec<(usize, usize)>) {
             let mut gabriel: Vec<(usize, usize)> = Vec::new();
             for u in lo..hi {
                 let nbrs = g.neighbors(u);
+                // A neighbourless node has no triangle and no Gabriel
+                // edge (the dominatees of an ICDS, about half its nodes).
+                if nbrs.is_empty() {
+                    continue;
+                }
                 ids.clear();
                 ids.push(u);
                 ids.extend_from_slice(nbrs);
@@ -272,10 +291,12 @@ fn assert_distinct_positions(g: &Graph) {
 /// The planarized localized Delaunay graph `PLDel` (Algorithm 3 of the
 /// paper, centralized reference implementation).
 ///
-/// Starting from [`ldel1`], a triangle is discarded when it intersects
-/// another accepted triangle **and** its circumcircle contains a vertex of
-/// that other triangle; the Gabriel edges and the edges of the surviving
-/// triangles form a plane graph.
+/// Starting from [`ldel1`], a triangle is discarded when it properly
+/// crosses another accepted triangle **and** its circumcircle contains a
+/// vertex of that other triangle; the Gabriel edges and the edges of the
+/// surviving triangles form a plane graph. Only pairs of triangles with
+/// disjoint vertex sets can cross (see the module docs), so only those
+/// get the exact test.
 ///
 /// # Panics
 /// Panics if two participating nodes share a position.
@@ -286,8 +307,21 @@ pub fn planarized(g: &Graph) -> LocalDelaunay {
 
 /// Planarizes an already-computed `LDel¹` (useful when the caller needs
 /// both the raw and the planar structure).
+///
+/// `raw` must come from [`ldel1`] or
+/// [`crate::distributed::run_ldel_with`]: the planarizer skips every
+/// pair of triangles that share a vertex, which is exact only when any
+/// two such triangles lie in one plane triangulation, as the stars of
+/// those constructions guarantee (module docs). The output of
+/// [`ldel_k`]`(g, 1)` on cocircular input breaks that precondition.
 pub fn planarize(g: &Graph, raw: LocalDelaunay) -> LocalDelaunay {
     planarize_parts(g, raw.triangles, raw.gabriel_edges)
+}
+
+/// Whether two ascending index triples have a vertex in common.
+#[inline]
+fn share_vertex(a: [usize; 3], b: [usize; 3]) -> bool {
+    a.iter().any(|v| b.contains(v))
 }
 
 fn planarize_parts(
@@ -297,34 +331,9 @@ fn planarize_parts(
 ) -> LocalDelaunay {
     let m = tris.len();
 
-    // Vertex positions fetched once per triangle (the pair sweep below
-    // revisits each triangle many times), plus a CCW-oriented copy so the
-    // circumcircle test is a single `incircle` call instead of re-deriving
-    // the orientation pair by pair.
-    let tpts: Vec<[Point; 3]> = tris
-        .iter()
-        .map(|t| [g.position(t[0]), g.position(t[1]), g.position(t[2])])
-        .collect();
-    let ccw: Vec<[Point; 3]> = tpts
-        .iter()
-        .map(|&[a, b, c]| match orient2d(a, b, c) {
-            Orientation::CounterClockwise => [a, b, c],
-            Orientation::Clockwise => [a, c, b],
-            #[expect(
-                clippy::unreachable,
-                reason = "accepted triangles passed the exact in-circle test, which rejects degenerates"
-            )]
-            Orientation::Collinear => unreachable!("accepted Delaunay triangle is degenerate"),
-        })
-        .collect();
-
-    // Per-edge bounding boxes (edges (0,1), (1,2), (0,2)): a proper
-    // crossing implies overlapping closed boxes, so most of the 9 exact
-    // segment tests per candidate pair are rejected by four comparisons.
-    let eboxes: Vec<[EdgeBox; 3]> = tpts
-        .iter()
-        .map(|&[p0, p1, p2]| [edge_box(p0, p1), edge_box(p1, p2), edge_box(p0, p2)])
-        .collect();
+    // Vertex positions fetched once per triangle: the pair sweep below
+    // revisits each triangle many times.
+    let tpts: Vec<[Point; 3]> = tris.iter().map(|t| t.map(|v| g.position(v))).collect();
 
     // Every LDel¹ triangle has sides within the transmission radius, so a
     // uniform grid over the triangle bounding boxes (cell ≈ that radius,
@@ -348,6 +357,11 @@ fn planarize_parts(
     // Streaming keeps the planarize sweep allocation-free per pair where
     // materializing + sorting the pair list dominated the old running
     // time at scale.
+    //
+    // Two triangles that share a vertex lie in that vertex's one plane
+    // triangulation and cannot cross (module docs). They are about 94 %
+    // of the box-overlapping pairs at Table I density, so the exact test
+    // runs only on pairs with disjoint vertex sets.
     let mut removed = vec![false; m];
     UniformGrid::from_boxes(&boxes, None).for_each_candidate_pair(|i, j| {
         if removed[i] && removed[j] {
@@ -358,11 +372,21 @@ fn planarize_parts(
         if ilo.x > jhi.x || jlo.x > ihi.x || ilo.y > jhi.y || jlo.y > ihi.y {
             return;
         }
-        if triangles_cross(&tpts[i], &tpts[j], &eboxes[i], &eboxes[j]) {
-            if !removed[i] && circum_contains_any(&ccw[i], tris[i], tris[j], &tpts[j]) {
+        if share_vertex(tris[i], tris[j]) {
+            #[cfg(feature = "invariant-checks")]
+            assert!(
+                !triangles_cross(&tpts[i], &tpts[j]),
+                "LDel¹ triangles {:?} and {:?} share a vertex yet cross",
+                tris[i],
+                tris[j]
+            );
+            return;
+        }
+        if triangles_cross(&tpts[i], &tpts[j]) {
+            if !removed[i] && circum_contains_any(&tpts[i], tris[i], tris[j], &tpts[j]) {
                 removed[i] = true;
             }
-            if !removed[j] && circum_contains_any(&ccw[j], tris[j], tris[i], &tpts[i]) {
+            if !removed[j] && circum_contains_any(&tpts[j], tris[j], tris[i], &tpts[i]) {
                 removed[j] = true;
             }
         }
@@ -468,51 +492,60 @@ fn gabriel_edge_list(g: &Graph) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Closed bounding box of a segment: `(min x, max x, min y, max y)`.
-type EdgeBox = (f64, f64, f64, f64);
-
-#[inline]
-fn edge_box(a: Point, b: Point) -> EdgeBox {
-    (a.x.min(b.x), a.x.max(b.x), a.y.min(b.y), a.y.max(b.y))
-}
-
-/// Do two triangles (given by cached vertex positions and per-edge
-/// bounding boxes) properly cross (some edge of one crosses some edge of
-/// the other)?
-fn triangles_cross(t1: &[Point; 3], t2: &[Point; 3], b1: &[EdgeBox; 3], b2: &[EdgeBox; 3]) -> bool {
+/// Do two triangles, given by their vertex positions, properly cross
+/// (some edge of one crosses some edge of the other)?
+fn triangles_cross(t1: &[Point; 3], t2: &[Point; 3]) -> bool {
     const E: [(usize, usize); 3] = [(0, 1), (1, 2), (0, 2)];
-    for (ei, &(i, j)) in E.iter().enumerate() {
-        let (ix0, ix1, iy0, iy1) = b1[ei];
-        for (ej, &(p, q)) in E.iter().enumerate() {
-            let (jx0, jx1, jy0, jy1) = b2[ej];
+    E.iter().any(|&(i, j)| {
+        let (a, b) = (t1[i], t1[j]);
+        E.iter().any(|&(p, q)| {
+            let (c, d) = (t2[p], t2[q]);
             // A proper crossing is a common point of both closed
             // segments, so disjoint boxes cannot cross.
-            if ix0 > jx1 || jx0 > ix1 || iy0 > jy1 || jy0 > iy1 {
-                continue;
-            }
-            if segments_properly_cross(t1[i], t1[j], t2[p], t2[q]) {
-                return true;
+            a.x.max(b.x) >= c.x.min(d.x)
+                && c.x.max(d.x) >= a.x.min(b.x)
+                && a.y.max(b.y) >= c.y.min(d.y)
+                && c.y.max(d.y) >= a.y.min(b.y)
+                && segments_properly_cross(a, b, c, d)
+        })
+    })
+}
+
+/// The pairs of `triangles` that share a vertex and yet properly cross,
+/// by the full crossing test: empty whenever the triangles satisfy the
+/// planarizer's precondition (module docs).
+#[cfg(test)]
+pub(crate) fn crossing_pairs_sharing_a_vertex(
+    g: &Graph,
+    triangles: &[[usize; 3]],
+) -> Vec<([usize; 3], [usize; 3])> {
+    let pts = |t: [usize; 3]| t.map(|v| g.position(v));
+    let mut out = Vec::new();
+    for (i, &s) in triangles.iter().enumerate() {
+        for &t in &triangles[i + 1..] {
+            if share_vertex(s, t) && triangles_cross(&pts(s), &pts(t)) {
+                out.push((s, t));
             }
         }
     }
-    false
+    out
 }
 
 /// Is any vertex of `other` inside or on the circumcircle of the triangle
-/// whose CCW-oriented positions are `ccw_t` (vertex ids `t`)?
+/// with positions `t_pts` (vertex ids `t`)?
 ///
 /// Boundary points count as contained so that exactly-cocircular crossing
 /// pairs (possible on degenerate deployments such as perfect grids)
 /// remove each other and the planarity guarantee survives ties.
 fn circum_contains_any(
-    ccw_t: &[Point; 3],
+    t_pts: &[Point; 3],
     t: [usize; 3],
     other: [usize; 3],
     other_pts: &[Point; 3],
 ) -> bool {
+    let [a, b, c] = *t_pts;
     (0..3).any(|k| {
-        !t.contains(&other[k])
-            && incircle(ccw_t[0], ccw_t[1], ccw_t[2], other_pts[k]) != CirclePosition::Outside
+        !t.contains(&other[k]) && in_circumcircle(a, b, c, other_pts[k]) != CirclePosition::Outside
     })
 }
 
@@ -543,9 +576,12 @@ fn k_hop_neighborhood(g: &Graph, u: usize, k: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::{gabriel, unit_delaunay};
-    use geospan_graph::gen::{connected_unit_disk, uniform_points, UnitDiskBuilder};
+    use geospan_graph::gen::{
+        connected_unit_disk, perturbed_grid, uniform_points, UnitDiskBuilder,
+    };
     use geospan_graph::planarity::{crossing_count, is_plane_embedding};
     use geospan_graph::stretch::{stretch_factors, StretchOptions};
+    use proptest::prelude::*;
 
     fn udg(seed: u64) -> Graph {
         let pts = uniform_points(70, 100.0, seed);
@@ -657,6 +693,124 @@ mod tests {
             assert!(raw.triangles.contains(t));
         }
         assert_eq!(pl.gabriel_edges, raw.gabriel_edges);
+    }
+
+    #[test]
+    fn planarize_removes_a_triangle_crossed_by_a_disjoint_one() {
+        // a, b, w, c, d, z. The flat triangle abw has a huge circumcircle
+        // holding d, which is two hops from a, b and w, so all three
+        // stars accept it. Its edge ab properly crosses edge cd of the
+        // triangle cdz, with which it shares no vertex.
+        let pts = [
+            (0.0, 0.0),
+            (1.0, 0.0),
+            (0.01, 0.001),
+            (0.5, 0.05),
+            (0.5, -0.9),
+            (0.35, 0.04),
+        ]
+        .map(|(x, y)| Point::new(x, y));
+        let g = UnitDiskBuilder::new(1.0).build(&pts);
+        let raw = ldel1(&g);
+        assert_eq!(raw.triangles, [[0, 1, 2], [0, 2, 5], [3, 4, 5]]);
+        assert!(!is_plane_embedding(&raw.graph));
+        let pl = planarized(&g);
+        assert_eq!(pl.triangles, [[0, 2, 5], [3, 4, 5]]);
+        assert!(is_plane_embedding(&pl.graph));
+        assert_eq!(planarize(&g, raw), pl);
+    }
+
+    /// The 12 points of the integer lattice on the circle of radius 5
+    /// about the origin: exactly cocircular, with antipodal pairs
+    /// collinear with the centre.
+    fn lattice_circle() -> Vec<Point> {
+        [(5, 0), (4, 3), (3, 4)]
+            .into_iter()
+            .flat_map(|(x, y)| [(x, y), (-y, x), (-x, -y), (y, -x)])
+            .map(|(x, y)| Point::new(f64::from(x), f64::from(y)))
+            .collect()
+    }
+
+    /// Deployments where the stars tie or nearly tie, plus uniform ones
+    /// at Table I density.
+    fn tie_prone_udg() -> impl Strategy<Value = Graph> {
+        prop_oneof![
+            // Exact grid: every square cocircular, every row collinear.
+            (2usize..9, 2usize..9, 10.0f64..31.0).prop_map(|(nx, ny, r)| {
+                UnitDiskBuilder::new(r).build(&perturbed_grid(nx, ny, 10.0, 0.0, 0))
+            }),
+            // One collinear chain, or two parallel ones: rectangles and
+            // isosceles trapezoids are cocircular.
+            (2usize..16, 0usize..16, 0usize..3, 1usize..4, 10.0f64..45.0).prop_map(
+                |(k, l, shift, rise, r)| {
+                    let pts: Vec<Point> = (0..k)
+                        .map(|i| Point::new(10.0 * i as f64, 0.0))
+                        .chain((0..l).map(|i| {
+                            Point::new(10.0 * i as f64 + 5.0 * shift as f64, 10.0 * rise as f64)
+                        }))
+                        .collect();
+                    UnitDiskBuilder::new(r).build(&pts)
+                }
+            ),
+            // A subset of the lattice circle plus its centre: the
+            // centre's star has collinear antipodes, and with a radius
+            // below 5 the circle nodes see only cocircular neighbours.
+            (any::<u64>(), 3.0f64..11.0).prop_map(|(mask, r)| {
+                let circle = lattice_circle();
+                let pts: Vec<Point> = std::iter::once(Point::new(0.0, 0.0))
+                    .chain(
+                        circle
+                            .iter()
+                            .enumerate()
+                            .filter(|&(i, _)| mask >> i & 1 == 1 || i < 3)
+                            .map(|(_, &p)| p),
+                    )
+                    .collect();
+                UnitDiskBuilder::new(r).build(&pts)
+            }),
+            // Jittered grid: near-ties.
+            (
+                2usize..9,
+                2usize..9,
+                0.001f64..2.0,
+                10.0f64..31.0,
+                any::<u64>()
+            )
+                .prop_map(|(nx, ny, jitter, r, seed)| {
+                    UnitDiskBuilder::new(r).build(&perturbed_grid(nx, ny, 10.0, jitter, seed))
+                }),
+            // Uniform at Table I density (100 nodes per 200 × 200, radius 60).
+            (8usize..300, any::<u64>()).prop_map(|(n, seed)| {
+                let side = 200.0 * (n as f64 / 100.0).sqrt();
+                UnitDiskBuilder::new(60.0).build(&uniform_points(n, side, seed))
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn ldel1_triangles_sharing_a_vertex_never_cross(g in tie_prone_udg()) {
+            // The planarizer skips these pairs; the full test must agree.
+            let ld = ldel1(&g);
+            let crossing = crossing_pairs_sharing_a_vertex(&g, &ld.triangles);
+            prop_assert!(crossing.is_empty(), "{crossing:?}");
+            prop_assert!(is_plane_embedding(&planarize(&g, ld).graph));
+        }
+    }
+
+    #[test]
+    fn ldel_k_on_a_square_breaks_the_planarizer_precondition() {
+        // The definitional oracle's non-strict circumcircle test accepts
+        // the triangles of both diagonals of an exact square; `ldel1`
+        // accepts only triangles of each corner's one triangulation.
+        let square =
+            [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)].map(|(x, y)| Point::new(x, y));
+        let g = UnitDiskBuilder::new(1.5).build(&square);
+        assert_eq!(ldel_k(&g, 1).triangles.len(), 4);
+        assert!(!crossing_pairs_sharing_a_vertex(&g, &ldel_k(&g, 1).triangles).is_empty());
+        assert!(crossing_pairs_sharing_a_vertex(&g, &ldel1(&g).triangles).is_empty());
     }
 
     #[test]
