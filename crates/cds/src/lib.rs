@@ -41,7 +41,6 @@
 
 mod cluster;
 mod connector;
-mod dhop;
 pub mod protocol;
 mod rank;
 
@@ -50,7 +49,6 @@ pub use connector::{
     find_connectors, find_connectors_for_pairs, find_connectors_for_pairs_excluding,
     ConnectorResult,
 };
-pub use dhop::{cluster_d, DHopClustering};
 pub use rank::ClusterRank;
 
 use geospan_graph::Graph;

@@ -188,12 +188,6 @@ impl GpsrState {
             walked: std::collections::HashSet::new(),
         }
     }
-
-    /// True while the session is in greedy mode (no void encountered
-    /// since the last recovery).
-    pub fn is_greedy(&self) -> bool {
-        self.mode == Mode::Greedy
-    }
 }
 
 impl Default for GpsrState {

@@ -9,7 +9,7 @@
 //!   with a proven error bound, falling back to arbitrary-length
 //!   floating-point *expansions* (Shewchuk-style) when the filter is
 //!   inconclusive,
-//! * circumcircles, segment intersection tests, convex hulls,
+//! * segment intersection tests, convex hulls,
 //! * a [`Triangulation`] type implementing the Delaunay triangulation via
 //!   incremental Bowyer–Watson insertion with ghost triangles, and
 //!   [`delaunay_star`], the Delaunay triangles around one point alone.
@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod circle;
 mod expansion;
 mod grid;
 mod hull;
@@ -49,7 +48,6 @@ mod segment;
 mod star;
 mod triangulation;
 
-pub use circle::{circumcenter, circumradius, Circle};
 pub use grid::UniformGrid;
 pub use hull::convex_hull;
 pub use point::Point;

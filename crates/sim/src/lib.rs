@@ -474,11 +474,6 @@ impl<'g, P: Protocol> Network<'g, P> {
         self.faults.as_ref()
     }
 
-    /// Rounds elapsed since the network was created (across all phases).
-    pub fn rounds_elapsed(&self) -> usize {
-        self.round
-    }
-
     /// What the injected faults did to this run so far.
     pub fn fault_report(&self) -> FaultReport {
         let crashed = self

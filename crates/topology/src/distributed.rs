@@ -24,17 +24,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use geospan_geometry::{
-    delaunay_star, delaunay_triangles, gabriel_test, in_circumcircle, segments_properly_cross,
-    CirclePosition, Point, Triangle,
-};
+use geospan_geometry::{Point, Triangle};
 use geospan_graph::collections::{VecMap, VecSet};
 use geospan_graph::Graph;
 use geospan_sim::{
     Context, FaultReport, MessageKind, MessageStats, Network, Protocol, QuiescenceTimeout, Radio,
 };
 
-use crate::ldel::{assemble_graph, LocalDelaunay};
+use crate::ldel::{assemble_graph, crossing_removals, star_step, LocalDelaunay};
 
 /// Messages of the localized Delaunay protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,15 +165,10 @@ impl LdelNode {
 
     /// Computes this node's Delaunay star in `Del(N₁(self))` and its
     /// incident Gabriel edges from the heard `Hello`s: the node's
-    /// `O(d log d)` local computation.
-    ///
-    /// The star is walked directly ([`delaunay_star`]); its apexes decide
-    /// the Gabriel edges, since a blocker of a star edge is either an
-    /// adjacent apex or strictly inside an empty circumcircle. On an exact
-    /// tie, or with fewer than three known positions or duplicate ones,
-    /// the node falls back to the full triangulation (whose tie-breaks
-    /// the output then follows, in the same id order as always) and to
-    /// testing every known neighbour as a Gabriel witness.
+    /// `O(d log d)` local computation, by the same rule as the
+    /// centralized construction ([`crate::ldel::star_step`]), over the
+    /// known positions in id order. Heard positions come from outside the
+    /// node, so it checks them for the star walk's input contract itself.
     fn compute_local_structures(&mut self) {
         let mut ids: Vec<usize> = Vec::with_capacity(self.known.len() + 1);
         ids.push(self.id);
@@ -185,46 +177,15 @@ impl LdelNode {
         let centre = ids.partition_point(|&i| i < self.id);
         let pts: Vec<Point> = ids.iter().map(|&i| self.position_of(i)).collect();
         let mut tris: Vec<Triangle> = Vec::new();
-        let star = pts.len() >= 3
-            && distinct_finite(&pts)
-            && delaunay_star(&pts, centre, &mut tris).is_ok();
-        if star {
-            // Per local index: (star neighbour, Gabriel disk blocked).
-            // Every node in the diametral disk of a radius-bounded edge
-            // is a neighbor of both endpoints, hence the radius filter.
-            let mut edge = vec![(false, false); ids.len()];
-            for t in &tris {
-                let [_, a, b] = t.indices();
-                let (pa, pb) = (pts[a], pts[b]);
-                edge[a].0 = true;
-                edge[a].1 |= pb.distance(pa) <= self.radius && gabriel_test(self.pos, pa, pb);
-                edge[b].0 = true;
-                edge[b].1 |= pa.distance(pb) <= self.radius && gabriel_test(self.pos, pb, pa);
-            }
-            for (&v, &(in_star, blocked)) in ids.iter().zip(&edge) {
-                if in_star && !blocked {
-                    self.gabriel.push((self.id.min(v), self.id.max(v)));
-                }
-            }
-        } else {
-            // Gabriel edges incident on self: the only possible witnesses
-            // are common neighbors, and every node in the diametral disk
-            // of a radius-bounded edge is a neighbor of both endpoints.
-            for (v, &pv) in self.known.iter() {
-                let blocked = self.known.iter().any(|(w, &pw)| {
-                    w != v && pw.distance(pv) <= self.radius && gabriel_test(self.pos, pv, pw)
-                });
-                if !blocked {
-                    self.gabriel.push((self.id.min(v), self.id.max(v)));
-                }
-            }
-            if pts.len() >= 3 {
-                // Duplicate positions among neighbors: no local triangles.
-                tris = delaunay_triangles(&pts).unwrap_or_default();
-                tris.retain(|t| t.contains(centre));
-            }
-        }
-        self.gabriel.sort_unstable();
+        let mut gabriel: Vec<bool> = Vec::new();
+        star_step(&pts, centre, distinct_finite(&pts), &mut tris, &mut gabriel);
+        // Ascending, since `ids` is.
+        self.gabriel = ids
+            .iter()
+            .zip(&gabriel)
+            .filter(|&(_, &keep)| keep)
+            .map(|(&v, _)| (self.id.min(v), self.id.max(v)))
+            .collect();
         self.local_tris = tris
             .iter()
             .map(|t| {
@@ -300,30 +261,22 @@ impl LdelNode {
         }
     }
 
-    /// Local crossing removal (Algorithm 3 step 2): drop an own triangle
-    /// when it intersects a known triangle whose vertex lies strictly
-    /// inside the own triangle's circumcircle.
+    /// Local crossing removal (Algorithm 3 step 2): an own triangle
+    /// survives unless a known triangle properly crosses it and has a
+    /// corner in or on its circumcircle, the planarizer's rule
+    /// ([`crate::ldel::crossing_removals`]). A heard triangle that shares
+    /// a corner with it gets no geometry: every accepted triangle lies in
+    /// each of its corners' stars, so the two lie in one triangulation.
     fn remove_crossing(&mut self) {
-        'outer: for &tri in &self.accepted {
-            let tp = self.known_tris[&tri];
-            for (&other, op) in &self.known_tris {
-                if other == tri {
-                    continue;
-                }
-                if !triangles_cross_pts(&tp, op) {
-                    continue;
-                }
-                // Boundary counts as contained, matching the centralized
-                // planarizer's tie handling.
-                let contains = op.iter().zip(other.iter()).any(|(&p, v)| {
-                    !tri.contains(v)
-                        && in_circumcircle(tp[0], tp[1], tp[2], p) != CirclePosition::Outside
-                });
-                if contains {
-                    continue 'outer; // removed: not a survivor
-                }
+        for &tri in &self.accepted {
+            let tp = &self.known_tris[&tri];
+            if !self
+                .known_tris
+                .iter()
+                .any(|(&other, op)| crossing_removals(tri, tp, other, op).0)
+            {
+                self.survived.insert(tri);
             }
-            self.survived.insert(tri);
         }
     }
 
@@ -344,41 +297,14 @@ impl LdelNode {
 }
 
 /// Whether every position is finite and no two are bit-identical: the
-/// input contract of the star walk, which [`delaunay_triangles`] checks
-/// with an error instead.
+/// input contract of the star walk, which
+/// [`geospan_geometry::delaunay_triangles`] checks with an error instead.
 fn distinct_finite(pts: &[Point]) -> bool {
     pts.iter().enumerate().all(|(i, p)| {
         p.is_finite()
             && pts[..i]
                 .iter()
                 .all(|q| (p.x.to_bits(), p.y.to_bits()) != (q.x.to_bits(), q.y.to_bits()))
-    })
-}
-
-/// Whether two triangles' edges properly cross. A proper crossing
-/// implies overlapping bounding boxes, so disjoint boxes skip the 9
-/// exact segment tests, as in the centralized planarizer.
-fn triangles_cross_pts(a: &[Point; 3], b: &[Point; 3]) -> bool {
-    const E: [(usize, usize); 3] = [(0, 1), (1, 2), (0, 2)];
-    let lo = |p: &[Point; 3]| {
-        Point::new(
-            p[0].x.min(p[1].x).min(p[2].x),
-            p[0].y.min(p[1].y).min(p[2].y),
-        )
-    };
-    let hi = |p: &[Point; 3]| {
-        Point::new(
-            p[0].x.max(p[1].x).max(p[2].x),
-            p[0].y.max(p[1].y).max(p[2].y),
-        )
-    };
-    let (alo, ahi, blo, bhi) = (lo(a), hi(a), lo(b), hi(b));
-    if alo.x > bhi.x || blo.x > ahi.x || alo.y > bhi.y || blo.y > ahi.y {
-        return false;
-    }
-    E.iter().any(|&(i, j)| {
-        E.iter()
-            .any(|&(p, q)| segments_properly_cross(a[i], a[j], b[p], b[q]))
     })
 }
 
@@ -596,7 +522,7 @@ pub(crate) fn assemble<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ldel::{crossing_pairs_sharing_a_vertex, planarized};
+    use crate::ldel::{crossed_flat_triangle, crossing_pairs_sharing_a_vertex, planarized};
     use geospan_graph::gen::{
         connected_unit_disk, perturbed_grid, uniform_points, UnitDiskBuilder,
     };
@@ -618,6 +544,25 @@ mod tests {
             let de: Vec<_> = dist.ldel.graph.edges().collect();
             assert_eq!(de, ce, "seed {seed}: edges differ");
             assert_eq!(dist.ldel.triangles, central.triangles, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn local_removal_drops_a_triangle_crossed_by_a_disjoint_one() {
+        // Corners a, b and w all accept the flat triangle abw, which the
+        // disjoint triangle cdz crosses; each removes it locally, on every
+        // schedule, exactly as the centralized planarizer does.
+        let g = crossed_flat_triangle();
+        let central = planarized(&g);
+        assert_eq!(central.triangles, [[0, 2, 5], [3, 4, 5]]);
+        assert_eq!(run_ldel(&g, 1.0).unwrap().ldel, central);
+        for jitter in [(3, 5), (4, 11)] {
+            let radio = Radio {
+                jitter: Some(jitter),
+                ..Radio::default()
+            };
+            let (jittered, _report) = run_ldel_with(&g, 1.0, &radio).unwrap();
+            assert_eq!(jittered.ldel, central, "jitter {jitter:?}");
         }
     }
 

@@ -31,6 +31,11 @@ use crate::rng::common_neighbors;
 /// assert!(gg.has_edge(0, 2) && gg.has_edge(1, 2));
 /// ```
 pub fn gabriel(udg: &Graph) -> Graph {
+    Graph::with_edges(udg.points().to_vec(), gabriel_edges(udg))
+}
+
+/// The Gabriel edges of `udg`, `(u, v)` with `u < v`, sorted.
+pub(crate) fn gabriel_edges(udg: &Graph) -> Vec<(usize, usize)> {
     // Each edge's emptiness test is independent, so the edges are tested
     // in parallel; the keep-mask preserves the sorted edge order, keeping
     // the result identical to the serial filter.
@@ -43,14 +48,11 @@ pub fn gabriel(udg: &Graph) -> Graph {
             !common_neighbors(udg, u, v).any(|w| gabriel_test(pu, pv, udg.position(w)))
         })
         .collect();
-    Graph::with_edges(
-        udg.points().to_vec(),
-        edges
-            .into_iter()
-            .zip(keep)
-            .filter(|&(_, k)| k)
-            .map(|(e, _)| e),
-    )
+    edges
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(e, k)| k.then_some(e))
+        .collect()
 }
 
 #[cfg(test)]

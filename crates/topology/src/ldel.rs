@@ -31,12 +31,19 @@
 //! triangles that share a vertex `v` are both triangles of `v`'s
 //! triangulation, and no edge of one properly crosses an edge of the
 //! other. The planarizer therefore runs its exact crossing test only on
-//! pairs with disjoint vertex sets. The distributed construction
-//! ([`crate::distributed::run_ldel_with`]) keeps the same invariant on
-//! every radio: a node accepts a triangle only from its own star. The
-//! definitional oracle [`ldel_k`]`(g, 1)` does not: its non-strict
+//! pairs with disjoint vertex sets. The definitional oracle
+//! [`ldel_k`]`(g, 1)` does not keep this invariant: its non-strict
 //! circumcircle test accepts the triangles of both diagonals of an
 //! exact square, so its output is not valid input to [`planarize`].
+//!
+//! **One rule set, two constructions.** Each node's star and Gabriel
+//! verdicts (`star_step`) and the crossing-removal rule
+//! (`crossing_removals`) are implemented once, here. [`ldel1`] and
+//! [`planarized`] run them over the whole graph; the message-passing node
+//! of [`crate::distributed::run_ldel_with`] runs the same two functions
+//! on what it heard. That node accepts a triangle only from its own star,
+//! on every radio, so its crossing removal may skip shared-vertex pairs
+//! too.
 //!
 //! These functions operate on any *distance-closed* embedded graph: a
 //! graph that contains **every** edge between its participating nodes
@@ -51,8 +58,6 @@ use geospan_geometry::{
 };
 use geospan_graph::Graph;
 use rayon::prelude::*;
-
-use crate::rng::common_neighbors;
 
 /// The output of a localized-Delaunay construction: the graph plus the
 /// certifying structure (triangles and Gabriel edges).
@@ -112,11 +117,8 @@ fn ldel1_parts(g: &Graph) -> (Vec<[usize; 3]>, Vec<(usize, usize)>) {
     // edge test of the definition reduces to "global multiplicity == 3",
     // computed by one sort over ~6 emitted keys per node.
     //
-    // The star is walked directly (`delaunay_star`), never triangulating
-    // the rest of the neighbourhood; on an exact tie the node falls back
-    // to Bowyer–Watson and keeps its incident triangles, so every
-    // cocircular tie-break is Bowyer–Watson's and the output is the same
-    // either way.
+    // The star and the node's Gabriel verdicts come from `star_step`,
+    // the one local rule the message-passing node runs too.
     //
     // Each node's star is independent — the paper's `O(d log d)`-work-
     // per-node locality — so the node range is split into one contiguous
@@ -136,8 +138,7 @@ fn ldel1_parts(g: &Graph) -> (Vec<[usize; 3]>, Vec<(usize, usize)>) {
             let mut ids: Vec<usize> = Vec::new();
             let mut pts: Vec<Point> = Vec::new();
             let mut tris: Vec<Triangle> = Vec::new();
-            // Per local index: (star neighbour, Gabriel disk blocked).
-            let mut star: Vec<(bool, bool)> = Vec::new();
+            let mut verdicts: Vec<bool> = Vec::new();
             let mut out: Vec<u128> = Vec::new();
             let mut gabriel: Vec<(usize, usize)> = Vec::new();
             for u in lo..hi {
@@ -152,45 +153,14 @@ fn ldel1_parts(g: &Graph) -> (Vec<[usize; 3]>, Vec<(usize, usize)>) {
                 ids.extend_from_slice(nbrs);
                 pts.clear();
                 pts.extend(ids.iter().map(|&i| g.position(i)));
-                let pu = pts[0];
-                if nbrs.len() >= 2 && delaunay_star(&pts, 0, &mut tris).is_ok() {
-                    // Star edge ua is Gabriel iff neither adjacent apex
-                    // lies in its closed diametral disk: a blocker b ≠
-                    // apex would lie strictly inside the circumcircle of
-                    // the Delaunay triangle on its side, which is empty.
-                    // On a distance-closed graph every blocker is in
-                    // N1(u), and every Gabriel edge is a Delaunay edge.
-                    star.clear();
-                    star.resize(ids.len(), (false, false));
-                    for t in &tris {
-                        let [_, a, b] = t.indices();
-                        star[a].0 = true;
-                        star[a].1 |= gabriel_test(pu, pts[a], pts[b]);
-                        star[b].0 = true;
-                        star[b].1 |= gabriel_test(pu, pts[b], pts[a]);
-                    }
-                    gabriel.extend(
-                        nbrs.iter()
-                            .zip(&star[1..])
-                            .filter(|&(&v, &(edge, blocked))| v > u && edge && !blocked)
-                            .map(|(&v, _)| (u, v)),
-                    );
-                } else {
-                    // A tie, or a degenerate neighbourhood (degree < 2 or
-                    // collinear, where Bowyer–Watson has no triangles):
-                    // the triangles come from the full triangulation, which
-                    // cannot fail on the distinct positions checked above,
-                    // and the node's own edges are tested against every
-                    // common neighbour.
-                    tris = delaunay_triangles(&pts).unwrap_or_default();
-                    tris.retain(|t| t.contains(0));
-                    for &v in nbrs.iter().filter(|&&v| v > u) {
-                        let pv = g.position(v);
-                        if !common_neighbors(g, u, v).any(|w| gabriel_test(pu, pv, g.position(w))) {
-                            gabriel.push((u, v));
-                        }
-                    }
-                }
+                // Positions are distinct: checked once above.
+                star_step(&pts, 0, true, &mut tris, &mut verdicts);
+                gabriel.extend(
+                    nbrs.iter()
+                        .zip(&verdicts[1..])
+                        .filter(|&(&v, &keep)| v > u && keep)
+                        .map(|(&v, _)| (u, v)),
+                );
                 for t in &tris {
                     let [a, b, c] = t.indices();
                     let mut key = [ids[a], ids[b], ids[c]];
@@ -229,6 +199,69 @@ fn ldel1_parts(g: &Graph) -> (Vec<[usize; 3]>, Vec<(usize, usize)>) {
     debug_assert!(triangles.is_sorted());
 
     (triangles, gabriel)
+}
+
+/// One node's local step of Algorithm 2, the rule [`ldel1`] and the
+/// message-passing node ([`crate::distributed::run_ldel_with`]) both run:
+/// the node's Delaunay star and the Gabriel verdicts on its own edges.
+///
+/// `pts` is the node's closed neighbourhood, the node itself at `centre`;
+/// the caller's point order breaks Bowyer–Watson's ties. On return `tris`
+/// holds the triangles of the node's local triangulation incident on it,
+/// in local indices, and `gabriel[i]` tells whether the edge from the
+/// node to `pts[i]` is a Gabriel edge (`gabriel[centre]` is false).
+/// `distinct` says that the positions are finite and pairwise distinct,
+/// the star walk's input contract; without it the node goes straight to
+/// the fallback.
+///
+/// The star is walked directly ([`delaunay_star`]), never triangulating
+/// the rest of the neighbourhood, and its apexes decide the Gabriel
+/// edges: a star edge `ca` is Gabriel iff neither adjacent apex lies in
+/// its closed diametral disk, since any other blocker would lie strictly
+/// inside the empty circumcircle of the star triangle on its side, and
+/// every Gabriel edge is a Delaunay edge. On an exact tie, or with fewer
+/// than three points, the triangles come from Bowyer–Watson (none on
+/// duplicate or collinear positions), so every cocircular tie-break is
+/// Bowyer–Watson's and the output is the same either way; each edge is
+/// then tested against every other neighbour. On a distance-closed graph
+/// those are all the possible blockers: a point in the closed diametral
+/// disk of a radius-bounded edge is within the radius of both ends.
+pub(crate) fn star_step(
+    pts: &[Point],
+    centre: usize,
+    distinct: bool,
+    tris: &mut Vec<Triangle>,
+    gabriel: &mut Vec<bool>,
+) {
+    let pc = pts[centre];
+    gabriel.clear();
+    if distinct && pts.len() >= 3 && delaunay_star(pts, centre, tris).is_ok() {
+        gabriel.resize(pts.len(), false);
+        for t in tris.iter() {
+            let [_, a, b] = t.indices();
+            gabriel[a] = true;
+            gabriel[b] = true;
+        }
+        for t in tris.iter() {
+            let [_, a, b] = t.indices();
+            if gabriel[a] && gabriel_test(pc, pts[a], pts[b]) {
+                gabriel[a] = false;
+            }
+            if gabriel[b] && gabriel_test(pc, pts[b], pts[a]) {
+                gabriel[b] = false;
+            }
+        }
+    } else {
+        *tris = delaunay_triangles(pts).unwrap_or_default();
+        tris.retain(|t| t.contains(centre));
+        gabriel.extend(pts.iter().enumerate().map(|(i, &p)| {
+            i != centre
+                && !pts
+                    .iter()
+                    .enumerate()
+                    .any(|(j, &w)| j != i && j != centre && gabriel_test(pc, p, w))
+        }));
+    }
 }
 
 /// Packs an ascending index triple into one integer whose natural order
@@ -324,6 +357,37 @@ fn share_vertex(a: [usize; 3], b: [usize; 3]) -> bool {
     a.iter().any(|v| b.contains(v))
 }
 
+/// Algorithm 3's removal rule for one pair of accepted `LDel¹` triangles
+/// `s` and `t` (ascending ids, with their positions): whether each must
+/// go. A triangle goes when the other properly crosses it and has a
+/// vertex inside or on its circumcircle. The planarizer's sweep and the
+/// message-passing node's local removal both apply it.
+///
+/// Two triangles that share a vertex lie in that vertex's one plane
+/// triangulation and cannot cross (module docs). They are about 94 % of
+/// the box-overlapping pairs at Table I density, so the exact test runs
+/// only on pairs with disjoint vertex sets; `invariant-checks` runs it on
+/// the skipped pairs too and panics on a crossing.
+pub(crate) fn crossing_removals(
+    s: [usize; 3],
+    sp: &[Point; 3],
+    t: [usize; 3],
+    tp: &[Point; 3],
+) -> (bool, bool) {
+    if share_vertex(s, t) {
+        #[cfg(feature = "invariant-checks")]
+        assert!(
+            !triangles_cross(sp, tp),
+            "LDel¹ triangles {s:?} and {t:?} share a vertex yet cross"
+        );
+        return (false, false);
+    }
+    if !triangles_cross(sp, tp) {
+        return (false, false);
+    }
+    (circum_contains_any(sp, tp), circum_contains_any(tp, sp))
+}
+
 fn planarize_parts(
     g: &Graph,
     tris: Vec<[usize; 3]>,
@@ -357,11 +421,6 @@ fn planarize_parts(
     // Streaming keeps the planarize sweep allocation-free per pair where
     // materializing + sorting the pair list dominated the old running
     // time at scale.
-    //
-    // Two triangles that share a vertex lie in that vertex's one plane
-    // triangulation and cannot cross (module docs). They are about 94 %
-    // of the box-overlapping pairs at Table I density, so the exact test
-    // runs only on pairs with disjoint vertex sets.
     let mut removed = vec![false; m];
     UniformGrid::from_boxes(&boxes, None).for_each_candidate_pair(|i, j| {
         if removed[i] && removed[j] {
@@ -372,24 +431,9 @@ fn planarize_parts(
         if ilo.x > jhi.x || jlo.x > ihi.x || ilo.y > jhi.y || jlo.y > ihi.y {
             return;
         }
-        if share_vertex(tris[i], tris[j]) {
-            #[cfg(feature = "invariant-checks")]
-            assert!(
-                !triangles_cross(&tpts[i], &tpts[j]),
-                "LDel¹ triangles {:?} and {:?} share a vertex yet cross",
-                tris[i],
-                tris[j]
-            );
-            return;
-        }
-        if triangles_cross(&tpts[i], &tpts[j]) {
-            if !removed[i] && circum_contains_any(&tpts[i], tris[i], tris[j], &tpts[j]) {
-                removed[i] = true;
-            }
-            if !removed[j] && circum_contains_any(&tpts[j], tris[j], tris[i], &tpts[i]) {
-                removed[j] = true;
-            }
-        }
+        let (ri, rj) = crossing_removals(tris[i], &tpts[i], tris[j], &tpts[j]);
+        removed[i] |= ri;
+        removed[j] |= rj;
     });
 
     let triangles: Vec<[usize; 3]> = tris
@@ -462,34 +506,13 @@ pub fn ldel_k(g: &Graph, k: usize) -> LocalDelaunay {
     }
     triangles.sort_unstable();
 
-    let gabriel_edges = gabriel_edge_list(g);
+    let gabriel_edges = crate::gabriel::gabriel_edges(g);
     let graph = assemble_graph(g, &triangles, &gabriel_edges);
     LocalDelaunay {
         graph,
         triangles,
         gabriel_edges,
     }
-}
-
-/// All Gabriel edges of a distance-closed graph, `(u, v)` with `u < v`.
-///
-/// The per-edge emptiness test only reads shared state, so the edges are
-/// tested in parallel; the keep-mask preserves the sorted edge order.
-fn gabriel_edge_list(g: &Graph) -> Vec<(usize, usize)> {
-    let edges: Vec<(usize, usize)> = g.edges().collect();
-    let keep: Vec<bool> = edges
-        .par_iter()
-        .map(|&(u, v)| {
-            let pu = g.position(u);
-            let pv = g.position(v);
-            !common_neighbors(g, u, v).any(|w| gabriel_test(pu, pv, g.position(w)))
-        })
-        .collect();
-    edges
-        .into_iter()
-        .zip(keep)
-        .filter_map(|(e, k)| k.then_some(e))
-        .collect()
 }
 
 /// Do two triangles, given by their vertex positions, properly cross
@@ -509,6 +532,26 @@ fn triangles_cross(t1: &[Point; 3], t2: &[Point; 3]) -> bool {
                 && segments_properly_cross(a, b, c, d)
         })
     })
+}
+
+/// Six nodes a, b, w, c, d, z on a UDG of radius 1, the one instance in
+/// the tests where planarization removes a triangle: `LDel¹` is
+/// `[[0,1,2],[0,2,5],[3,4,5]]`, `PLDel` `[[0,2,5],[3,4,5]]`. The flat
+/// triangle abw has a huge circumcircle holding d, which is two hops from
+/// a, b and w, so all three stars accept it. Its edge ab properly crosses
+/// edge cd of the triangle cdz, with which it shares no vertex.
+#[cfg(test)]
+pub(crate) fn crossed_flat_triangle() -> Graph {
+    let pts = [
+        (0.0, 0.0),
+        (1.0, 0.0),
+        (0.01, 0.001),
+        (0.5, 0.05),
+        (0.5, -0.9),
+        (0.35, 0.04),
+    ]
+    .map(|(x, y)| Point::new(x, y));
+    geospan_graph::gen::UnitDiskBuilder::new(1.0).build(&pts)
 }
 
 /// The pairs of `triangles` that share a vertex and yet properly cross,
@@ -531,22 +574,17 @@ pub(crate) fn crossing_pairs_sharing_a_vertex(
     out
 }
 
-/// Is any vertex of `other` inside or on the circumcircle of the triangle
-/// with positions `t_pts` (vertex ids `t`)?
+/// Is any of the points `other` inside or on the circumcircle of the
+/// triangle `t`?
 ///
 /// Boundary points count as contained so that exactly-cocircular crossing
 /// pairs (possible on degenerate deployments such as perfect grids)
 /// remove each other and the planarity guarantee survives ties.
-fn circum_contains_any(
-    t_pts: &[Point; 3],
-    t: [usize; 3],
-    other: [usize; 3],
-    other_pts: &[Point; 3],
-) -> bool {
-    let [a, b, c] = *t_pts;
-    (0..3).any(|k| {
-        !t.contains(&other[k]) && in_circumcircle(a, b, c, other_pts[k]) != CirclePosition::Outside
-    })
+fn circum_contains_any(t: &[Point; 3], other: &[Point; 3]) -> bool {
+    let [a, b, c] = *t;
+    other
+        .iter()
+        .any(|&p| in_circumcircle(a, b, c, p) != CirclePosition::Outside)
 }
 
 /// Nodes within `k` hops of `u`, including `u`.
@@ -697,20 +735,7 @@ mod tests {
 
     #[test]
     fn planarize_removes_a_triangle_crossed_by_a_disjoint_one() {
-        // a, b, w, c, d, z. The flat triangle abw has a huge circumcircle
-        // holding d, which is two hops from a, b and w, so all three
-        // stars accept it. Its edge ab properly crosses edge cd of the
-        // triangle cdz, with which it shares no vertex.
-        let pts = [
-            (0.0, 0.0),
-            (1.0, 0.0),
-            (0.01, 0.001),
-            (0.5, 0.05),
-            (0.5, -0.9),
-            (0.35, 0.04),
-        ]
-        .map(|(x, y)| Point::new(x, y));
-        let g = UnitDiskBuilder::new(1.0).build(&pts);
+        let g = crossed_flat_triangle();
         let raw = ldel1(&g);
         assert_eq!(raw.triangles, [[0, 1, 2], [0, 2, 5], [3, 4, 5]]);
         assert!(!is_plane_embedding(&raw.graph));
