@@ -163,40 +163,6 @@ impl LdelNode {
         }
     }
 
-    /// Computes this node's Delaunay star in `Del(N₁(self))` and its
-    /// incident Gabriel edges from the heard `Hello`s: the node's
-    /// `O(d log d)` local computation, by the same rule as the
-    /// centralized construction ([`crate::ldel::star_step`]), over the
-    /// known positions in id order. Heard positions come from outside the
-    /// node, so it checks them for the star walk's input contract itself.
-    fn compute_local_structures(&mut self) {
-        let mut ids: Vec<usize> = Vec::with_capacity(self.known.len() + 1);
-        ids.push(self.id);
-        ids.extend(self.known.keys());
-        ids.sort_unstable();
-        let centre = ids.partition_point(|&i| i < self.id);
-        let pts: Vec<Point> = ids.iter().map(|&i| self.position_of(i)).collect();
-        let mut tris: Vec<Triangle> = Vec::new();
-        let mut gabriel: Vec<bool> = Vec::new();
-        star_step(&pts, centre, distinct_finite(&pts), &mut tris, &mut gabriel);
-        // Ascending, since `ids` is.
-        self.gabriel = ids
-            .iter()
-            .zip(&gabriel)
-            .filter(|&(_, &keep)| keep)
-            .map(|(&v, _)| (self.id.min(v), self.id.max(v)))
-            .collect();
-        self.local_tris = tris
-            .iter()
-            .map(|t| {
-                let mut key = t.indices().map(|i| ids[i]);
-                key.sort_unstable();
-                key
-            })
-            .collect();
-        self.local_tris.sort_unstable();
-    }
-
     /// The two corners of `tri` other than this node, ascending.
     fn others(&self, tri: [usize; 3]) -> (usize, usize) {
         match tri.iter().position(|&x| x == self.id) {
@@ -296,6 +262,43 @@ impl LdelNode {
     }
 }
 
+/// Node `id`'s local step over the positions it `heard`, run by both
+/// LDel nodes: [`crate::ldel::star_step`] over the points in id order.
+/// Returns the incident Gabriel edges, `(min, max)` and ascending, and
+/// the Delaunay star as ascending global triples, sorted. Heard
+/// positions come from outside the node, so it checks the star walk's
+/// input contract itself.
+pub(crate) fn local_step(
+    id: usize,
+    pos: Point,
+    heard: &VecMap<Point>,
+) -> (Vec<(usize, usize)>, Vec<[usize; 3]>) {
+    let mut ids: Vec<usize> = heard.keys().collect();
+    let mut pts: Vec<Point> = heard.values().copied().collect();
+    let centre = ids.partition_point(|&v| v < id);
+    ids.insert(centre, id);
+    pts.insert(centre, pos);
+    let (mut tris, mut keep): (Vec<Triangle>, Vec<bool>) = (Vec::new(), Vec::new());
+    star_step(&pts, centre, distinct_finite(&pts), &mut tris, &mut keep);
+    // Ascending, since `ids` is.
+    let gabriel = ids
+        .iter()
+        .zip(&keep)
+        .filter(|&(_, &k)| k)
+        .map(|(&v, _)| (id.min(v), id.max(v)))
+        .collect();
+    let mut star: Vec<[usize; 3]> = tris
+        .iter()
+        .map(|t| {
+            let mut key = t.indices().map(|i| ids[i]);
+            key.sort_unstable();
+            key
+        })
+        .collect();
+    star.sort_unstable();
+    (gabriel, star)
+}
+
 /// Whether every position is finite and no two are bit-identical: the
 /// input contract of the star walk, which
 /// [`geospan_geometry::delaunay_triangles`] checks with an error instead.
@@ -320,7 +323,7 @@ impl Protocol for LdelNode {
                 ctx.broadcast(LdelMsg::Hello { pos: self.pos });
             }
             1 => {
-                self.compute_local_structures();
+                (self.gabriel, self.local_tris) = local_step(self.id, self.pos, &self.known);
                 for tri in self.proposals() {
                     let (v, w) = self.others(tri);
                     // Proposing counts as vouching for the triangle.

@@ -9,12 +9,17 @@
 //! | | `LDel¹` + planarize | `LDel²` |
 //! |---|---|---|
 //! | knowledge | 1-hop | 2-hop |
+//! | local step | Delaunay star + Gabriel verdicts | the same |
+//! | triangle test | in all three stars | in all three stars, circumcircle empty of each corner's 2-hop ring |
 //! | extra phases | crossing removal (2) | neighbor-table exchange (1) |
-//! | planar | after removal | immediately |
+//! | planar | after removal | immediately, ties included |
 //!
 //! Phases: `Hello` (positions) → `NeighborTable` (2-hop knowledge) →
-//! `Proposal`/`Accept`/`Reject` on triangles whose circumcircles are
-//! empty of the proposer's 2-hop neighborhood → local finalization.
+//! `Proposal`/`Accept`/`Reject` → local finalization. A node proposes,
+//! and accepts, only triangles of its own Delaunay star (`LDel¹`'s local
+//! step) whose sides are short and whose circumcircle holds no point of
+//! its 2-hop neighbourhood. So two kept triangles that share a corner lie
+//! in that corner's one triangulation and cannot cross, ties included.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -25,7 +30,7 @@ use geospan_sim::{
     Context, FaultReport, MessageKind, MessageStats, Network, Protocol, QuiescenceTimeout, Radio,
 };
 
-use crate::distributed::assemble;
+use crate::distributed::{assemble, local_step};
 use crate::ldel::LocalDelaunay;
 
 /// Messages of the `LDel²` protocol.
@@ -83,6 +88,9 @@ pub struct Ldel2Node {
     neighbors: VecMap<Point>,
     /// 2-hop knowledge (from `NeighborTable`), including the 1-hop ring.
     known2: VecMap<Point>,
+    /// The node's Delaunay star over its 1-hop ring, as ascending
+    /// triples, sorted: the only triangles it proposes or accepts.
+    star: Vec<[usize; 3]>,
     /// Triple-keyed, so `BTree*` stays: phase-3 finalization iterates in
     /// triangle-key order, which the equivalence tests pin.
     confirmations: BTreeMap<[usize; 3], VecSet>,
@@ -101,24 +109,18 @@ impl Ldel2Node {
         }
     }
 
-    /// Is the circumcircle of `tri` empty of this node's 2-hop
-    /// neighborhood (the `k = 2` localized Delaunay condition)?
+    /// Is the circumcircle of `tri`, a triangle of this node's star,
+    /// empty of its 2-hop neighborhood (the `k = 2` localized Delaunay
+    /// condition)? The node itself is a corner, so no witness.
     fn locally_empty(&self, tri: [usize; 3]) -> bool {
-        let (a, b, c) = (
-            self.position_of(tri[0]),
-            self.position_of(tri[1]),
-            self.position_of(tri[2]),
-        );
+        let [a, b, c] = tri.map(|x| self.position_of(x));
         self.known2.iter().all(|(x, &p)| {
             tri.contains(&x) || in_circumcircle(a, b, c, p) != CirclePosition::Inside
-        }) && {
-            // The node itself is also a witness.
-            tri.contains(&self.id) || in_circumcircle(a, b, c, self.pos) != CirclePosition::Inside
-        }
+        })
     }
 
     fn edges_short(&self, tri: [usize; 3]) -> bool {
-        let p: Vec<Point> = tri.iter().map(|&x| self.position_of(x)).collect();
+        let p = tri.map(|x| self.position_of(x));
         p[0].distance(p[1]) <= self.radius
             && p[1].distance(p[2]) <= self.radius
             && p[0].distance(p[2]) <= self.radius
@@ -139,50 +141,26 @@ impl Protocol for Ldel2Node {
         match phase {
             0 => ctx.broadcast(Ldel2Msg::Hello { pos: self.pos }),
             1 => {
-                let mut entries: Vec<(usize, Point)> =
-                    self.neighbors.iter().map(|(v, &p)| (v, p)).collect();
-                entries.sort_by_key(|(v, _)| *v);
+                let entries = self.neighbors.iter().map(|(v, &p)| (v, p)).collect();
                 ctx.broadcast(Ldel2Msg::NeighborTable { entries });
             }
             2 => {
-                // Gabriel edges (1-hop decidable) and triangle proposals.
-                let nbrs: Vec<(usize, Point)> =
-                    self.neighbors.iter().map(|(v, &p)| (v, p)).collect();
-                for &(v, pv) in &nbrs {
-                    let blocked = nbrs.iter().any(|&(w, pw)| {
-                        w != v
-                            && pw.distance(pv) <= self.radius
-                            && geospan_geometry::gabriel_test(self.pos, pv, pw)
-                    });
-                    if !blocked {
-                        self.gabriel.push((self.id.min(v), self.id.max(v)));
-                    }
-                }
-                self.gabriel.sort_unstable();
-                // Propose triangles over neighbor pairs with the
-                // 2-localized empty-circle property at this corner.
-                for (i, &(v, pv)) in nbrs.iter().enumerate() {
-                    for &(w, pw) in &nbrs[i + 1..] {
-                        if pv.distance(pw) > self.radius {
-                            continue;
-                        }
-                        let mut tri = [self.id, v, w];
-                        tri.sort_unstable();
-                        if geospan_geometry::orient2d(self.pos, pv, pw)
-                            == geospan_geometry::Orientation::Collinear
-                        {
-                            continue;
-                        }
-                        if self.locally_empty(tri) {
-                            self.confirm(tri, self.id);
-                            ctx.broadcast(Ldel2Msg::Proposal { tri });
-                        }
+                // The 1-hop star and Gabriel edges, by LDel¹'s rule. Each
+                // star triangle with short sides (the two at this node
+                // are) whose circumcircle is empty of the 2-hop
+                // neighbourhood is proposed, in the star's order.
+                (self.gabriel, self.star) = local_step(self.id, self.pos, &self.neighbors);
+                for &tri in &self.star {
+                    if self.edges_short(tri) && self.locally_empty(tri) {
+                        self.confirmations.entry(tri).or_default().insert(self.id);
+                        ctx.broadcast(Ldel2Msg::Proposal { tri });
                     }
                 }
             }
             3 => {
                 // Finalize: a triangle stands when all three corners
-                // vouched for it (proposed or accepted).
+                // vouched for it (proposed or accepted), each from its
+                // own star.
                 for (&tri, votes) in &self.confirmations {
                     if !tri.contains(&self.id) || self.dead.contains(&tri) {
                         continue;
@@ -215,16 +193,16 @@ impl Protocol for Ldel2Node {
                 }
                 self.confirm(*tri, from);
                 if self.responded.insert(*tri) {
-                    // Under message loss a corner's position may be
-                    // unknown (missed `Hello`/`NeighborTable`); the
-                    // triangle can't be vetted, so reject it — dropping a
-                    // triangle is always safe, keeping one never is. In
-                    // fault-free runs every corner of a proposed triangle
-                    // is in the proposer's table, hence known here.
-                    let knows_all = tri
-                        .iter()
-                        .all(|&x| x == self.id || self.known2.contains_key(x));
-                    if knows_all && self.edges_short(*tri) && self.locally_empty(*tri) {
+                    // LDel¹'s acceptance rule: only a triangle of this
+                    // node's own star, so two accepted triangles sharing a
+                    // corner lie in that corner's one triangulation and
+                    // cannot cross, even on cocircular input. A corner
+                    // whose `Hello` was lost is in no star here: dropping
+                    // a triangle is always safe, keeping one never is.
+                    if self.star.binary_search(tri).is_ok()
+                        && self.edges_short(*tri)
+                        && self.locally_empty(*tri)
+                    {
                         self.confirm(*tri, self.id);
                         ctx.broadcast(Ldel2Msg::Accept { tri: *tri });
                     } else {
@@ -306,6 +284,7 @@ fn new_node(g: &Graph, id: usize, radius: f64) -> Ldel2Node {
         active: g.degree(id) > 0,
         neighbors: VecMap::new(),
         known2: VecMap::new(),
+        star: Vec::new(),
         confirmations: BTreeMap::new(),
         dead: BTreeSet::new(),
         responded: BTreeSet::new(),
@@ -317,12 +296,17 @@ fn new_node(g: &Graph, id: usize, radius: f64) -> Ldel2Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ldel::ldel_k;
-    use geospan_graph::gen::connected_unit_disk;
+    use crate::ldel::{crossing_pairs_sharing_a_vertex, ldel_k, tie_prone_udg};
+    use geospan_graph::gen::{connected_unit_disk, UnitDiskBuilder};
     use geospan_graph::planarity::is_plane_embedding;
+    use geospan_sim::{FaultPlan, ReliabilityConfig};
+    use proptest::prelude::*;
 
     #[test]
     fn matches_centralized_ldel2() {
+        // In general position: on cocircular input the oracle's
+        // non-strict test keeps crossing triangles that this protocol
+        // drops (`cocircular_arc_keeps_one_triangle`).
         for seed in 0..4 {
             let (_pts, g, _s) = connected_unit_disk(40, 100.0, 35.0, seed * 67 + 1);
             let central = ldel_k(&g, 2);
@@ -384,7 +368,6 @@ mod tests {
 
     #[test]
     fn stays_planar_under_loss_and_crash() {
-        use geospan_sim::{FaultPlan, ReliabilityConfig};
         for seed in 0..3 {
             let (_pts, g, _s) = connected_unit_disk(45, 100.0, 32.0, seed * 29 + 7);
             let victim = (seed as usize * 13 + 5) % 45;
@@ -421,6 +404,71 @@ mod tests {
             for t in &two.triangles {
                 assert!(one.triangles.contains(t), "seed {seed}: {t:?} not in LDel1");
             }
+        }
+    }
+
+    /// Four lattice points on the circle of radius 5 about the origin,
+    /// at radius 4.5: the long chords 0–2 and 1–3 cross, and 0–3 is out of
+    /// range.
+    fn cocircular_arc() -> Graph {
+        let arc = [(5.0, 0.0), (4.0, 3.0), (3.0, 4.0), (0.0, 5.0)].map(|(x, y)| Point::new(x, y));
+        UnitDiskBuilder::new(4.5).build(&arc)
+    }
+
+    #[test]
+    fn cocircular_arc_keeps_one_triangle() {
+        // Nodes 1 and 2 see all four points and keep the one diagonal 0–2
+        // of their shared triangulation, so triangle 123, in node 3's star
+        // only, goes.
+        let g = cocircular_arc();
+        assert_eq!(ldel_k(&g, 2).triangles, [[0, 1, 2], [1, 2, 3]]);
+        let (ld, _stats) = run_ldel2(&g, 4.5).unwrap();
+        assert_eq!(ld.triangles, [[0, 1, 2]]);
+        assert!(is_plane_embedding(&ld.graph));
+    }
+
+    #[test]
+    fn arc_triangles_never_cross_when_rejections_are_lost() {
+        // Every vote, a proposal as much as an acceptance, is for a
+        // triangle of the voter's own star. A node that proposed triangle
+        // 123 from outside its star would vouch for it to node 3, and a
+        // lost `Reject` would then let node 3 keep it beside 012: seeds 214
+        // and 244 drop both of nodes 1 and 2's rejections. Checked on the
+        // triangles the nodes keep, read off the network as the assembly
+        // reads them. Without retries a lost `Hello` can also let a node
+        // call an edge Gabriel that crosses a triangle (seed 10), which
+        // `invariant-checks` rejects in `run_ldel2_with`.
+        let g = cocircular_arc();
+        for seed in 0..256 {
+            let radio = Radio {
+                faults: FaultPlan::new(seed).with_loss(0.2),
+                reliability: ReliabilityConfig {
+                    max_retries: 0,
+                    ack_timeout: 2,
+                },
+                jitter: None,
+            };
+            let mut net = Network::new(&g, |id| new_node(&g, id, 4.5)).with_radio(&radio);
+            net.run_phases(4, net.round_budget()).unwrap();
+            let mut kept: Vec<[usize; 3]> = net
+                .nodes()
+                .iter()
+                .flat_map(|v| v.final_tris.iter().copied())
+                .collect();
+            kept.sort_unstable();
+            kept.dedup();
+            let crossing = crossing_pairs_sharing_a_vertex(&g, &kept);
+            assert!(crossing.is_empty(), "seed {seed}: {crossing:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn plane_on_tie_prone_input((g, radius) in tie_prone_udg()) {
+            let (ld, _stats) = run_ldel2(&g, radius).expect("converges");
+            prop_assert!(is_plane_embedding(&ld.graph));
         }
     }
 }

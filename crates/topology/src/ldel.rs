@@ -36,14 +36,16 @@
 //! circumcircle test accepts the triangles of both diagonals of an
 //! exact square, so its output is not valid input to [`planarize`].
 //!
-//! **One rule set, two constructions.** Each node's star and Gabriel
+//! **One rule set, three constructions.** Each node's star and Gabriel
 //! verdicts (`star_step`) and the crossing-removal rule
 //! (`crossing_removals`) are implemented once, here. [`ldel1`] and
 //! [`planarized`] run them over the whole graph; the message-passing node
 //! of [`crate::distributed::run_ldel_with`] runs the same two functions
 //! on what it heard. That node accepts a triangle only from its own star,
 //! on every radio, so its crossing removal may skip shared-vertex pairs
-//! too.
+//! too. The `LDel²` node of [`crate::distributed2::run_ldel2_with`] runs
+//! the same star step and votes only for triangles of its star, which is
+//! what keeps its output plane on cocircular input.
 //!
 //! These functions operate on any *distance-closed* embedded graph: a
 //! graph that contains **every** edge between its participating nodes
@@ -335,7 +337,7 @@ fn assert_distinct_positions(g: &Graph) {
 /// Panics if two participating nodes share a position.
 pub fn planarized(g: &Graph) -> LocalDelaunay {
     let (triangles, gabriel_edges) = ldel1_parts(g);
-    planarize_parts(g, triangles, gabriel_edges)
+    planarize_parts(g, triangles, gabriel_edges, None)
 }
 
 /// Planarizes an already-computed `LDel¹` (useful when the caller needs
@@ -347,8 +349,9 @@ pub fn planarized(g: &Graph) -> LocalDelaunay {
 /// two such triangles lie in one plane triangulation, as the stars of
 /// those constructions guarantee (module docs). The output of
 /// [`ldel_k`]`(g, 1)` on cocircular input breaks that precondition.
+/// When no triangle goes, `raw` comes back as it was given.
 pub fn planarize(g: &Graph, raw: LocalDelaunay) -> LocalDelaunay {
-    planarize_parts(g, raw.triangles, raw.gabriel_edges)
+    planarize_parts(g, raw.triangles, raw.gabriel_edges, Some(raw.graph))
 }
 
 /// Whether two ascending index triples have a vertex in common.
@@ -388,10 +391,13 @@ pub(crate) fn crossing_removals(
     (circum_contains_any(sp, tp), circum_contains_any(tp, sp))
 }
 
+/// Removes the crossed triangles of `tris`, keeping `graph`, the
+/// caller's graph of the input if it has one, when none goes.
 fn planarize_parts(
     g: &Graph,
-    tris: Vec<[usize; 3]>,
+    mut tris: Vec<[usize; 3]>,
     gabriel_edges: Vec<(usize, usize)>,
+    graph: Option<Graph>,
 ) -> LocalDelaunay {
     let m = tris.len();
 
@@ -436,13 +442,10 @@ fn planarize_parts(
         removed[j] |= rj;
     });
 
-    let triangles: Vec<[usize; 3]> = tris
-        .iter()
-        .zip(&removed)
-        .filter(|(_, &r)| !r)
-        .map(|(&t, _)| t)
-        .collect();
-    let graph = assemble_graph(g, &triangles, &gabriel_edges);
+    let graph = graph.filter(|_| !removed.contains(&true));
+    let mut kept = removed.into_iter().map(|r| !r);
+    tris.retain(|_| kept.next().unwrap_or(true));
+    let graph = graph.unwrap_or_else(|| assemble_graph(g, &tris, &gabriel_edges));
     #[cfg(feature = "invariant-checks")]
     assert!(
         geospan_graph::planarity::is_plane_embedding(&graph),
@@ -450,7 +453,7 @@ fn planarize_parts(
     );
     LocalDelaunay {
         graph,
-        triangles,
+        triangles: tris,
         gabriel_edges,
     }
 }
@@ -460,8 +463,13 @@ fn planarize_parts(
 /// empty of `N_k(u) ∪ N_k(v) ∪ N_k(w)`.
 ///
 /// This is the reference oracle for tests (`LDel^k` is planar for
-/// `k >= 2`); it enumerates all UDG triangles and costs `O(n · Δ³)` — use
-/// [`ldel1`]/[`planarized`] for real workloads.
+/// `k >= 2` in general position); it enumerates all UDG triangles and
+/// costs `O(n · Δ³)` — use [`ldel1`]/[`planarized`] for real workloads.
+/// Its circumcircle test is non-strict, so on cocircular input it keeps
+/// both diagonals' triangles at every `k`: at `k = 2` the points (5,0),
+/// (4,3), (3,4), (0,5) at radius 4.5 give the crossing pair
+/// `[[0,1,2],[1,2,3]]`, of which [`crate::distributed2::run_ldel2_with`]
+/// keeps `[0,1,2]`. The two agree in general position only.
 ///
 /// # Panics
 /// Panics if `k == 0`.
@@ -554,6 +562,77 @@ pub(crate) fn crossed_flat_triangle() -> Graph {
     geospan_graph::gen::UnitDiskBuilder::new(1.0).build(&pts)
 }
 
+/// The 12 points of the integer lattice on the circle of radius 5
+/// about the origin: exactly cocircular, with antipodal pairs
+/// collinear with the centre.
+#[cfg(test)]
+fn lattice_circle() -> Vec<Point> {
+    [(5, 0), (4, 3), (3, 4)]
+        .into_iter()
+        .flat_map(|(x, y)| [(x, y), (-y, x), (-x, -y), (y, -x)])
+        .map(|(x, y)| Point::new(f64::from(x), f64::from(y)))
+        .collect()
+}
+
+/// Deployments where the stars tie or nearly tie, plus uniform ones at
+/// Table I density, each with its radius.
+#[cfg(test)]
+pub(crate) fn tie_prone_udg() -> impl proptest::strategy::Strategy<Value = (Graph, f64)> {
+    use geospan_graph::gen::{perturbed_grid, uniform_points, UnitDiskBuilder};
+    use proptest::prelude::*;
+    let udg = |pts: &[Point], r: f64| (UnitDiskBuilder::new(r).build(pts), r);
+    prop_oneof![
+        // Exact grid: every square cocircular, every row collinear.
+        (2usize..9, 2usize..9, 10.0f64..31.0)
+            .prop_map(move |(nx, ny, r)| udg(&perturbed_grid(nx, ny, 10.0, 0.0, 0), r)),
+        // One collinear chain, or two parallel ones: rectangles and
+        // isosceles trapezoids are cocircular.
+        (2usize..16, 0usize..16, 0usize..3, 1usize..4, 10.0f64..45.0).prop_map(
+            move |(k, l, shift, rise, r)| {
+                let pts: Vec<Point> = (0..k)
+                    .map(|i| Point::new(10.0 * i as f64, 0.0))
+                    .chain((0..l).map(|i| {
+                        Point::new(10.0 * i as f64 + 5.0 * shift as f64, 10.0 * rise as f64)
+                    }))
+                    .collect();
+                udg(&pts, r)
+            }
+        ),
+        // A subset of the lattice circle plus its centre: the
+        // centre's star has collinear antipodes, and with a radius
+        // below 5 the circle nodes see only cocircular neighbours.
+        (any::<u64>(), 3.0f64..11.0).prop_map(move |(mask, r)| {
+            let circle = lattice_circle();
+            let pts: Vec<Point> = std::iter::once(Point::new(0.0, 0.0))
+                .chain(
+                    circle
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| mask >> i & 1 == 1 || i < 3)
+                        .map(|(_, &p)| p),
+                )
+                .collect();
+            udg(&pts, r)
+        }),
+        // Jittered grid: near-ties.
+        (
+            2usize..9,
+            2usize..9,
+            0.001f64..2.0,
+            10.0f64..31.0,
+            any::<u64>()
+        )
+            .prop_map(move |(nx, ny, jitter, r, seed)| {
+                udg(&perturbed_grid(nx, ny, 10.0, jitter, seed), r)
+            }),
+        // Uniform at Table I density (100 nodes per 200 × 200, radius 60).
+        (8usize..300, any::<u64>()).prop_map(move |(n, seed)| {
+            let side = 200.0 * (n as f64 / 100.0).sqrt();
+            udg(&uniform_points(n, side, seed), 60.0)
+        }),
+    ]
+}
+
 /// The pairs of `triangles` that share a vertex and yet properly cross,
 /// by the full crossing test: empty whenever the triangles satisfy the
 /// planarizer's precondition (module docs).
@@ -614,9 +693,7 @@ fn k_hop_neighborhood(g: &Graph, u: usize, k: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::{gabriel, unit_delaunay};
-    use geospan_graph::gen::{
-        connected_unit_disk, perturbed_grid, uniform_points, UnitDiskBuilder,
-    };
+    use geospan_graph::gen::{connected_unit_disk, uniform_points, UnitDiskBuilder};
     use geospan_graph::planarity::{crossing_count, is_plane_embedding};
     use geospan_graph::stretch::{stretch_factors, StretchOptions};
     use proptest::prelude::*;
@@ -731,6 +808,8 @@ mod tests {
             assert!(raw.triangles.contains(t));
         }
         assert_eq!(pl.gabriel_edges, raw.gabriel_edges);
+        // No triangle goes here, so the given structure comes back.
+        assert_eq!(planarize(&g, raw.clone()), raw);
     }
 
     #[test]
@@ -745,78 +824,11 @@ mod tests {
         assert_eq!(planarize(&g, raw), pl);
     }
 
-    /// The 12 points of the integer lattice on the circle of radius 5
-    /// about the origin: exactly cocircular, with antipodal pairs
-    /// collinear with the centre.
-    fn lattice_circle() -> Vec<Point> {
-        [(5, 0), (4, 3), (3, 4)]
-            .into_iter()
-            .flat_map(|(x, y)| [(x, y), (-y, x), (-x, -y), (y, -x)])
-            .map(|(x, y)| Point::new(f64::from(x), f64::from(y)))
-            .collect()
-    }
-
-    /// Deployments where the stars tie or nearly tie, plus uniform ones
-    /// at Table I density.
-    fn tie_prone_udg() -> impl Strategy<Value = Graph> {
-        prop_oneof![
-            // Exact grid: every square cocircular, every row collinear.
-            (2usize..9, 2usize..9, 10.0f64..31.0).prop_map(|(nx, ny, r)| {
-                UnitDiskBuilder::new(r).build(&perturbed_grid(nx, ny, 10.0, 0.0, 0))
-            }),
-            // One collinear chain, or two parallel ones: rectangles and
-            // isosceles trapezoids are cocircular.
-            (2usize..16, 0usize..16, 0usize..3, 1usize..4, 10.0f64..45.0).prop_map(
-                |(k, l, shift, rise, r)| {
-                    let pts: Vec<Point> = (0..k)
-                        .map(|i| Point::new(10.0 * i as f64, 0.0))
-                        .chain((0..l).map(|i| {
-                            Point::new(10.0 * i as f64 + 5.0 * shift as f64, 10.0 * rise as f64)
-                        }))
-                        .collect();
-                    UnitDiskBuilder::new(r).build(&pts)
-                }
-            ),
-            // A subset of the lattice circle plus its centre: the
-            // centre's star has collinear antipodes, and with a radius
-            // below 5 the circle nodes see only cocircular neighbours.
-            (any::<u64>(), 3.0f64..11.0).prop_map(|(mask, r)| {
-                let circle = lattice_circle();
-                let pts: Vec<Point> = std::iter::once(Point::new(0.0, 0.0))
-                    .chain(
-                        circle
-                            .iter()
-                            .enumerate()
-                            .filter(|&(i, _)| mask >> i & 1 == 1 || i < 3)
-                            .map(|(_, &p)| p),
-                    )
-                    .collect();
-                UnitDiskBuilder::new(r).build(&pts)
-            }),
-            // Jittered grid: near-ties.
-            (
-                2usize..9,
-                2usize..9,
-                0.001f64..2.0,
-                10.0f64..31.0,
-                any::<u64>()
-            )
-                .prop_map(|(nx, ny, jitter, r, seed)| {
-                    UnitDiskBuilder::new(r).build(&perturbed_grid(nx, ny, 10.0, jitter, seed))
-                }),
-            // Uniform at Table I density (100 nodes per 200 × 200, radius 60).
-            (8usize..300, any::<u64>()).prop_map(|(n, seed)| {
-                let side = 200.0 * (n as f64 / 100.0).sqrt();
-                UnitDiskBuilder::new(60.0).build(&uniform_points(n, side, seed))
-            }),
-        ]
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
-        fn ldel1_triangles_sharing_a_vertex_never_cross(g in tie_prone_udg()) {
+        fn ldel1_triangles_sharing_a_vertex_never_cross((g, _radius) in tie_prone_udg()) {
             // The planarizer skips these pairs; the full test must agree.
             let ld = ldel1(&g);
             let crossing = crossing_pairs_sharing_a_vertex(&g, &ld.triangles);
@@ -828,14 +840,24 @@ mod tests {
     #[test]
     fn ldel_k_on_a_square_breaks_the_planarizer_precondition() {
         // The definitional oracle's non-strict circumcircle test accepts
-        // the triangles of both diagonals of an exact square; `ldel1`
-        // accepts only triangles of each corner's one triangulation.
+        // the triangles of both diagonals of an exact square, at k = 1 and
+        // at k = 2; `ldel1` and the `LDel²` protocol accept only triangles
+        // of each corner's one triangulation.
         let square =
             [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)].map(|(x, y)| Point::new(x, y));
         let g = UnitDiskBuilder::new(1.5).build(&square);
-        assert_eq!(ldel_k(&g, 1).triangles.len(), 4);
-        assert!(!crossing_pairs_sharing_a_vertex(&g, &ldel_k(&g, 1).triangles).is_empty());
+        for k in [1, 2] {
+            let oracle = ldel_k(&g, k).triangles;
+            assert_eq!(oracle.len(), 4, "k = {k}");
+            assert!(
+                !crossing_pairs_sharing_a_vertex(&g, &oracle).is_empty(),
+                "k = {k}"
+            );
+        }
         assert!(crossing_pairs_sharing_a_vertex(&g, &ldel1(&g).triangles).is_empty());
+        let (ldel2, _stats) = crate::distributed2::run_ldel2(&g, 1.5).unwrap();
+        assert_eq!(ldel2.triangles.len(), 2);
+        assert!(crossing_pairs_sharing_a_vertex(&g, &ldel2.triangles).is_empty());
     }
 
     #[test]

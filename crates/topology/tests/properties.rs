@@ -241,7 +241,7 @@ fn ldel2_golden_digests() {
         });
     assert_eq!(
         [perfect, faulty],
-        [4587022266665944260, 3618392793553429737]
+        [4587022266665944260, 16493780909842246299]
     );
     assert_eq!(jittered, perfect);
 }
@@ -348,4 +348,23 @@ fn pldel_golden_digest_at_ten_thousand_nodes() {
         pipeline_digest(&table1_udg(10_000), "n = 10 000"),
         12121495317998090221
     );
+}
+
+/// Run with `cargo test --release -p geospan-topology --test properties
+/// -- --ignored --exact ldel2_golden_digest_at_two_thousand_nodes`.
+/// Pins the perfect-radio `LDel²` run at Table I density, and checks that
+/// the run on an exact 40 × 40 grid, where every square is cocircular, is
+/// a plane embedding.
+#[test]
+#[ignore = "n = 2 000 and a 40 × 40 grid; use --release"]
+fn ldel2_golden_digest_at_two_thousand_nodes() {
+    let udg = table1_udg(2_000);
+    let (ld, stats) = distributed2::run_ldel2(&udg, 60.0).expect("converges");
+    let mut h = Fnv::NEW;
+    h.run(&ld, &stats, &FaultReport::default());
+    assert_eq!(h.0, 14612007757792001594);
+
+    let grid = UnitDiskBuilder::new(25.0).build(&perturbed_grid(40, 40, 10.0, 0.0, 0));
+    let (ld, _stats) = distributed2::run_ldel2(&grid, 25.0).expect("converges");
+    assert_eq!(crossing_count(&ld.graph), 0, "LDel² of the exact grid");
 }
