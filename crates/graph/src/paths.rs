@@ -7,7 +7,7 @@
 //! [`pair_distances`] and [`DistanceOracle`] that answer many pairs with
 //! one 64-source BFS per block of nearby sources.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
@@ -166,33 +166,18 @@ fn spread_bits(q: u16) -> u32 {
     (x | x << 1) & 0x5555_5555
 }
 
-/// Max-heap entry ordered by *smallest* distance first.
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: usize,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the nearest node.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Euclidean-length distance from `src` to every node (`None` for
 /// unreachable nodes). Edge weights are the embedded edge lengths.
+///
+/// The result is that of the textbook Dijkstra to the bit, NaN and
+/// infinite lengths included: `Option` distances, a settled set, and a
+/// heap that pops the least distance under [`f64::total_cmp`] first,
+/// ties by the least node, with a node's distance lowered only by a
+/// strictly smaller sum `d(u) + |uv|`. The row runs leaner than that
+/// (`f64` distances with a reached flag, no settled set, integer heap
+/// keys), because a row pops every entry it pushes and pays for each
+/// pop; the goal-directed searches of [`pair_distances`], which pop few,
+/// use a radix queue instead.
 ///
 /// # Panics
 /// Panics if `src` is out of bounds.
@@ -221,6 +206,20 @@ fn slot_lengths(g: &Graph) -> Vec<f64> {
 
 /// The one Dijkstra: `weight(u, v, slot)` is the length of the edge in
 /// slot `slot` of [`Graph::csr`], from `u` to `v`.
+///
+/// Kept lean because a row pops every entry it pushes: `f64` distances
+/// with a reached flag, and a binary heap of `(total_order(d), node)`
+/// entries, whose integer order ([`total_order`]) is that of `(d, node)`
+/// under [`f64::total_cmp`]. An entry whose key no longer matches its node's
+/// distance is stale. No settled set is needed: the non-NaN keys pop in
+/// ascending order, a relaxation `fl(d + w)` with `w ≥ 0` is never below
+/// `d`, and no comparison with a NaN holds, so a relaxation never lowers
+/// a node that has already been popped. Pops, ties and NaNs included,
+/// thus run in the order of a textbook Dijkstra that keeps that set,
+/// and the rows are the same to the bit.
+///
+/// # Panics
+/// Panics if `src` is out of bounds.
 fn dijkstra(
     g: &Graph,
     src: usize,
@@ -229,134 +228,108 @@ fn dijkstra(
     let n = g.node_count();
     assert!(src < n, "source {src} out of bounds for {n} nodes");
     let (offsets, targets) = g.csr();
-    let mut dist: Vec<Option<f64>> = vec![None; n];
-    let mut done = vec![false; n];
+    let mut dist = vec![0.0; n];
+    let mut reached = vec![false; n];
     let mut heap = BinaryHeap::with_capacity(n);
-    dist[src] = Some(0.0);
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: src,
-    });
-    while let Some(HeapEntry { dist: du, node: u }) = heap.pop() {
-        if done[u] {
-            continue;
+    reached[src] = true;
+    heap.push(Reverse((total_order(0.0), src)));
+    while let Some(Reverse((key, u))) = heap.pop() {
+        let du = dist[u];
+        if key != total_order(du) {
+            continue; // `dist[u]` dropped since this entry was pushed
         }
-        done[u] = true;
-        for (slot, &v) in (offsets[u]..).zip(&targets[offsets[u]..offsets[u + 1]]) {
-            if done[v] {
-                continue;
-            }
+        let row = offsets[u]..offsets[u + 1];
+        for (slot, &v) in row.clone().zip(&targets[row]) {
             let cand = du + weight(u, v, slot);
-            if dist[v].is_none_or(|dv| cand < dv) {
-                dist[v] = Some(cand);
-                heap.push(HeapEntry {
-                    dist: cand,
-                    node: v,
-                });
+            if !reached[v] || cand < dist[v] {
+                reached[v] = true;
+                dist[v] = cand;
+                heap.push(Reverse((total_order(cand), v)));
             }
         }
     }
-    dist
+    dist.into_iter()
+        .zip(reached)
+        .map(|(d, reached)| reached.then_some(d))
+        .collect()
 }
 
-/// A shortest hop path from `src` to `dst` as a node sequence (inclusive
-/// of both endpoints), or `None` when unreachable.
-///
-/// # Panics
-/// Panics if either endpoint is out of bounds.
-pub fn shortest_hop_path(g: &Graph, src: usize, dst: usize) -> Option<Vec<usize>> {
-    let n = g.node_count();
-    assert!(src < n && dst < n, "endpoints out of bounds");
-    if src == dst {
-        return Some(vec![src]);
+/// `x`'s bits, mapped so that their integer order is [`f64::total_cmp`]'s:
+/// a value with the sign bit set (NaNs included) has every bit flipped,
+/// any other only the sign bit.
+fn total_order(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
     }
-    let mut parent = vec![usize::MAX; n];
-    let mut seen = vec![false; n];
-    seen[src] = true;
-    let mut q = VecDeque::new();
-    q.push_back(src);
-    while let Some(u) = q.pop_front() {
-        for &v in g.neighbors(u) {
-            if !seen[v] {
-                seen[v] = true;
-                parent[v] = u;
-                if v == dst {
-                    let mut path = vec![dst];
-                    let mut cur = dst;
-                    while cur != src {
-                        cur = parent[cur];
-                        path.push(cur);
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                q.push_back(v);
-            }
-        }
-    }
-    None
 }
 
-/// A shortest Euclidean-length path from `src` to `dst` as a node
-/// sequence, or `None` when unreachable.
+/// A monotone radix heap of `(key, node)` entries on `u64` keys (Ahuja,
+/// Mehlhorn, Orlin and Tarjan, "Faster algorithms for the shortest path
+/// problem", JACM 1990). Bucket 0 holds the entries whose key equals the
+/// last key popped, bucket `i ≥ 1` those whose highest bit differing
+/// from it is bit `i − 1`. A pop that finds bucket 0 empty takes the
+/// lowest nonempty bucket: its least key becomes the last popped, and
+/// all its entries fall to lower buckets. A push costs one
+/// `leading_zeros` and one `Vec::push`, so entries that are never popped
+/// cost next to nothing, and an entry that is popped moves down at most
+/// 64 times.
 ///
-/// # Panics
-/// Panics if either endpoint is out of bounds.
-pub fn shortest_length_path(g: &Graph, src: usize, dst: usize) -> Option<Vec<usize>> {
-    let n = g.node_count();
-    assert!(src < n && dst < n, "endpoints out of bounds");
-    if src == dst {
-        return Some(vec![src]);
-    }
-    let mut dist: Vec<Option<f64>> = vec![None; n];
-    let mut parent = vec![usize::MAX; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[src] = Some(0.0);
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: src,
-    });
-    while let Some(HeapEntry { dist: du, node: u }) = heap.pop() {
-        if done[u] {
-            continue;
-        }
-        done[u] = true;
-        if u == dst {
-            break;
-        }
-        for &v in g.neighbors(u) {
-            if done[v] {
-                continue;
-            }
-            let cand = du + g.edge_length(u, v);
-            if dist[v].is_none_or(|dv| cand < dv) {
-                dist[v] = Some(cand);
-                parent[v] = u;
-                heap.push(HeapEntry {
-                    dist: cand,
-                    node: v,
-                });
-            }
-        }
-    }
-    dist[dst]?;
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = parent[cur];
-        path.push(cur);
-    }
-    path.reverse();
-    Some(path)
+/// Keys must not fall below the last pop. A key that does is raised to
+/// it: [`push`](Self::push) returns the key the entry holds. Equal keys
+/// pop in no particular order.
+#[derive(Debug)]
+struct RadixQueue {
+    /// The last key popped, 0 before the first pop.
+    last: u64,
+    buckets: [Vec<(u64, usize)>; 65],
 }
 
-/// Total Euclidean length of a node path.
-///
-/// # Panics
-/// Panics if any node is out of bounds.
-pub fn path_length(g: &Graph, path: &[usize]) -> f64 {
-    path.windows(2).map(|w| g.edge_length(w[0], w[1])).sum()
+impl RadixQueue {
+    fn new() -> Self {
+        RadixQueue {
+            last: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+        }
+    }
+
+    /// The bucket of a key that is not below the last pop.
+    fn bucket(&self, key: u64) -> usize {
+        (u64::BITS - (key ^ self.last).leading_zeros()) as usize
+    }
+
+    /// Queues `node` at `key`, raised to the last pop if below it, and
+    /// returns the key it is queued at.
+    fn push(&mut self, key: u64, node: usize) -> u64 {
+        let key = key.max(self.last);
+        let b = self.bucket(key);
+        self.buckets[b].push((key, node));
+        key
+    }
+
+    /// An entry with the least key, or `None` if the queue is empty.
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        if self.buckets[0].is_empty() {
+            let i = self.buckets.iter().position(|b| !b.is_empty())?;
+            let mut spill = std::mem::take(&mut self.buckets[i]);
+            self.last = spill.iter().map(|&(key, _)| key).min()?;
+            for &(key, node) in &spill {
+                let b = self.bucket(key);
+                self.buckets[b].push((key, node));
+            }
+            spill.clear();
+            self.buckets[i] = spill;
+        }
+        self.buckets[0].pop()
+    }
+
+    /// Empties the queue, keeping its buckets' capacity.
+    fn clear(&mut self) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.last = 0;
+    }
 }
 
 /// Exact goal-directed length searches from one source to one target,
@@ -373,10 +346,21 @@ pub fn path_length(g: &Graph, path: &[usize]) -> f64 {
 /// * every `g` it records is such a sum, so `g(v) ≥ D(v)` throughout;
 /// * a node whose `g` drops is pushed again and re-expanded, so each node
 ///   on a Dijkstra tree path to `d` is eventually expanded at `g = D`;
-/// * it stops only when the smallest key exceeds `limit(best)`, which is
-///   above the key of every such node.
+/// * it stops only when a popped key exceeds `limit(best)`, and until
+///   every node of that path is expanded at `g = D`, no popped key
+///   exceeds `B`, the largest `key(v) = fl(D(v) + |vd|)` of a node `v`
+///   on it, which is at most `limit(best)`.
 ///
-/// The last point is where rounding enters. Take `v` on a tree path of
+/// The queue is a [`RadixQueue`], whose keys must not fall below the
+/// last pop. A consistent `|vd|` keeps the keys monotone in exact
+/// arithmetic, but rounding can leave a new key just below the key just
+/// popped, and such a key is raised to the last pop. That keeps the
+/// third point: until the path is expanded at `g = D`, its first node
+/// not yet so expanded is queued at `key(v)` or at an earlier pop,
+/// whichever is larger, so by induction over the pops neither that
+/// entry nor any pop before it exceeds `B`.
+///
+/// `B ≤ limit(best)` is where rounding enters. Take `v` on a tree path of
 /// `m ≤ n − 1` remaining edges with computed lengths `ŵ_j`, and write
 /// `u = 2⁻⁵³`. `distance` rounds each coordinate difference, each
 /// square, their sum and the square root, so it is within a factor
@@ -401,6 +385,13 @@ pub fn path_length(g: &Graph, path: &[usize]) -> f64 {
 /// the current `epoch`, so a search costs no `O(n)` clear. Edge lengths
 /// are read from [`slot_lengths`], computed once per searcher, which the
 /// searcher's Dijkstra rows ([`LengthSearch::row`]) share.
+///
+/// The searches and the rows keep separate queues on purpose. A search
+/// pops few of the entries it pushes (65 of 316, and expands 46 nodes,
+/// for uniform pairs at Table I density and n = 2 000), and a radix
+/// queue push is a bit scan and a `Vec::push`, where a binary heap's
+/// costs a sift. A row pops every entry, and there the binary heap of
+/// [`dijkstra`] is faster than the radix queue's redistributions.
 #[derive(Debug)]
 struct LengthSearch {
     /// [`slot_lengths`] of the searched graph.
@@ -411,7 +402,10 @@ struct LengthSearch {
     dist: Vec<f64>,
     /// `|vd|`, computed once per node and search (`h`).
     to_goal: Vec<f64>,
-    heap: BinaryHeap<HeapEntry>,
+    /// The key of each node's latest queue entry; an entry popped at
+    /// another key is stale.
+    key: Vec<u64>,
+    queue: RadixQueue,
     /// Searches run and nodes expanded by them, for the mean cost of one.
     searches: u64,
     expanded: u64,
@@ -431,7 +425,8 @@ impl LengthSearch {
             epoch: 0,
             dist: vec![0.0; n],
             to_goal: vec![0.0; n],
-            heap: BinaryHeap::new(),
+            key: vec![0; n],
+            queue: RadixQueue::new(),
             searches: 0,
             expanded: 0,
         }
@@ -487,19 +482,16 @@ impl LengthSearch {
         self.stamp[src] = self.epoch;
         self.dist[src] = 0.0;
         self.to_goal[src] = to_goal(src);
-        self.heap.push(HeapEntry {
-            dist: self.to_goal[src],
-            node: src,
-        });
-        while let Some(HeapEntry { dist: key, node: u }) = self.heap.pop() {
-            if key > limit {
+        self.key[src] = self.queue.push(self.to_goal[src].to_bits(), src);
+        while let Some((key, u)) = self.queue.pop() {
+            if f64::from_bits(key) > limit {
                 break;
             }
-            let du = self.dist[u];
-            if key != du + self.to_goal[u] {
+            if key != self.key[u] {
                 continue; // `dist[u]` dropped since this entry was pushed
             }
             self.expanded += 1;
+            let du = self.dist[u];
             let row = offsets[u]..offsets[u + 1];
             for (&v, &length) in targets[row.clone()].iter().zip(&self.slot_len[row]) {
                 let cand = du + length;
@@ -516,13 +508,15 @@ impl LengthSearch {
                     limit = cand + (cand * margin + slack);
                     continue;
                 }
+                // At least +0 unless NaN, which fails the test below, so
+                // its bits order as its value does.
                 let key = cand + self.to_goal[v];
                 if key <= limit {
-                    self.heap.push(HeapEntry { dist: key, node: v });
+                    self.key[v] = self.queue.push(key.to_bits(), v);
                 }
             }
         }
-        self.heap.clear();
+        self.queue.clear();
         (self.stamp[dst] == self.epoch).then(|| self.dist[dst])
     }
 }
@@ -542,9 +536,10 @@ impl LengthSearch {
 /// not 64.
 ///
 /// Lengths come from the same exact goal-directed search as
-/// [`pair_distances`]: an A* per query, aimed at the target, equal bit
-/// for bit to [`dijkstra_lengths`] (the exactness argument and its
-/// stopping margin, `best · (n + 16) · ε` plus an underflow term, are
+/// [`pair_distances`]: an A* per query on a radix queue, aimed at the
+/// target, equal bit for bit to [`dijkstra_lengths`] (the exactness
+/// argument, with its stopping margin, `best · (n + 16) · ε` plus an
+/// underflow term, and the raise of keys below the last pop, is
 /// documented on the search in the source). A pair the hop row finds
 /// unreachable is answered `None` without a length search. The oracle
 /// does not see its queries in advance, so it applies the cost rule of
@@ -688,8 +683,13 @@ impl<'a> DistanceOracle<'a> {
 ///   margin of `(n + 16) · ε` (plus `n · 2⁻⁵³⁶` for underflowing
 ///   distances). That margin bounds the rounding of `distance` and of
 ///   the sums along any path, so the result is Dijkstra's to the bit;
-///   the derivation is on the search in the source.
-/// * one [`dijkstra_lengths`] row, which settles every node.
+///   the derivation is on the search in the source. Its queue is a
+///   monotone radix heap, which makes a push nearly free: most entries a
+///   search pushes are never popped. Rounding can leave a new key just
+///   below the last pop; it is queued at the last pop instead, which the
+///   derivation shows cannot stop the search early.
+/// * one [`dijkstra_lengths`] row, which settles every node. It pops
+///   every entry it pushes, and there a binary heap is faster.
 ///
 /// Both read each edge's length from one array computed per call, with
 /// the expression [`dijkstra_lengths`] uses. With `k` pairs at a source
@@ -783,6 +783,7 @@ fn batched_hops(g: &Graph, pairs: &[(usize, usize)], groups: &[&[usize]]) -> Vec
 mod tests {
     use super::*;
     use geospan_geometry::Point;
+    use proptest::prelude::*;
 
     /// A 5-node graph: a straight chain 0-1-2-3 plus a long chord 0-4-3.
     fn diamond() -> Graph {
@@ -822,29 +823,6 @@ mod tests {
         // Straight chain is length 3; the chord through node 4 is ~8.5.
         assert!((d[3].unwrap() - 3.0).abs() < 1e-12);
         assert_eq!(d[0], Some(0.0));
-    }
-
-    #[test]
-    fn hop_path_differs_from_length_path() {
-        let g = diamond();
-        // Fewest hops: 0-4-3 (2 hops). Shortest length: 0-1-2-3 (3 units).
-        let hop = shortest_hop_path(&g, 0, 3).unwrap();
-        assert_eq!(hop.len(), 3);
-        let len = shortest_length_path(&g, 0, 3).unwrap();
-        assert_eq!(len, vec![0, 1, 2, 3]);
-        assert!((path_length(&g, &len) - 3.0).abs() < 1e-12);
-        assert!(path_length(&g, &hop) > 8.0);
-    }
-
-    #[test]
-    fn paths_to_self_and_unreachable() {
-        let mut g = diamond();
-        assert_eq!(shortest_hop_path(&g, 2, 2), Some(vec![2]));
-        assert_eq!(shortest_length_path(&g, 2, 2), Some(vec![2]));
-        g.remove_edge(0, 1);
-        g.remove_edge(0, 4);
-        assert_eq!(shortest_hop_path(&g, 0, 3), None);
-        assert_eq!(shortest_length_path(&g, 0, 3), None);
     }
 
     #[test]
@@ -908,6 +886,102 @@ mod tests {
         let want = dijkstra_lengths(&g, 0)[1];
         assert_eq!(want, Some(3.0 * e));
         assert_eq!(LengthSearch::new(&g).length(&g, 0, 1), want);
+    }
+
+    /// Node 3 is first queued from node 1 (`g = 3`), then from node 2
+    /// at a lower key (`g = √5`), before either entry pops. The target is
+    /// unreachable, so the search pops every entry: the stale one is
+    /// skipped, and each of the four nodes is expanded once.
+    #[test]
+    fn search_skips_stale_entries() {
+        let g = Graph::with_edges(
+            vec![
+                Point::new(0.0, 0.0),
+                Point::new(1.0, 0.0),
+                Point::new(0.5, 1.0),
+                Point::new(1.0, 2.0),
+                Point::new(100.0, 0.0),
+            ],
+            [(0, 1), (0, 2), (1, 3), (2, 3)],
+        );
+        let mut search = LengthSearch::new(&g);
+        assert_eq!(search.length(&g, 0, 4), None);
+        assert_eq!(search.expanded, 4);
+    }
+
+    proptest! {
+        /// Random interleavings of pushes and pops against a sorted
+        /// reference: pushes at the last pop (ties), a little above it,
+        /// below it (raised to it), and anywhere in `u64` at several scales; each pop
+        /// returns a queued entry with the least key, and a raised entry
+        /// comes back at the pop it was raised to. After `clear` no key is
+        /// raised.
+        #[test]
+        fn radix_queue_pops_like_a_sorted_list(
+            ops in prop::collection::vec((0u8..6, 0u64..8, any::<u64>()), 0..400),
+        ) {
+            let mut queue = RadixQueue::new();
+            let mut queued: Vec<(u64, usize)> = Vec::new();
+            let mut last = 0u64;
+            for (node, (op, small, any)) in ops.into_iter().enumerate() {
+                let key = match op {
+                    0 => last,
+                    1 => last.saturating_add(small),
+                    2 => last.saturating_sub(small),
+                    3 => any >> (small * 8),
+                    _ => {
+                        let popped = queue.pop();
+                        queued.sort_unstable();
+                        prop_assert_eq!(popped.map(|(key, _)| key), queued.first().map(|&(key, _)| key));
+                        if let Some(entry) = popped {
+                            let i = queued.iter().position(|&e| e == entry);
+                            prop_assert!(i.is_some(), "popped {:?}, never queued", entry);
+                            queued.remove(i.unwrap_or_default());
+                            last = entry.0;
+                        }
+                        continue;
+                    }
+                };
+                let held = queue.push(key, node);
+                prop_assert_eq!(held, key.max(last));
+                queued.push((held, node));
+            }
+            queued.sort_unstable();
+            let mut drained = Vec::new();
+            while let Some((key, node)) = queue.pop() {
+                drained.push((key, node));
+            }
+            prop_assert!(drained.windows(2).all(|w| w[0].0 <= w[1].0));
+            drained.sort_unstable();
+            prop_assert_eq!(drained, queued);
+            queue.clear();
+            prop_assert_eq!(queue.push(0, 0), 0);
+            prop_assert_eq!(queue.pop(), Some((0, 0)));
+        }
+    }
+
+    /// [`total_order`] sorts as [`f64::total_cmp`] does, on signed
+    /// zeros, subnormals, infinities and NaNs of both signs.
+    #[test]
+    fn total_order_matches_total_cmp() {
+        let xs = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE / 4.0,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 4.0,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for x in xs {
+            for y in xs {
+                assert_eq!(total_order(x).cmp(&total_order(y)), x.total_cmp(&y));
+            }
+        }
     }
 
     #[test]

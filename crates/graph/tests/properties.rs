@@ -1,11 +1,10 @@
 //! Property-based tests for the graph substrate.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, BinaryHeap};
 
-use geospan_graph::gen::{gaussian_clusters, uniform_points, UnitDiskBuilder};
-use geospan_graph::paths::{
-    bfs_hops, dijkstra_lengths, pair_distances, path_length, shortest_length_path, DistanceOracle,
-};
+use geospan_graph::gen::{connected_unit_disk, gaussian_clusters, uniform_points, UnitDiskBuilder};
+use geospan_graph::paths::{bfs_hops, dijkstra_lengths, pair_distances, DistanceOracle};
 use geospan_graph::stats::degree_stats;
 use geospan_graph::stretch::{stretch_factors, StretchOptions};
 use geospan_graph::{Graph, Point};
@@ -141,6 +140,85 @@ fn near_collinear_chain() -> impl Strategy<Value = Graph> {
         })
 }
 
+/// Graphs of 2 to 11 nodes with random edges, whose coordinates mix
+/// unit-scale values, multiples of `10¹⁵⁴` (whose squared differences
+/// overflow, so edge lengths are infinite), infinities and NaNs of both
+/// signs: edge lengths of `+∞` and NaN, and sums that are NaN.
+fn hostile_graph() -> impl Strategy<Value = Graph> {
+    let coordinate = || {
+        (0usize..9, -3.0f64..3.0).prop_map(|(kind, x)| match kind {
+            0..=2 => x,
+            3 | 4 => x * 1e154,
+            5 => f64::INFINITY,
+            6 => f64::NEG_INFINITY,
+            7 => f64::NAN,
+            _ => -f64::NAN,
+        })
+    };
+    (2usize..12).prop_flat_map(move |n| {
+        (
+            prop::collection::vec((coordinate(), coordinate()), n),
+            prop::collection::vec((0..n, 0..n), 0..3 * n),
+        )
+            .prop_map(|(coordinates, edges)| {
+                let points = coordinates.into_iter().map(|(x, y)| Point::new(x, y));
+                let edges = edges.into_iter().filter(|&(u, v)| u != v);
+                Graph::with_edges(points.collect(), edges)
+            })
+    })
+}
+
+/// Dijkstra as defined, the oracle of the rows [`dijkstra_lengths`]
+/// computes: `Option<f64>` distances, a settled set, and a heap that
+/// pops the least distance under [`f64::total_cmp`] first, ties by the
+/// least node.
+fn reference_row(g: &Graph, src: usize) -> Vec<Option<f64>> {
+    #[derive(PartialEq)]
+    struct Entry(f64, usize);
+    impl Eq for Entry {}
+    impl Ord for Entry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other.0.total_cmp(&self.0).then(other.1.cmp(&self.1))
+        }
+    }
+    impl PartialOrd for Entry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    let points = g.points();
+    let mut dist = vec![None; g.node_count()];
+    let mut done = vec![false; g.node_count()];
+    let mut heap = BinaryHeap::from([Entry(0.0, src)]);
+    dist[src] = Some(0.0);
+    while let Some(Entry(du, u)) = heap.pop() {
+        if std::mem::replace(&mut done[u], true) {
+            continue;
+        }
+        for &v in g.neighbors(u).iter().filter(|&&v| !done[v]) {
+            let cand = du + points[u].distance(points[v]);
+            if dist[v].is_none_or(|dv| cand < dv) {
+                dist[v] = Some(cand);
+                heap.push(Entry(cand, v));
+            }
+        }
+    }
+    dist
+}
+
+/// Every source's [`dijkstra_lengths`] row equals its [`reference_row`]
+/// to the bit.
+fn assert_rows_match_reference(g: &Graph) -> Result<(), TestCaseError> {
+    for src in 0..g.node_count() {
+        let bits = |row: Vec<Option<f64>>| -> Vec<Option<u64>> {
+            row.into_iter().map(|d| d.map(f64::to_bits)).collect()
+        };
+        let (got, want) = (dijkstra_lengths(g, src), reference_row(g, src));
+        prop_assert_eq!(bits(got), bits(want), "source {}", src);
+    }
+    Ok(())
+}
+
 /// Every ordered pair of `g`, `src == dst` included, has the hop count
 /// of its [`bfs_hops`] row and, to the bit, the length of its
 /// [`dijkstra_lengths`] row, both from a one-pair [`pair_distances`]
@@ -234,28 +312,6 @@ proptest! {
         for (v, dist) in d.iter().enumerate() {
             if let Some(len) = dist {
                 prop_assert!(*len + 1e-9 >= pts[0].distance(pts[v]));
-            }
-        }
-    }
-
-    #[test]
-    fn shortest_length_path_matches_dijkstra((pts, radius) in deployment()) {
-        let g = UnitDiskBuilder::new(radius).build(&pts);
-        let d = dijkstra_lengths(&g, 0);
-        #[allow(clippy::needless_range_loop)]
-        for v in 1..g.node_count() {
-            match (d[v], shortest_length_path(&g, 0, v)) {
-                (Some(len), Some(path)) => {
-                    prop_assert!((path_length(&g, &path) - len).abs() < 1e-9);
-                    prop_assert_eq!(path[0], 0);
-                    prop_assert_eq!(*path.last().unwrap(), v);
-                    // Each step is an actual edge.
-                    for w in path.windows(2) {
-                        prop_assert!(g.has_edge(w[0], w[1]));
-                    }
-                }
-                (None, None) => {}
-                (a, b) => prop_assert!(false, "reachability mismatch: {:?} vs {:?}", a, b.map(|p| p.len())),
             }
         }
     }
@@ -376,6 +432,26 @@ proptest! {
         pts.extend_from_within(..k);
         pts.push(pts[0]);
         assert_lengths_exact(&UnitDiskBuilder::new(radius).build(&pts))?;
+    }
+
+    /// Table I density (radius 60, side `200 * sqrt(n / 100)`).
+    #[test]
+    fn dijkstra_rows_match_the_reference_on_table1_deployments(
+        n in 2usize..200,
+        seed in any::<u64>(),
+    ) {
+        let side = 200.0 * (n as f64 / 100.0).sqrt();
+        assert_rows_match_reference(&UnitDiskBuilder::new(60.0).build(&uniform_points(n, side, seed)))?;
+    }
+
+    #[test]
+    fn dijkstra_rows_match_the_reference_on_near_collinear_chains(g in near_collinear_chain()) {
+        assert_rows_match_reference(&g)?;
+    }
+
+    #[test]
+    fn dijkstra_rows_match_the_reference_on_hostile_coordinates(g in hostile_graph()) {
+        assert_rows_match_reference(&g)?;
     }
 
     /// `with_edges` accepts any order, orientation and multiplicity, and
@@ -521,6 +597,46 @@ proptest! {
             pairs.extend((0..n).map(|d| (s % n, d)));
         }
         assert_batch_exact(&g, &pairs)?;
+    }
+}
+
+/// `pair_distances` at the shapes of the two traffic benchmarks,
+/// `traffic_steady` (n = 2 000, 16 000 pairs: searches) and
+/// `traffic_saturated` (n = 1 000, 110 000 pairs: mostly Dijkstra
+/// rows), on connected Table I deployments for seeds 1 and 7919, with
+/// uniform pairs of distinct nodes. Every length equals the
+/// [`reference_row`]'s to the bit (bench-smoke CI job, release mode).
+#[test]
+#[ignore = "benchmark scale; run with --release -- --ignored"]
+fn pair_distances_at_the_traffic_benchmark_shapes() {
+    for (n, count) in [(2_000, 16_000), (1_000, 110_000)] {
+        for seed in [1, 7919] {
+            let side = 200.0 * (n as f64 / 100.0).sqrt();
+            let (_, g, _) = connected_unit_disk(n, side, 60.0, seed);
+            let mut state = seed;
+            let mut draw = |m: usize| (split_mix(&mut state) % m as u64) as usize;
+            let pairs: Vec<(usize, usize)> = (0..count)
+                .map(|_| {
+                    let s = draw(n);
+                    (s, (s + 1 + draw(n - 1)) % n)
+                })
+                .collect();
+            let got = pair_distances(&g, &pairs);
+            let mut order: Vec<usize> = (0..count).collect();
+            order.sort_by_key(|&i| pairs[i].0);
+            for group in order.chunk_by(|&a, &b| pairs[a].0 == pairs[b].0) {
+                let s = pairs[group[0]].0;
+                let row = reference_row(&g, s);
+                for &i in group {
+                    let d = pairs[i].1;
+                    assert_eq!(
+                        got[i].1.map(f64::to_bits),
+                        row[d].map(f64::to_bits),
+                        "n = {n}, seed {seed}: {s} -> {d}"
+                    );
+                }
+            }
+        }
     }
 }
 
