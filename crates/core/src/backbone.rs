@@ -281,37 +281,6 @@ impl Backbone {
         self.cds_graphs.dominators_of[v].clear();
     }
 
-    /// Attaches a newcomer as a plain dominatee of the given (adjacent)
-    /// dominators, extending every derived graph by one node — the cheap
-    /// half of node arrival. Used by
-    /// [`crate::maintenance::MobileBackbone`].
-    ///
-    /// # Panics
-    /// Panics if `dominators` is empty (the newcomer would be
-    /// undominated, which requires a rebuild instead).
-    pub(crate) fn attach_dominatee(&mut self, position: Point, dominators: &[usize]) -> usize {
-        assert!(
-            !dominators.is_empty(),
-            "an uncovered newcomer requires a backbone rebuild"
-        );
-        let v = self.cds_graphs.cds.push_node(position);
-        self.cds_graphs.cds_prime.push_node(position);
-        self.cds_graphs.icds.push_node(position);
-        self.cds_graphs.icds_prime.push_node(position);
-        self.ldel_icds.graph.push_node(position);
-        self.ldel_icds_prime.push_node(position);
-        self.cds_graphs.roles.push(Role::Dominatee);
-        let mut doms = dominators.to_vec();
-        doms.sort_unstable();
-        for &d in &doms {
-            self.cds_graphs.cds_prime.add_edge(v, d);
-            self.cds_graphs.icds_prime.add_edge(v, d);
-            self.ldel_icds_prime.add_edge(v, d);
-        }
-        self.cds_graphs.dominators_of.push(doms);
-        v
-    }
-
     /// Re-attaches a previously departed node `v` as a plain dominatee
     /// of the given (adjacent) dominators — the cheap half of a node
     /// re-joining under churn. The node already exists in every derived

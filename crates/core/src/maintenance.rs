@@ -7,9 +7,10 @@
 //! the logical network topology is still a planar graph."
 //!
 //! [`MobileBackbone`] packages that policy: it owns the current positions
-//! and backbone, accepts position updates and membership changes
-//! (join/leave/rejoin), and rebuilds only when a *used* link exceeds the
-//! transmission radius or the clustering itself changes shape.
+//! and backbone, accepts position updates and membership changes (leave
+//! and rejoin, over a node set fixed when it is built), and rebuilds only
+//! when a *used* link exceeds the transmission radius or the clustering
+//! itself changes shape.
 //!
 //! When maintenance *is* needed, a full reconstruction is the last
 //! resort, not the first: damage perturbs the clustering only inside a
@@ -59,8 +60,9 @@ use crate::{guarantees_hold, Backbone, BackboneBuilder, BackboneConfig, Backbone
 /// How a maintenance operation restored the backbone invariants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaintenanceAction {
-    /// Nothing was damaged; the logical topology was kept verbatim (or
-    /// extended by a constant-time attach).
+    /// Nothing was damaged; the logical topology was kept verbatim (or a
+    /// plain dominatee was clipped out or re-attached by a constant-time
+    /// edit).
     Kept,
     /// Damage was confined to a bounded region: roles and elections were
     /// re-derived only inside the listed neighborhood.
@@ -76,14 +78,12 @@ pub enum MaintenanceAction {
     },
 }
 
-/// What a maintenance operation did to the backbone.
+/// What a maintenance operation did to the backbone. Each operation
+/// returns one; the [`MobileBackbone`] keeps no other record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaintenanceReport {
     /// Logical links whose endpoints moved out of range.
     pub broken_links: Vec<(usize, usize)>,
-    /// Whether the backbone was **fully** rebuilt (localized repair does
-    /// not count).
-    pub rebuilt: bool,
     /// Which path restored the invariants.
     pub action: MaintenanceAction,
 }
@@ -97,17 +97,21 @@ fn park(radius: f64, v: usize) -> Point {
 
 /// A backbone plus the mobility and churn policy around it.
 ///
+/// The node set is fixed when the backbone is built: a node that joins
+/// later is declared [departed](Self::with_departed) up front and powers
+/// up with [`rejoin_node`](Self::rejoin_node).
+///
 /// # Example
 /// ```
-/// use geospan_core::maintenance::MobileBackbone;
+/// use geospan_core::maintenance::{MaintenanceAction, MobileBackbone};
 /// use geospan_core::BackboneConfig;
 /// use geospan_graph::gen::uniform_points;
 ///
 /// let pts = uniform_points(50, 150.0, 3);
 /// let mut mobile = MobileBackbone::new(pts.clone(), BackboneConfig::new(60.0)).unwrap();
-/// // A no-op update never rebuilds.
+/// // A no-op update keeps the backbone verbatim.
 /// let report = mobile.update_positions(pts).unwrap();
-/// assert!(!report.rebuilt);
+/// assert_eq!(report.action, MaintenanceAction::Kept);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MobileBackbone {
@@ -117,9 +121,6 @@ pub struct MobileBackbone {
     backbone: Backbone,
     departed: BTreeSet<usize>,
     repair_enabled: bool,
-    rebuilds: usize,
-    local_repairs: usize,
-    updates: usize,
 }
 
 impl MobileBackbone {
@@ -132,21 +133,24 @@ impl MobileBackbone {
     }
 
     /// Builds a backbone where the nodes in `departed` start out powered
-    /// down (parked, no links, no role) — the churn driver uses this to
-    /// start a run whose joiners have pre-assigned indices.
+    /// down (parked, no links, no role): the nodes that join later, each
+    /// under the index it is given here.
     ///
     /// # Errors
-    /// Propagates [`BackboneError`] from the initial construction.
-    ///
-    /// # Panics
-    /// Panics if a departed index is out of bounds.
+    /// [`BackboneError::InvalidInput`] when a departed index is out of
+    /// bounds; otherwise propagates [`BackboneError`] from the initial
+    /// construction.
     pub fn with_departed(
         mut points: Vec<Point>,
         config: BackboneConfig,
         departed: BTreeSet<usize>,
     ) -> Result<Self, BackboneError> {
+        if let Some(d) = departed.range(points.len()..).next() {
+            return Err(BackboneError::InvalidInput {
+                reason: format!("departed node {d} out of bounds for {} nodes", points.len()),
+            });
+        }
         for &d in &departed {
-            assert!(d < points.len(), "departed node {d} out of bounds");
             points[d] = park(config.radius, d);
         }
         let udg = UnitDiskBuilder::new(config.radius).build(&points);
@@ -159,9 +163,6 @@ impl MobileBackbone {
             backbone,
             departed,
             repair_enabled: true,
-            rebuilds: 0,
-            local_repairs: 0,
-            updates: 0,
         })
     }
 
@@ -193,21 +194,6 @@ impl MobileBackbone {
         self.repair_enabled = enabled;
     }
 
-    /// Number of **full** rebuilds performed so far.
-    pub fn rebuild_count(&self) -> usize {
-        self.rebuilds
-    }
-
-    /// Number of localized repairs performed so far.
-    pub fn local_repair_count(&self) -> usize {
-        self.local_repairs
-    }
-
-    /// Number of maintenance operations applied so far.
-    pub fn update_count(&self) -> usize {
-        self.updates
-    }
-
     /// A node powers down. A plain dominatee leaves with at most a
     /// membership re-election around its dominators; losing a backbone
     /// node triggers the localized repair.
@@ -224,7 +210,6 @@ impl MobileBackbone {
     pub fn remove_node(&mut self, v: usize) -> Result<MaintenanceReport, BackboneError> {
         assert!(v < self.points.len(), "node {v} out of bounds");
         assert!(!self.departed.contains(&v), "node {v} already departed");
-        self.updates += 1;
         let was_backbone = self.backbone.cds_graphs().is_backbone(v);
         let broken_links: Vec<(usize, usize)> = self
             .backbone
@@ -233,11 +218,11 @@ impl MobileBackbone {
             .iter()
             .map(|&w| (v.min(w), v.max(w)))
             .collect();
-        let old_udg = std::mem::replace(&mut self.udg, Graph::new(Vec::new()));
-        self.points[v] = park(self.config.radius, v);
+        let mut points = std::mem::take(&mut self.points);
+        points[v] = park(self.config.radius, v);
         self.departed.insert(v);
-        self.udg = UnitDiskBuilder::new(self.config.radius).build(&self.points);
-        if was_backbone {
+        let old_udg = self.relocate(points);
+        let action = if was_backbone {
             // A dead backbone node invalidates every election its old
             // neighborhood took part in: seed the repair with all its
             // old physical neighbors, not just the logical ones.
@@ -247,118 +232,28 @@ impl MobileBackbone {
                 .copied()
                 .filter(|&w| w != v)
                 .collect();
-            let action = self.repair_or_rebuild(&old_udg, &seeds, Some(v))?;
-            return Ok(MaintenanceReport {
-                broken_links,
-                rebuilt: matches!(action, MaintenanceAction::FullRebuild { .. }),
-                action,
-            });
-        }
-        // A departing dominatee cannot change any role (coverage is a
-        // 1-hop property and it covered nobody), but it may have been a
-        // losing candidate in the elections around its dominators — so
-        // those elections are re-checked, and only if all of them stand
-        // is the node merely clipped out.
-        let old_clustering = self.current_clustering();
-        let mut new_clustering = old_clustering.clone();
-        new_clustering.dominators_of[v].clear();
-        let scope: VecSet = old_clustering.dominators_of[v].iter().copied().collect();
-        let action = self.resync_membership(
-            &old_udg,
-            &old_clustering,
-            &new_clustering,
-            &scope,
-            Some(v),
-            v,
-            |b| b.clip_dominatee(v),
-        )?;
+            self.repair_or_rebuild(|m| m.try_local_repair(&old_udg, &seeds, Some(v)))?
+        } else {
+            // A departing dominatee cannot change any role (coverage is a
+            // 1-hop property and it covered nobody), but it may have been
+            // a losing candidate in the elections around its dominators —
+            // so those elections are re-checked, and only if all of them
+            // stand is the node merely clipped out.
+            self.repair_or_rebuild(|m| m.resync_membership(&old_udg, v, Vec::new()))?
+        };
         Ok(MaintenanceReport {
             broken_links,
-            rebuilt: matches!(action, MaintenanceAction::FullRebuild { .. }),
             action,
         })
     }
 
-    /// A node powers up at `position` and receives the next free index.
+    /// A departed node powers up at `position`, keeping its index.
     ///
-    /// If the newcomer lands within range of an existing dominator it
-    /// joins as a dominatee; the elections around those dominators are
-    /// re-checked (the newcomer may be a better connector candidate) and
-    /// spliced in if any changed. Otherwise (it extends the coverage
-    /// area, or bridges components) the backbone is rebuilt.
-    ///
-    /// Returns the new node's index and the maintenance report.
-    ///
-    /// # Errors
-    /// [`BackboneError::InvalidInput`] when `position` is non-finite or
-    /// coincides with another node (the backbone is left unchanged);
-    /// otherwise propagates [`BackboneError`] from a rebuild.
-    pub fn add_node(
-        &mut self,
-        position: Point,
-    ) -> Result<(usize, MaintenanceReport), BackboneError> {
-        let mut points = self.points.clone();
-        points.push(position);
-        validate_positions(&points)?;
-        self.updates += 1;
-        let old_udg = std::mem::replace(&mut self.udg, Graph::new(Vec::new()));
-        self.points = points;
-        let v = self.points.len() - 1;
-        self.udg = UnitDiskBuilder::new(self.config.radius).build(&self.points);
-        let mut doms: Vec<usize> = self
-            .udg
-            .neighbors(v)
-            .iter()
-            .copied()
-            .filter(|&w| self.backbone.cds_graphs().roles[w] == Role::Dominator)
-            .collect();
-        doms.sort_unstable();
-        if doms.is_empty() {
-            // The newcomer extends coverage (or bridges components): the
-            // clustering itself changes, so rebuild.
-            self.full_rebuild()?;
-            return Ok((
-                v,
-                MaintenanceReport {
-                    broken_links: Vec::new(),
-                    rebuilt: true,
-                    action: MaintenanceAction::FullRebuild {
-                        reason: format!("newcomer {v} is uncovered: the clustering changes"),
-                    },
-                },
-            ));
-        }
-        let old_clustering = self.current_clustering();
-        let mut new_clustering = old_clustering.clone();
-        new_clustering.is_dominator.push(false);
-        new_clustering.dominators_of.push(doms.clone());
-        let scope: VecSet = doms.iter().copied().collect();
-        let action = self.resync_membership(
-            &old_udg,
-            &old_clustering,
-            &new_clustering,
-            &scope,
-            None,
-            v,
-            |b| {
-                let attached = b.attach_dominatee(position, &doms);
-                debug_assert_eq!(attached, v);
-            },
-        )?;
-        Ok((
-            v,
-            MaintenanceReport {
-                broken_links: Vec::new(),
-                rebuilt: matches!(action, MaintenanceAction::FullRebuild { .. }),
-                action,
-            },
-        ))
-    }
-
-    /// A previously departed node powers back up at `position`, keeping
-    /// its old index. Same policy as [`add_node`](Self::add_node):
-    /// covered rejoiners splice in locally, uncovered ones force a
-    /// rebuild.
+    /// If it lands within range of an existing dominator it joins as a
+    /// dominatee; the elections around those dominators are re-checked
+    /// (it may be a better connector candidate) and spliced in if any
+    /// changed. Otherwise (it extends the coverage area, or bridges
+    /// components) the backbone is rebuilt.
     ///
     /// # Errors
     /// [`BackboneError::InvalidInput`] when `position` is non-finite or
@@ -376,45 +271,25 @@ impl MobileBackbone {
         let mut points = self.points.clone();
         points[v] = position;
         validate_positions(&points)?;
-        self.updates += 1;
-        let old_udg = std::mem::replace(&mut self.udg, Graph::new(Vec::new()));
-        self.points = points;
         self.departed.remove(&v);
-        self.udg = UnitDiskBuilder::new(self.config.radius).build(&self.points);
-        let mut doms: Vec<usize> = self
+        let old_udg = self.relocate(points);
+        let roles = &self.backbone.cds_graphs().roles;
+        let doms: Vec<usize> = self
             .udg
             .neighbors(v)
             .iter()
             .copied()
-            .filter(|&w| self.backbone.cds_graphs().roles[w] == Role::Dominator)
+            .filter(|&w| roles[w] == Role::Dominator)
             .collect();
-        doms.sort_unstable();
-        if doms.is_empty() {
-            self.full_rebuild()?;
-            return Ok(MaintenanceReport {
-                broken_links: Vec::new(),
-                rebuilt: true,
-                action: MaintenanceAction::FullRebuild {
-                    reason: format!("rejoined node {v} is uncovered: the clustering changes"),
-                },
-            });
-        }
-        let old_clustering = self.current_clustering();
-        let mut new_clustering = old_clustering.clone();
-        new_clustering.dominators_of[v] = doms.clone();
-        let scope: VecSet = doms.iter().copied().collect();
-        let action = self.resync_membership(
-            &old_udg,
-            &old_clustering,
-            &new_clustering,
-            &scope,
-            None,
-            v,
-            |b| b.reattach_dominatee(v, &doms),
-        )?;
+        let action = if doms.is_empty() {
+            self.full_rebuild(format!(
+                "rejoined node {v} is uncovered: the clustering changes"
+            ))?
+        } else {
+            self.repair_or_rebuild(|m| m.resync_membership(&old_udg, v, doms))?
+        };
         Ok(MaintenanceReport {
             broken_links: Vec::new(),
-            rebuilt: matches!(action, MaintenanceAction::FullRebuild { .. }),
             action,
         })
     }
@@ -450,7 +325,6 @@ impl MobileBackbone {
             return invalid(format!("departed node {d} cannot move"));
         }
         validate_positions(&new_points)?;
-        self.updates += 1;
         let broken_links: Vec<(usize, usize)> = self
             .backbone
             .ldel_icds_prime()
@@ -463,13 +337,10 @@ impl MobileBackbone {
             self.points = new_points;
             return Ok(MaintenanceReport {
                 broken_links,
-                rebuilt: false,
                 action: MaintenanceAction::Kept,
             });
         }
-        let old_udg = std::mem::replace(&mut self.udg, Graph::new(Vec::new()));
-        self.points = new_points;
-        self.udg = UnitDiskBuilder::new(self.config.radius).build(&self.points);
+        let old_udg = self.relocate(new_points);
         // Seed the repair with every endpoint whose physical adjacency
         // changed since the backbone was built — the old UDG is exactly
         // the state the kept elections were computed on, so the edge
@@ -487,10 +358,9 @@ impl MobileBackbone {
                 seeds.insert(v);
             }
         }
-        let action = self.repair_or_rebuild(&old_udg, &seeds, None)?;
+        let action = self.repair_or_rebuild(|m| m.try_local_repair(&old_udg, &seeds, None))?;
         Ok(MaintenanceReport {
             broken_links,
-            rebuilt: matches!(action, MaintenanceAction::FullRebuild { .. }),
             action,
         })
     }
@@ -530,6 +400,15 @@ impl MobileBackbone {
         Backbone::from_graphs(assemble(&self.udg, &clustering, &connectors))
     }
 
+    /// Stores `points` and rebuilds the unit disk graph over them,
+    /// returning the graph it replaces: the state the kept elections
+    /// were computed on.
+    fn relocate(&mut self, points: Vec<Point>) -> Graph {
+        self.points = points;
+        let udg = UnitDiskBuilder::new(self.config.radius).build(&self.points);
+        std::mem::replace(&mut self.udg, udg)
+    }
+
     /// The clustering implied by the current backbone's roles.
     fn current_clustering(&self) -> Clustering {
         let g = self.backbone.cds_graphs();
@@ -546,100 +425,89 @@ impl MobileBackbone {
     }
 
     /// Reconstructs from scratch on the current UDG, keeping departed
-    /// nodes demoted.
-    fn full_rebuild(&mut self) -> Result<(), BackboneError> {
+    /// nodes demoted, and reports it with `reason`.
+    fn full_rebuild(&mut self, reason: String) -> Result<MaintenanceAction, BackboneError> {
         let mut b = BackboneBuilder::new(self.config.clone()).build(&self.udg)?;
         b.demote_isolated(self.departed.iter().copied());
         self.backbone = b;
-        self.rebuilds += 1;
-        Ok(())
+        Ok(MaintenanceAction::FullRebuild { reason })
     }
 
-    /// The membership fast path shared by dominatee leave, covered join
-    /// and covered rejoin: no role changes, but the elections around the
-    /// node's dominators (`scope`) are re-checked. If they all stand the
+    /// Restores the invariants after a change, the one place that reads
+    /// `repair_enabled`: `repair` applies a localized path and reports
+    /// it, or names the check its result failed. A failed or disabled
+    /// repair falls back to a full rebuild.
+    fn repair_or_rebuild(
+        &mut self,
+        repair: impl FnOnce(&mut Self) -> Result<MaintenanceAction, &'static str>,
+    ) -> Result<MaintenanceAction, BackboneError> {
+        let reason = if self.repair_enabled {
+            match repair(self) {
+                Ok(action) => return Ok(action),
+                Err(failed) => failed,
+            }
+        } else {
+            "local repair disabled"
+        };
+        self.full_rebuild(reason.into())
+    }
+
+    /// The membership fast path shared by dominatee leave and covered
+    /// rejoin: `node` leaves when `doms` is empty, and joins as a
+    /// dominatee of `doms` (its adjacent dominators, ascending)
+    /// otherwise. No role changes, but the elections around the node's
+    /// old and new dominators are re-checked. If they all stand, the
     /// cheap constant-time structural edit is applied; if any changed,
     /// the splice result is assembled and verified.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the old and new network views and the election scope are all inputs"
-    )]
     fn resync_membership(
         &mut self,
         old_udg: &Graph,
-        old_clustering: &Clustering,
-        new_clustering: &Clustering,
-        scope: &VecSet,
-        dead: Option<usize>,
         node: usize,
-        cheap: impl FnOnce(&mut Backbone),
-    ) -> Result<MaintenanceAction, BackboneError> {
-        if !self.repair_enabled {
-            self.full_rebuild()?;
-            return Ok(MaintenanceAction::FullRebuild {
-                reason: "local repair disabled".into(),
-            });
-        }
+        doms: Vec<usize>,
+    ) -> Result<MaintenanceAction, &'static str> {
+        let leaving = doms.is_empty();
+        let old_clustering = self.current_clustering();
+        let scope: VecSet = old_clustering.dominators_of[node]
+            .iter()
+            .chain(&doms)
+            .copied()
+            .collect();
+        let mut new_clustering = old_clustering.clone();
+        new_clustering.dominators_of[node] = doms;
         let old_edges = self.cds_edges();
-        let is_dead = |w: usize| Some(w) == dead;
+        let is_dead = |w: usize| leaving && w == node;
         let result = splice_elections(
             &self.udg,
             old_udg,
             &old_edges,
-            old_clustering,
-            new_clustering,
-            scope,
-            scope,
+            &old_clustering,
+            &new_clustering,
+            &scope,
+            &scope,
             &is_dead,
         );
         let new_edges: BTreeSet<(usize, usize)> = result.edges.iter().copied().collect();
         if new_edges == old_edges && result.connectors == self.backbone.cds_graphs().connectors {
-            cheap(&mut self.backbone);
+            if leaving {
+                self.backbone.clip_dominatee(node);
+            } else {
+                self.backbone
+                    .reattach_dominatee(node, &new_clustering.dominators_of[node]);
+            }
             return Ok(MaintenanceAction::Kept);
         }
-        let repaired = Backbone::from_graphs(assemble(&self.udg, new_clustering, &result));
-        if guarantees_hold(&repaired, &self.udg) {
-            let mut touched: BTreeSet<usize> = old_edges
-                .symmetric_difference(&new_edges)
-                .flat_map(|&(a, b)| [a, b])
-                .collect();
-            touched.insert(node);
-            self.backbone = repaired;
-            self.local_repairs += 1;
-            Ok(MaintenanceAction::LocalRepair {
-                touched: touched.into_iter().collect(),
-            })
-        } else {
-            self.full_rebuild()?;
-            Ok(MaintenanceAction::FullRebuild {
-                reason: "membership re-election failed verification".into(),
-            })
+        let repaired = Backbone::from_graphs(assemble(&self.udg, &new_clustering, &result));
+        if !guarantees_hold(&repaired, &self.udg) {
+            return Err("membership re-election failed verification");
         }
-    }
-
-    /// Attempts the localized repair around `seeds`; falls back to a full
-    /// reconstruction when the repaired structure fails verification (or
-    /// when localized repair is disabled).
-    fn repair_or_rebuild(
-        &mut self,
-        old_udg: &Graph,
-        seeds: &BTreeSet<usize>,
-        dead: Option<usize>,
-    ) -> Result<MaintenanceAction, BackboneError> {
-        if self.repair_enabled {
-            if let Some((backbone, touched)) = self.try_local_repair(old_udg, seeds, dead) {
-                self.backbone = backbone;
-                self.local_repairs += 1;
-                return Ok(MaintenanceAction::LocalRepair { touched });
-            }
-        }
-        self.full_rebuild()?;
-        Ok(MaintenanceAction::FullRebuild {
-            reason: if self.repair_enabled {
-                "localized repair failed verification".into()
-            } else {
-                "local repair disabled".into()
-            },
+        let mut touched: BTreeSet<usize> = old_edges
+            .symmetric_difference(&new_edges)
+            .flat_map(|&(a, b)| [a, b])
+            .collect();
+        touched.insert(node);
+        self.backbone = repaired;
+        Ok(MaintenanceAction::LocalRepair {
+            touched: touched.into_iter().collect(),
         })
     }
 
@@ -657,20 +525,19 @@ impl MobileBackbone {
     /// Promoting an uncovered node preserves global MIS independence
     /// (uncovered means: no adjacent dominator). The one global hazard —
     /// two old dominators drifting into adjacency — and any residual
-    /// damage are caught by re-verifying the paper's guarantees; `None`
-    /// means the caller must rebuild.
+    /// damage are caught by re-verifying the paper's guarantees. The
+    /// repaired backbone replaces the current one only if it passes;
+    /// `Err` means the caller must rebuild.
     fn try_local_repair(
-        &self,
+        &mut self,
         old_udg: &Graph,
         seeds: &BTreeSet<usize>,
         dead: Option<usize>,
-    ) -> Option<(Backbone, Vec<usize>)> {
+    ) -> Result<MaintenanceAction, &'static str> {
+        const FAILED: &str = "localized repair failed verification";
         let udg = &self.udg;
         let n = udg.node_count();
         let old = self.backbone.cds_graphs();
-        if old.roles.len() != n {
-            return None; // membership changed since the last build
-        }
         let is_dead = |w: usize| Some(w) == dead;
 
         // The affected region: seeds plus their 2-hop neighborhood.
@@ -725,7 +592,7 @@ impl MobileBackbone {
         // and the repair is off the table.
         for &d in &affected {
             if is_dominator[d] && udg.neighbors(d).iter().any(|&x| is_dominator[x]) {
-                return None;
+                return Err(FAILED);
             }
         }
 
@@ -766,9 +633,12 @@ impl MobileBackbone {
         );
         let repaired = Backbone::from_graphs(assemble(udg, &clustering, &result));
         if !guarantees_hold(&repaired, udg) {
-            return None;
+            return Err(FAILED);
         }
-        Some((repaired, affected.into_iter().collect()))
+        self.backbone = repaired;
+        Ok(MaintenanceAction::LocalRepair {
+            touched: affected.into_iter().collect(),
+        })
     }
 }
 
@@ -862,6 +732,21 @@ mod tests {
         MobileBackbone::new(pts, BackboneConfig::new(50.0)).unwrap()
     }
 
+    /// [`start`]'s deployment plus one node, departed from the start: a
+    /// newcomer that joins with [`MobileBackbone::rejoin_node`].
+    fn start_with_newcomer(seed: u64) -> (MobileBackbone, usize) {
+        let (mut pts, _udg, _s) = connected_unit_disk(60, 150.0, 50.0, seed);
+        pts.push(Point::new(0.0, 0.0)); // overwritten by its parking slot
+        let v = pts.len() - 1;
+        let m = MobileBackbone::with_departed(pts, BackboneConfig::new(50.0), BTreeSet::from([v]))
+            .unwrap();
+        (m, v)
+    }
+
+    fn is_full_rebuild(report: &MaintenanceReport) -> bool {
+        matches!(report.action, MaintenanceAction::FullRebuild { .. })
+    }
+
     /// Roles + election edges of two backbones must coincide.
     fn assert_same_structure(a: &Backbone, b: &Backbone, what: &str) {
         assert_eq!(a.cds_graphs().roles, b.cds_graphs().roles, "{what}: roles");
@@ -882,12 +767,10 @@ mod tests {
             .map(|(i, p)| Point::new(p.x + 1e-6 * i as f64, p.y - 1e-6))
             .collect();
         let report = m.update_positions(nudged).unwrap();
-        assert!(!report.rebuilt);
+        assert_eq!(report.action, MaintenanceAction::Kept);
         assert!(report.broken_links.is_empty());
         let after: Vec<_> = m.backbone().ldel_icds().edges().collect();
         assert_eq!(before, after, "logical topology must be untouched");
-        assert_eq!(m.rebuild_count(), 0);
-        assert_eq!(m.update_count(), 1);
     }
 
     #[test]
@@ -904,13 +787,10 @@ mod tests {
             .iter()
             .all(|&(u, v)| u == victim || v == victim));
         // Bounded damage heals in place — no full reconstruction.
-        assert!(!report.rebuilt);
         assert!(matches!(
             report.action,
             MaintenanceAction::LocalRepair { .. }
         ));
-        assert_eq!(m.rebuild_count(), 0);
-        assert_eq!(m.local_repair_count(), 1);
         // The repaired backbone is valid for the new positions.
         assert!(crate::verify(m.backbone(), m.udg(), 50.0).all_ok());
         for (u, v) in m.backbone().ldel_icds_prime().edges() {
@@ -988,10 +868,9 @@ mod tests {
             .expect("some dominatee exists");
         let backbone_edges_before: Vec<_> = m.backbone().ldel_icds().edges().collect();
         let report = m.remove_node(v).unwrap();
-        assert!(!report.rebuilt);
+        assert!(!is_full_rebuild(&report));
         assert!(!report.broken_links.is_empty()); // lost its dominator links
-        assert_eq!(m.rebuild_count(), 0);
-        // The backbone core is untouched; v is isolated in the prime graph.
+                                                  // The backbone core is untouched; v is isolated in the prime graph.
         let backbone_edges_after: Vec<_> = m.backbone().ldel_icds().edges().collect();
         assert_eq!(backbone_edges_before, backbone_edges_after);
         assert_eq!(m.backbone().ldel_icds_prime().degree(v), 0);
@@ -1005,13 +884,10 @@ mod tests {
         let report = m.remove_node(v).unwrap();
         // Death of a backbone node is bounded damage: the 2-hop repair
         // re-elects around the hole instead of rebuilding everything.
-        assert!(!report.rebuilt);
         assert!(matches!(
             report.action,
             MaintenanceAction::LocalRepair { .. }
         ));
-        assert_eq!(m.rebuild_count(), 0);
-        assert_eq!(m.local_repair_count(), 1);
         assert!(is_plane_embedding(m.backbone().ldel_icds()));
         assert!(crate::verify(m.backbone(), m.udg(), 50.0).all_ok());
         // The dead node is really gone from the routing structure.
@@ -1020,14 +896,13 @@ mod tests {
 
     #[test]
     fn covered_newcomer_joins_without_rebuild() {
-        let mut m = start(7);
+        let (mut m, v) = start_with_newcomer(7);
         // Drop the newcomer right next to an existing dominator.
         let d = m.backbone().cds_graphs().dominators[0];
         let pos = m.points()[d] + Point::new(0.5, 0.5);
         let before: Vec<_> = m.backbone().ldel_icds().edges().collect();
-        let (v, report) = m.add_node(pos).unwrap();
-        assert!(!report.rebuilt);
-        assert_eq!(m.rebuild_count(), 0);
+        let report = m.rejoin_node(v, pos).unwrap();
+        assert!(!is_full_rebuild(&report));
         assert_eq!(m.backbone().roles()[v], crate::Role::Dominatee);
         assert!(m.backbone().cds_graphs().dominators_of[v].contains(&d));
         assert!(m.backbone().ldel_icds_prime().has_edge(v, d));
@@ -1037,12 +912,16 @@ mod tests {
 
     #[test]
     fn uncovered_newcomer_forces_rebuild() {
-        let mut m = start(8);
+        let (mut m, v) = start_with_newcomer(8);
         // Far corner outside everyone's radio range... but still forming
         // a connected UDG is not required for the maintenance API.
-        let (_v, report) = m.add_node(Point::new(2000.0, 2000.0)).unwrap();
-        assert!(report.rebuilt);
-        assert!(m.rebuild_count() >= 1);
+        let report = m.rejoin_node(v, Point::new(2000.0, 2000.0)).unwrap();
+        assert_eq!(
+            report.action,
+            MaintenanceAction::FullRebuild {
+                reason: format!("rejoined node {v} is uncovered: the clustering changes")
+            }
+        );
     }
 
     #[test]
@@ -1056,7 +935,7 @@ mod tests {
         let prime_before: Vec<_> = m.backbone().ldel_icds_prime().edges().collect();
         m.remove_node(v).unwrap();
         let report = m.rejoin_node(v, pos).unwrap();
-        assert!(!report.rebuilt);
+        assert!(!is_full_rebuild(&report));
         assert!(m.departed().is_empty());
         assert_eq!(m.backbone().roles(), &roles_before[..]);
         let prime_after: Vec<_> = m.backbone().ldel_icds_prime().edges().collect();
@@ -1090,7 +969,7 @@ mod tests {
     /// demotes them explicitly.
     #[test]
     fn departed_nodes_never_resurface_after_a_rebuild() {
-        let mut m = start(9);
+        let (mut m, newcomer) = start_with_newcomer(9);
         let mut gone = Vec::new();
         for _ in 0..3 {
             let v = (0..m.points().len())
@@ -1102,8 +981,8 @@ mod tests {
             gone.push(v);
         }
         // Force a full rebuild with the departures still in effect.
-        let (_v, report) = m.add_node(Point::new(2000.0, 2000.0)).unwrap();
-        assert!(report.rebuilt);
+        let report = m.rejoin_node(newcomer, Point::new(2000.0, 2000.0)).unwrap();
+        assert!(is_full_rebuild(&report));
         for &v in &gone {
             assert_eq!(
                 m.backbone().roles()[v],
@@ -1131,15 +1010,12 @@ mod tests {
         m.set_local_repair(false);
         let v = m.backbone().backbone_nodes()[0];
         let report = m.remove_node(v).unwrap();
-        assert!(report.rebuilt);
         assert_eq!(
             report.action,
             MaintenanceAction::FullRebuild {
                 reason: "local repair disabled".into()
             }
         );
-        assert_eq!(m.local_repair_count(), 0);
-        assert_eq!(m.rebuild_count(), 1);
         assert!(crate::verify(m.backbone(), m.udg(), 50.0).all_ok());
     }
 
@@ -1198,7 +1074,6 @@ mod tests {
         }
         assert!(saw_quiet_step, "expected some steps without maintenance");
         assert!(saw_rebuild, "expected the teleport to force maintenance");
-        assert_eq!(m.update_count(), 60);
         // Whatever happened, the invariants hold now.
         assert!(is_plane_embedding(m.backbone().ldel_icds()));
     }

@@ -15,9 +15,10 @@ use geospan_geometry::Point;
 /// [`Graph::has_edge`] is `O(log degree)` and iteration order is
 /// deterministic. Graphs are built in bulk with [`Graph::with_edges`], a
 /// counting sort in `O(n + m)` plus a sort of each row. The single edits
-/// [`Graph::add_edge`], [`Graph::remove_edge`] and [`Graph::push_node`]
-/// shift the arrays in `O(n + m)`; they serve tests and the few
-/// single-node updates of backbone maintenance, never a bulk build.
+/// [`Graph::add_edge`] and [`Graph::remove_edge`] shift the arrays in
+/// `O(n + m)`; they serve tests and the few single-node updates of
+/// backbone maintenance, never a bulk build. No method changes the node
+/// set, so a graph's positions are fixed once it is built.
 ///
 /// # Example
 /// ```
@@ -171,16 +172,6 @@ impl Graph {
     #[inline]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         self.neighbors(u).binary_search(&v).is_ok()
-    }
-
-    /// Appends a new isolated node at `p`, returning its index.
-    ///
-    /// Supports incremental maintenance (a node powering up); existing
-    /// indices are unaffected.
-    pub fn push_node(&mut self, p: Point) -> usize {
-        self.points.push(p);
-        self.offsets.push(self.targets.len());
-        self.points.len() - 1
     }
 
     /// Inserts the undirected edge `{u, v}`; returns `false` if it was

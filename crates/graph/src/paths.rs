@@ -204,8 +204,10 @@ fn slot_lengths(g: &Graph) -> Vec<f64> {
     lengths
 }
 
-/// The one Dijkstra: `weight(u, v, slot)` is the length of the edge in
-/// slot `slot` of [`Graph::csr`], from `u` to `v`.
+/// The one Dijkstra: `weight(u, v, slot)` is the non-negative (or NaN)
+/// weight of the edge in slot `slot` of [`Graph::csr`], from `u` to `v`:
+/// its length here, `|uv|^β` for
+/// [`dijkstra_power`](crate::power::dijkstra_power).
 ///
 /// Kept lean because a row pops every entry it pushes: `f64` distances
 /// with a reached flag, and a binary heap of `(total_order(d), node)`
@@ -220,7 +222,7 @@ fn slot_lengths(g: &Graph) -> Vec<f64> {
 ///
 /// # Panics
 /// Panics if `src` is out of bounds.
-fn dijkstra(
+pub(crate) fn dijkstra(
     g: &Graph,
     src: usize,
     weight: impl Fn(usize, usize, usize) -> f64,
@@ -337,7 +339,8 @@ impl RadixQueue {
 ///
 /// This is A* on the key `g + |vd|`, where `g` is accumulated exactly as
 /// [`dijkstra_lengths`] accumulates it (`g(u) + points[u].distance(points[v])`)
-/// and `|vd|` is `points[v].distance(points[d])`. Dijkstra's float
+/// and `|vd|` is `points[v].distance(points[d])`, for graphs whose
+/// coordinates are all finite. Dijkstra's float
 /// distances are the least fixpoint `D(v) = min_u fl(D(u) + |uv|)`: the
 /// smallest left-to-right float sum over any path, since `fl(x + w)` is
 /// monotone in `x` and never below it for `w ≥ 0`. A* returns `D(d)` bit
@@ -392,6 +395,12 @@ impl RadixQueue {
 /// queue push is a bit scan and a `Vec::push`, where a binary heap's
 /// costs a sift. A row pops every entry, and there the binary heap of
 /// [`dijkstra`] is faster than the radix queue's redistributions.
+///
+/// The finite-coordinate precondition is not checked. With a NaN or
+/// infinite coordinate an edge length or a key can be NaN; the search
+/// never queues a NaN key and lets a NaN `dist[d]` be overwritten, so it
+/// can answer `None` where the row answers `Some(NaN)`, and a NaN where
+/// the row answers `+∞`. The hot loop carries no branch for that case.
 #[derive(Debug)]
 struct LengthSearch {
     /// [`slot_lengths`] of the searched graph.
@@ -636,7 +645,9 @@ impl<'a> DistanceOracle<'a> {
     }
 
     /// Euclidean shortest-path length from `src` to `dst` (`None` when
-    /// unreachable), bit-identical to [`dijkstra_lengths`].
+    /// unreachable), bit-identical to [`dijkstra_lengths`] when every
+    /// coordinate of the graph is finite (the precondition of
+    /// [`pair_distances`]).
     ///
     /// # Panics
     /// Panics if either endpoint is out of bounds.
@@ -662,6 +673,13 @@ impl<'a> DistanceOracle<'a> {
 /// [`DistanceOracle::length`] would, and what [`bfs_hops`] and
 /// [`dijkstra_lengths`] rows would: hop counts equal, lengths
 /// bit-identical to Dijkstra's.
+///
+/// Precondition for the lengths: every coordinate of `g` is finite. A
+/// NaN or infinite coordinate can make an edge length NaN or infinite,
+/// and there a search may answer `None` or a NaN where the row answers a
+/// NaN or `+∞`. Every graph the pipeline builds meets it:
+/// `BackboneBuilder` rejects such positions and `UnitDiskBuilder` links
+/// none of them.
 ///
 /// Hops come from one 64-source BFS per 64 distinct sources. Every node
 /// carries one `u64` word per BFS state, one bit per source, and a pass

@@ -9,78 +9,24 @@
 //! backbone performs; the paper cites the power stretch factor of
 //! Li-Wan-Wang-Frieder as the third yardstick next to length and hops.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
+use crate::paths::dijkstra;
 use crate::stretch::StretchOptions;
 use crate::Graph;
 
-/// Max-heap entry ordered by smallest cost first.
-#[derive(PartialEq)]
-struct Entry {
-    cost: f64,
-    node: usize,
-}
-
-impl Eq for Entry {}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Minimum transmission energy from `src` to every node, with per-link
-/// cost `length^beta` (`None` for unreachable nodes).
+/// cost `length^beta` (`None` for unreachable nodes): the Dijkstra of
+/// [`dijkstra_lengths`](crate::paths::dijkstra_lengths) on those costs.
 ///
 /// # Panics
 /// Panics if `src` is out of bounds or `beta` is not in `[1, 10]`
 /// (values outside the physical range usually indicate swapped
 /// arguments).
 pub fn dijkstra_power(g: &Graph, src: usize, beta: f64) -> Vec<Option<f64>> {
-    let n = g.node_count();
-    assert!(src < n, "source {src} out of bounds for {n} nodes");
     assert!(
         (1.0..=10.0).contains(&beta),
         "implausible path-loss exponent {beta}"
     );
-    let mut dist: Vec<Option<f64>> = vec![None; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::with_capacity(n);
-    dist[src] = Some(0.0);
-    heap.push(Entry {
-        cost: 0.0,
-        node: src,
-    });
-    while let Some(Entry { cost, node: u }) = heap.pop() {
-        if done[u] {
-            continue;
-        }
-        done[u] = true;
-        for &v in g.neighbors(u) {
-            if done[v] {
-                continue;
-            }
-            let cand = cost + g.edge_length(u, v).powf(beta);
-            if dist[v].is_none_or(|dv| cand < dv) {
-                dist[v] = Some(cand);
-                heap.push(Entry {
-                    cost: cand,
-                    node: v,
-                });
-            }
-        }
-    }
-    dist
+    dijkstra(g, src, |u, v, _| g.edge_length(u, v).powf(beta))
 }
 
 /// Average and maximum power stretch of `sub` relative to `base`.

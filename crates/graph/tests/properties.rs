@@ -142,11 +142,13 @@ fn near_collinear_chain() -> impl Strategy<Value = Graph> {
 
 /// Graphs of 2 to 11 nodes with random edges, whose coordinates mix
 /// unit-scale values, multiples of `10¹⁵⁴` (whose squared differences
-/// overflow, so edge lengths are infinite), infinities and NaNs of both
-/// signs: edge lengths of `+∞` and NaN, and sums that are NaN.
-fn hostile_graph() -> impl Strategy<Value = Graph> {
-    let coordinate = || {
-        (0usize..9, -3.0f64..3.0).prop_map(|(kind, x)| match kind {
+/// overflow, so edge lengths are infinite) and, unless `finite`,
+/// infinities and NaNs of both signs: edge lengths of `+∞` and NaN, and
+/// sums that are NaN.
+fn hostile_graph(finite: bool) -> impl Strategy<Value = Graph> {
+    let kinds = if finite { 0usize..5 } else { 0usize..9 };
+    let coordinate = move || {
+        (kinds.clone(), -3.0f64..3.0).prop_map(|(kind, x)| match kind {
             0..=2 => x,
             3 | 4 => x * 1e154,
             5 => f64::INFINITY,
@@ -450,8 +452,26 @@ proptest! {
     }
 
     #[test]
-    fn dijkstra_rows_match_the_reference_on_hostile_coordinates(g in hostile_graph()) {
+    fn dijkstra_rows_match_the_reference_on_hostile_coordinates(g in hostile_graph(false)) {
         assert_rows_match_reference(&g)?;
+    }
+
+    /// The searches' precondition is finite coordinates. Within it, at
+    /// the `10¹⁵⁴` scale where edge lengths overflow to `+∞`, a one-pair
+    /// [`pair_distances`] batch (always a search) answers every pair with
+    /// its [`reference_row`] length, to the bit.
+    #[test]
+    fn pair_distances_match_the_reference_on_finite_hostile_coordinates(
+        g in hostile_graph(true),
+    ) {
+        let n = g.node_count();
+        for src in 0..n {
+            let row = reference_row(&g, src);
+            for (dst, want) in row.into_iter().enumerate() {
+                let (_, len) = pair_distances(&g, &[(src, dst)])[0];
+                prop_assert_eq!(len.map(f64::to_bits), want.map(f64::to_bits), "{} -> {}", src, dst);
+            }
+        }
     }
 
     /// `with_edges` accepts any order, orientation and multiplicity, and
@@ -484,29 +504,18 @@ proptest! {
     /// surviving edges does.
     #[test]
     fn edits_keep_csr_invariants(
-        ops in prop::collection::vec((0u8..3, 0usize..24, 0usize..24), 0..80),
+        ops in prop::collection::vec((any::<bool>(), 0usize..24, 0usize..24), 0..80),
     ) {
-        let mut pts = uniform_points(4, 50.0, 99);
+        let pts = uniform_points(24, 50.0, 99);
         let mut g = Graph::new(pts.clone());
         let mut reference: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for (op, u, v) in ops {
-            let n = g.node_count();
-            let (u, v) = (u % n, v % n);
-            match op {
-                0 if u != v => {
-                    let fresh = reference.insert((u.min(v), u.max(v)));
-                    prop_assert_eq!(g.add_edge(u, v), fresh);
-                }
-                1 => {
-                    let present = reference.remove(&(u.min(v), u.max(v)));
-                    prop_assert_eq!(g.remove_edge(u, v), present);
-                }
-                2 => {
-                    let p = Point::new(u as f64, v as f64);
-                    pts.push(p);
-                    prop_assert_eq!(g.push_node(p), n);
-                }
-                _ => {}
+        for (add, u, v) in ops {
+            if add && u != v {
+                let fresh = reference.insert((u.min(v), u.max(v)));
+                prop_assert_eq!(g.add_edge(u, v), fresh);
+            } else if !add {
+                let present = reference.remove(&(u.min(v), u.max(v)));
+                prop_assert_eq!(g.remove_edge(u, v), present);
             }
             assert_csr_invariants(&g)?;
             prop_assert_eq!(g.edge_count(), reference.len());

@@ -329,9 +329,8 @@ fn splitmix(x: u64) -> u64 {
 
 /// Link-layer acknowledgement / retransmission configuration.
 ///
-/// When attached via
-/// [`Network::with_reliability`](crate::Network::with_reliability),
-/// every data broadcast is acknowledged by each receiving neighbor; the
+/// When attached via [`Network::with_radio`](crate::Network::with_radio)
+/// together with a non-zero fault plan, every data broadcast is acknowledged by each receiving neighbor; the
 /// sender retransmits (same sequence number, so receivers deduplicate)
 /// until every neighbor acked or the retry budget is exhausted. This
 /// trades extra messages — counted under `"ack"` and `"<kind>-retx"` —

@@ -324,8 +324,11 @@ pub struct Radio {
     pub faults: FaultPlan,
     /// Ack/retransmit parameters, used only under a non-zero plan.
     pub reliability: ReliabilityConfig,
-    /// Asynchronous delivery as `(max_delay, seed)`; `None` is
-    /// synchronous (see [`Network::with_jitter`]).
+    /// Asynchronous delivery as `(max_delay, seed)`: each broadcast is
+    /// delayed by a deterministic pseudo-random number of rounds in
+    /// `1..=max_delay`, while phases stay synchronization barriers (the
+    /// paper notes its protocols also run asynchronously). `None` is
+    /// synchronous.
     pub jitter: Option<(usize, u64)>,
 }
 
@@ -391,7 +394,7 @@ impl<'g, P: Protocol> Network<'g, P> {
     /// Attaches a fault plan. A [`FaultPlan::is_zero`] plan leaves the
     /// run bit-identical to one without a plan — no random state is
     /// consulted unless a fault probability is actually nonzero.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+    fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
     }
@@ -402,20 +405,16 @@ impl<'g, P: Protocol> Network<'g, P> {
     /// deduplicate) up to [`ReliabilityConfig::max_retries`] times.
     /// Overhead shows up in [`MessageStats::per_kind`] under `"ack"` and
     /// `"<kind>-retx"`.
-    pub fn with_reliability(mut self, cfg: ReliabilityConfig) -> Self {
+    fn with_reliability(mut self, cfg: ReliabilityConfig) -> Self {
         self.reliability = Some(cfg);
         self
     }
 
-    /// Switches to *asynchronous* delivery: each broadcast is delayed by
-    /// a deterministic pseudo-random number of rounds in `1..=max_delay`
-    /// (seeded by `seed`). The paper notes its protocols also run under
-    /// asynchronous communication; this models bounded, per-message
-    /// delivery jitter while keeping phases as synchronization barriers.
+    /// Switches to asynchronous delivery, as [`Radio::jitter`] describes.
     ///
     /// # Panics
     /// Panics if `max_delay == 0`.
-    pub fn with_jitter(mut self, max_delay: usize, seed: u64) -> Self {
+    fn with_jitter(mut self, max_delay: usize, seed: u64) -> Self {
         assert!(max_delay >= 1, "delivery delay must be at least one round");
         self.jitter = (max_delay, seed | 1);
         self

@@ -3,7 +3,7 @@
 
 use geospan_graph::gen::{uniform_points, UnitDiskBuilder};
 use geospan_graph::Graph;
-use geospan_sim::{Context, MessageKind, Network, Protocol};
+use geospan_sim::{Context, MessageKind, Network, Protocol, Radio};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -76,7 +76,7 @@ proptest! {
         seed in any::<u64>()
     ) {
         let mut net = Network::new(&g, |id| Flood { origin: id == src, have: false })
-            .with_jitter(delay, seed);
+            .with_radio(&Radio { jitter: Some((delay, seed)), ..Radio::default() });
         let budget = 4 * delay * (g.node_count() + 8);
         net.run_phase(0, budget).unwrap();
         let component: Vec<usize> = g

@@ -3,6 +3,7 @@
 //! CLI's CSV path, and out-of-range CLI parameters: an error or a valid
 //! backbone, never a panic or a hang.
 
+use std::collections::BTreeSet;
 use std::process::Command;
 
 use geospan::core::maintenance::MobileBackbone;
@@ -134,24 +135,21 @@ enum HostileUpdate {
     Move(Damage),
     /// Node `i` departs, then rejoins onto node `j`'s position.
     RejoinOntoOccupied,
-    /// A newcomer arrives on node `i`'s position.
-    AddOntoOccupied,
 }
 
 fn hostile_update() -> impl Strategy<Value = HostileUpdate> {
     prop_oneof![
         damage().prop_map(HostileUpdate::Move),
         Just(HostileUpdate::RejoinOntoOccupied),
-        Just(HostileUpdate::AddOntoOccupied),
     ]
 }
 
 /// The observable state a rejected operation must leave untouched.
-fn snapshot(m: &MobileBackbone) -> (Vec<Point>, Vec<(usize, usize)>, usize) {
+fn snapshot(m: &MobileBackbone) -> (Vec<Point>, Vec<(usize, usize)>, BTreeSet<usize>) {
     (
         m.points().to_vec(),
         m.backbone().ldel_icds_prime().edges().collect(),
-        m.update_count(),
+        m.departed().clone(),
     )
 }
 
@@ -185,17 +183,30 @@ proptest! {
                 prop_assert_eq!(snapshot(&mobile), before);
                 r
             }
-            HostileUpdate::AddOntoOccupied => {
-                let before = snapshot(&mobile);
-                let r = mobile.add_node(pts[i]).map(|_| ());
-                prop_assert_eq!(snapshot(&mobile), before);
-                r
-            }
         };
         let err = result.unwrap_err();
         prop_assert!(
             matches!(err, BackboneError::InvalidInput { .. }),
             "{update:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn departed_index_out_of_bounds_is_an_error() {
+    let n = 20;
+    for d in [n, n + 1, usize::MAX] {
+        let departed = BTreeSet::from([0, d]);
+        let err = MobileBackbone::with_departed(
+            uniform_points(n, 150.0, 5),
+            BackboneConfig::new(RADIUS),
+            departed,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, BackboneError::InvalidInput { reason }
+                if reason.contains(&format!("departed node {d} out of bounds"))),
+            "{err}"
         );
     }
 }
