@@ -1148,6 +1148,77 @@ mod tests {
         assert_eq!(net.fault_report().duplicated, 2);
     }
 
+    /// Answers every reception while its per-phase budget lasts, logging
+    /// each `(round, from, message)` it handles.
+    #[derive(Debug, Default)]
+    struct Chatter {
+        log: Vec<(usize, usize, Msg)>,
+        budget: u32,
+    }
+
+    impl Protocol for Chatter {
+        type Message = Msg;
+        fn on_phase(&mut self, ctx: &mut Context<'_, Msg>, _phase: usize) {
+            self.budget = 3;
+            if ctx.node() % 4 == 0 {
+                ctx.broadcast(Msg::Ping(ctx.node() as u32));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: usize, msg: &Msg) {
+            self.log.push((ctx.round(), from, msg.clone()));
+            if self.budget > 0 {
+                self.budget -= 1;
+                let reply = match *msg {
+                    Msg::Ping(h) => Msg::Pong(h.wrapping_mul(31) + from as u32),
+                    Msg::Pong(h) => Msg::Ping(h.wrapping_mul(17) + ctx.node() as u32),
+                };
+                ctx.broadcast(reply);
+            }
+        }
+    }
+
+    /// Injected duplicates without the ack layer run the handler twice,
+    /// so both copies' replies enter the queue: the order they enter it
+    /// in, under synchronous and jittered delivery, is pinned by a
+    /// digest of every node's log and the statistics.
+    #[test]
+    fn duplicated_deliveries_keep_their_order_without_reliability() {
+        let n = 16;
+        let pts = (0..n).map(|i| Point::new(i as f64, 0.0)).collect();
+        let band = (0..n).flat_map(|i| (i + 1..n.min(i + 4)).map(move |j| (i, j)));
+        let g = Graph::with_edges(pts, band);
+        let mut digests = Vec::new();
+        for jitter in [1, 3] {
+            let mut net = Network::new(&g, |_| Chatter::default())
+                .with_faults(FaultPlan::new(6).with_duplication(0.4))
+                .with_jitter(jitter, 5);
+            net.run_phases(2, 400).unwrap();
+            let report = net.fault_report();
+            assert!(report.duplicated > 0);
+            let (nodes, stats) = net.into_parts();
+            let mut h = 0xcbf2_9ce4_8422_2325_u64;
+            let words = nodes
+                .iter()
+                .flat_map(|v| &v.log)
+                .flat_map(|(round, from, msg)| {
+                    let (tag, x) = match *msg {
+                        Msg::Ping(x) => (0, x),
+                        Msg::Pong(x) => (1, x),
+                    };
+                    [*round as u64, *from as u64, tag, u64::from(x)]
+                })
+                .chain(stats.sent_per_node().iter().map(|&c| c as u64))
+                .chain([report.duplicated as u64]);
+            for w in words {
+                for b in w.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            digests.push(h);
+        }
+        assert_eq!(digests, [14231744995511587925, 14051423118561567384]);
+    }
+
     #[test]
     fn reliability_dedups_duplicates() {
         let g = path_graph(2);
