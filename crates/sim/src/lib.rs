@@ -18,9 +18,11 @@
 //! * protocols proceed in *phases* (clustering, connector election,
 //!   triangulation, …); each phase runs to quiescence before the next
 //!   begins;
-//! * everything is deterministic: nodes act in index order, messages are
-//!   delivered in (sender, send-order) order, so every run of a given
-//!   deployment is bit-identical.
+//! * everything is deterministic: nodes act in index order (in a round,
+//!   each receiving node handles everything it hears, in send order, before
+//!   the next node runs), and broadcasts are queued in the order of the
+//!   transmission they answer, so every run of a given deployment is
+//!   bit-identical.
 //!
 //! # Example: flooding
 //!
@@ -296,11 +298,41 @@ enum Payload<M> {
     Ack { to: usize, seq: u64, attempt: u32 },
 }
 
-/// A transmission in flight: delivered when `delay` reaches zero.
+/// A transmission in flight: delivered when `delay` reaches zero. While
+/// a round's receivers run, the entries they add hold in `delay` the
+/// index of the due transmission they answer instead (see
+/// [`Network::deliver_data`]).
 struct InFlight<M> {
     sender: usize,
     delay: usize,
     payload: Payload<M>,
+}
+
+/// A data transmission due in the current round.
+struct Due<M> {
+    sender: usize,
+    seq: u64,
+    attempt: u32,
+    msg: M,
+}
+
+/// The buffers of one delivery round, reused from round to round. The
+/// due transmissions themselves are moved into a fresh vector each
+/// round, so no round holds on to the largest round's messages.
+#[derive(Default)]
+struct RoundBuffers {
+    /// The due acks as `(acker, to, seq, attempt)`, in send order.
+    acks: Vec<(usize, usize, u64, u32)>,
+    /// `n + 1` row starts: sender `s`'s due transmissions are
+    /// `by_sender[first[s]..first[s + 1]]`.
+    first: Vec<usize>,
+    /// Indices of the due data transmissions, grouped by sender,
+    /// ascending within a sender.
+    by_sender: Vec<usize>,
+    /// One bit per node: set when the node hears something this round.
+    hears: Vec<u64>,
+    /// The due transmissions one receiver hears, ascending.
+    incoming: Vec<usize>,
 }
 
 /// A reliable broadcast awaiting acknowledgements from its neighbors.
@@ -362,6 +394,7 @@ pub struct Network<'g, P: Protocol> {
     gave_up: usize,
     /// Reused buffer for the `"<kind>-retx"` statistics key.
     retx_key: String,
+    round_buffers: RoundBuffers,
 }
 
 impl<'g, P: Protocol> Network<'g, P> {
@@ -388,6 +421,7 @@ impl<'g, P: Protocol> Network<'g, P> {
             retransmissions: 0,
             gave_up: 0,
             retx_key: String::new(),
+            round_buffers: RoundBuffers::default(),
         }
     }
 
@@ -543,30 +577,7 @@ impl<'g, P: Protocol> Network<'g, P> {
             if self.in_flight.is_empty() && self.pending.is_empty() {
                 break;
             }
-            // Deliver everything whose delay has elapsed, moved out in
-            // send order; broadcasts made while handling go into a later
-            // round's batch.
-            let deliveries: Vec<InFlight<P::Message>> = self
-                .in_flight
-                .extract_if(.., |f| {
-                    f.delay -= 1;
-                    f.delay == 0
-                })
-                .collect();
-            for InFlight {
-                sender, payload, ..
-            } in deliveries
-            {
-                match payload {
-                    Payload::Ack { to, seq, attempt } => {
-                        self.deliver_ack(sender, to, seq, attempt);
-                    }
-                    Payload::Data { seq, attempt, msg } => {
-                        phase_messages +=
-                            self.deliver_data(sender, seq, attempt, &msg, &mut outbox);
-                    }
-                }
-            }
+            phase_messages += self.deliver_round(&mut outbox);
             phase_messages += self.retransmit_overdue();
         }
         Ok(PhaseReport {
@@ -575,27 +586,141 @@ impl<'g, P: Protocol> Network<'g, P> {
         })
     }
 
-    /// Delivers one data broadcast to every neighbor of `sender`,
-    /// applying the fault pipeline (crash, partition, loss, duplication)
-    /// per receiver, and — under reliability — emitting acks and
-    /// suppressing duplicate handling. Returns the number of broadcasts
-    /// triggered (protocol responses plus acks).
+    /// Delivers every transmission whose delay has elapsed, receiver by
+    /// receiver, and returns the number of broadcasts it triggered
+    /// (protocol responses plus acks).
+    ///
+    /// Acks are applied first, in send order; they touch only `pending`
+    /// and the counters. Then each node that hears anything, in ascending
+    /// id order, handles all its due data transmissions in send order,
+    /// one after another, so its state is touched in one stretch. Each
+    /// delivery runs the fault pipeline for its `(sender, receiver)`
+    /// link (crash, partition, loss, duplication), and, under
+    /// reliability, acks and suppresses duplicate handling.
+    ///
+    /// What the receivers broadcast is put in flight in sender-major
+    /// order: by the due transmission it answers, then by receiver, then
+    /// in the order it was made (ack first). That is the order a loop
+    /// over transmissions and, within each, over the sender's ascending
+    /// neighbor row produces, so sequence numbers, jitter draws,
+    /// `pending` and the statistics come out the same as under that
+    /// loop. Nodes share no state and each sees its own deliveries in
+    /// send order either way, so every node runs the same sequence of
+    /// handlers.
+    fn deliver_round(&mut self, outbox: &mut Vec<P::Message>) -> usize {
+        let mut buf = std::mem::take(&mut self.round_buffers);
+        let mut due = Vec::new();
+        for InFlight {
+            sender, payload, ..
+        } in self.in_flight.extract_if(.., |f| {
+            f.delay -= 1;
+            f.delay == 0
+        }) {
+            match payload {
+                Payload::Ack { to, seq, attempt } => buf.acks.push((sender, to, seq, attempt)),
+                Payload::Data { seq, attempt, msg } => due.push(Due {
+                    sender,
+                    seq,
+                    attempt,
+                    msg,
+                }),
+            }
+        }
+        for (acker, to, seq, attempt) in buf.acks.drain(..) {
+            self.deliver_ack(acker, to, seq, attempt);
+        }
+        let sent = self.deliver_data(&due, &mut buf, outbox);
+        self.round_buffers = buf;
+        sent
+    }
+
+    /// The data half of [`Network::deliver_round`].
+    ///
+    /// While the receivers run, each entry they put in flight carries in
+    /// `delay` the index of the due transmission it answers. The
+    /// receivers push in ascending id order, and a sender's neighbor row
+    /// is ascending, so a stable sort of the new entries by that index
+    /// alone puts them in sender-major order; only then are their delays
+    /// drawn.
     fn deliver_data(
         &mut self,
-        sender: usize,
-        seq: u64,
-        attempt: u32,
-        msg: &P::Message,
+        due: &[Due<P::Message>],
+        buf: &mut RoundBuffers,
         outbox: &mut Vec<P::Message>,
     ) -> usize {
-        let mut sent = 0usize;
-        for vi in 0..self.graph.neighbors(sender).len() {
-            let v = self.graph.neighbors(sender)[vi];
-            let mut copies = 1usize;
-            if let Some(plan) = &self.faults {
-                if plan.crashed(v, self.round) {
+        let graph = self.graph;
+        let n = self.nodes.len();
+        index_by_sender(due, n, &mut buf.first, &mut buf.by_sender);
+        buf.hears.resize(n.div_ceil(64), 0);
+        let mut previous = None;
+        for &i in &buf.by_sender {
+            let sender = due[i].sender;
+            if previous != Some(sender) {
+                previous = Some(sender);
+                for &v in graph.neighbors(sender) {
+                    buf.hears[v / 64] |= 1 << (v % 64);
+                }
+            }
+        }
+
+        let start = self.in_flight.len();
+        for w in 0..buf.hears.len() {
+            let mut bits = std::mem::take(&mut buf.hears[w]);
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.is_crashed(v) {
                     continue;
                 }
+                buf.incoming.clear();
+                for &u in graph.neighbors(v) {
+                    buf.incoming
+                        .extend_from_slice(&buf.by_sender[buf.first[u]..buf.first[u + 1]]);
+                }
+                buf.incoming.sort_unstable();
+                self.receive(v, due, &buf.incoming, outbox);
+            }
+        }
+
+        // The sender index is spent: its buffers now hold the sort.
+        sort_by_due(
+            &mut self.in_flight[start..],
+            due.len(),
+            &mut buf.first,
+            &mut buf.by_sender,
+        );
+        if let Some(f) = self.in_flight[start..]
+            .iter()
+            .rfind(|f| matches!(f.payload, Payload::Data { .. }))
+        {
+            self.last_active = Some(f.sender);
+        }
+        for k in start..self.in_flight.len() {
+            self.in_flight[k].delay = self.next_delay();
+        }
+        self.in_flight.len() - start
+    }
+
+    /// Hands node `v` the due transmissions `incoming` (indices into
+    /// `due`, ascending), each through the fault pipeline of its link,
+    /// and puts what `v` broadcasts in flight tagged with the index it
+    /// answers.
+    fn receive(
+        &mut self,
+        v: usize,
+        due: &[Due<P::Message>],
+        incoming: &[usize],
+        outbox: &mut Vec<P::Message>,
+    ) {
+        for &i in incoming {
+            let Due {
+                sender,
+                seq,
+                attempt,
+                ref msg,
+            } = due[i];
+            let mut copies = 1;
+            if let Some(plan) = &self.faults {
                 if plan.severed(sender, v, self.round)
                     || plan.loses(EventKind::Data, sender, v, seq, attempt)
                 {
@@ -612,11 +737,9 @@ impl<'g, P: Protocol> Network<'g, P> {
                     // Link-layer ack: `v` confirms it heard (seq, attempt).
                     self.stats.sent_per_node[v] += 1;
                     self.stats.count("ack");
-                    sent += 1;
-                    let delay = self.next_delay();
                     self.in_flight.push(InFlight {
                         sender: v,
-                        delay,
+                        delay: i,
                         payload: Payload::Ack {
                             to: sender,
                             seq,
@@ -636,10 +759,11 @@ impl<'g, P: Protocol> Network<'g, P> {
                     outbox,
                 };
                 self.nodes[v].on_message(&mut ctx, sender, msg);
-                sent += self.record_and_enqueue(v, outbox);
+                for msg in outbox.drain(..) {
+                    self.put_in_flight(v, msg, i);
+                }
             }
         }
-        sent
     }
 
     /// Processes an ack from `acker` addressed to `to` (acks are radio
@@ -743,44 +867,52 @@ impl<'g, P: Protocol> Network<'g, P> {
         (self.nodes, self.stats, report)
     }
 
+    /// Enqueues everything `sender` put in `outbox`, in order, and
+    /// returns how many broadcasts that was.
     fn record_and_enqueue(&mut self, sender: usize, outbox: &mut Vec<P::Message>) -> usize {
         let k = outbox.len();
         if k > 0 {
             self.last_active = Some(sender);
         }
         for msg in outbox.drain(..) {
-            self.stats.sent_per_node[sender] += 1;
-            self.stats.count(msg.kind());
-            let seq = self.next_seq[sender];
-            self.next_seq[sender] += 1;
-            if let Some(rel) = self.reliability {
-                let awaiting: BTreeSet<usize> =
-                    self.graph.neighbors(sender).iter().copied().collect();
-                if !awaiting.is_empty() {
-                    self.pending.insert(
-                        (sender, seq),
-                        Outstanding {
-                            msg: msg.clone(),
-                            awaiting,
-                            attempt: 0,
-                            retries_left: rel.max_retries,
-                            deadline: self.round + rel.ack_timeout,
-                        },
-                    );
-                }
-            }
             let delay = self.next_delay();
-            self.in_flight.push(InFlight {
-                sender,
-                delay,
-                payload: Payload::Data {
-                    seq,
-                    attempt: 0,
-                    msg,
-                },
-            });
+            self.put_in_flight(sender, msg, delay);
         }
         k
+    }
+
+    /// Counts one broadcast of `msg` by `sender`, gives it the sender's
+    /// next sequence number, registers it for acks under reliability and
+    /// puts it in flight with `delay`.
+    fn put_in_flight(&mut self, sender: usize, msg: P::Message, delay: usize) {
+        self.stats.sent_per_node[sender] += 1;
+        self.stats.count(msg.kind());
+        let seq = self.next_seq[sender];
+        self.next_seq[sender] += 1;
+        if let Some(rel) = self.reliability {
+            let awaiting: BTreeSet<usize> = self.graph.neighbors(sender).iter().copied().collect();
+            if !awaiting.is_empty() {
+                self.pending.insert(
+                    (sender, seq),
+                    Outstanding {
+                        msg: msg.clone(),
+                        awaiting,
+                        attempt: 0,
+                        retries_left: rel.max_retries,
+                        deadline: self.round + rel.ack_timeout,
+                    },
+                );
+            }
+        }
+        self.in_flight.push(InFlight {
+            sender,
+            delay,
+            payload: Payload::Data {
+                seq,
+                attempt: 0,
+                msg,
+            },
+        });
     }
 
     /// Deterministic delay in `1..=max_delay` (xorshift over the jitter
@@ -796,6 +928,67 @@ impl<'g, P: Protocol> Network<'g, P> {
         s ^= s << 17;
         *state = s;
         1 + (s % *max_delay as u64) as usize
+    }
+}
+
+/// Groups the indices of `due` by sender with a counting sort: sender
+/// `s`'s transmissions are `by_sender[first[s]..first[s + 1]]`, in send
+/// order, for senders `0..n`.
+fn index_by_sender<M>(
+    due: &[Due<M>],
+    n: usize,
+    first: &mut Vec<usize>,
+    by_sender: &mut Vec<usize>,
+) {
+    first.clear();
+    first.resize(n + 1, 0);
+    for d in due {
+        first[d.sender] += 1;
+    }
+    let mut end = 0;
+    for f in first.iter_mut() {
+        end += *f;
+        *f = end;
+    }
+    // Filling each sender's slots from the back leaves `first[s]` at the
+    // sender's start and its indices ascending.
+    by_sender.resize(due.len(), 0);
+    for (i, d) in due.iter().enumerate().rev() {
+        first[d.sender] -= 1;
+        by_sender[first[d.sender]] = i;
+    }
+}
+
+/// Stably sorts `tail`, whose `delay` fields hold indices below
+/// `due_count`, by that index: a counting sort gives each entry its
+/// destination, and swapping every entry into place applies it with no
+/// second copy of the entries.
+fn sort_by_due<M>(
+    tail: &mut [InFlight<M>],
+    due_count: usize,
+    starts: &mut Vec<usize>,
+    dest: &mut Vec<usize>,
+) {
+    starts.clear();
+    starts.resize(due_count + 1, 0);
+    for f in tail.iter() {
+        starts[f.delay + 1] += 1;
+    }
+    for i in 1..starts.len() {
+        starts[i] += starts[i - 1];
+    }
+    dest.clear();
+    dest.extend(tail.iter().map(|f| {
+        let slot = &mut starts[f.delay];
+        *slot += 1;
+        *slot - 1
+    }));
+    for k in 0..tail.len() {
+        while dest[k] != k {
+            let d = dest[k];
+            tail.swap(k, d);
+            dest.swap(k, d);
+        }
     }
 }
 
@@ -1160,7 +1353,7 @@ mod tests {
         type Message = Msg;
         fn on_phase(&mut self, ctx: &mut Context<'_, Msg>, _phase: usize) {
             self.budget = 3;
-            if ctx.node() % 4 == 0 {
+            if ctx.node().is_multiple_of(4) {
                 ctx.broadcast(Msg::Ping(ctx.node() as u32));
             }
         }
