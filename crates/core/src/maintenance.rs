@@ -171,7 +171,15 @@ impl MobileBackbone {
         &self.backbone
     }
 
-    /// The current physical unit disk graph.
+    /// The physical unit disk graph the backbone was last built or
+    /// repaired on.
+    ///
+    /// An [`update_positions`](Self::update_positions) that breaks no
+    /// used link ([`MaintenanceAction::Kept`]) stores the new positions
+    /// but keeps this graph, since the next repair diffs against it: its
+    /// edges and embedded positions are then those of the last repair,
+    /// not of [`points`](Self::points). Build a unit disk graph over
+    /// `points()` to check the current geometry.
     pub fn udg(&self) -> &Graph {
         &self.udg
     }
@@ -203,13 +211,11 @@ impl MobileBackbone {
     /// back later via [`rejoin_node`](Self::rejoin_node).
     ///
     /// # Errors
-    /// Propagates [`BackboneError`] from a rebuild.
-    ///
-    /// # Panics
-    /// Panics if `v` is out of bounds or already departed.
+    /// [`BackboneError::InvalidInput`] when `v` is out of bounds or
+    /// already departed (the backbone is left unchanged); otherwise
+    /// propagates [`BackboneError`] from a rebuild.
     pub fn remove_node(&mut self, v: usize) -> Result<MaintenanceReport, BackboneError> {
-        assert!(v < self.points.len(), "node {v} out of bounds");
-        assert!(!self.departed.contains(&v), "node {v} already departed");
+        self.check_departed(v, false)?;
         let was_backbone = self.backbone.cds_graphs().is_backbone(v);
         let broken_links: Vec<(usize, usize)> = self
             .backbone
@@ -256,18 +262,16 @@ impl MobileBackbone {
     /// components) the backbone is rebuilt.
     ///
     /// # Errors
-    /// [`BackboneError::InvalidInput`] when `position` is non-finite or
-    /// coincides with another node (the backbone is left unchanged);
-    /// otherwise propagates [`BackboneError`] from a rebuild.
-    ///
-    /// # Panics
-    /// Panics if `v` is not currently departed.
+    /// [`BackboneError::InvalidInput`] when `v` is out of bounds or not
+    /// departed, or `position` is non-finite or coincides with another
+    /// node (the backbone is left unchanged); otherwise propagates
+    /// [`BackboneError`] from a rebuild.
     pub fn rejoin_node(
         &mut self,
         v: usize,
         position: Point,
     ) -> Result<MaintenanceReport, BackboneError> {
-        assert!(self.departed.contains(&v), "node {v} is not departed");
+        self.check_departed(v, true)?;
         let mut points = self.points.clone();
         points[v] = position;
         validate_positions(&points)?;
@@ -296,7 +300,9 @@ impl MobileBackbone {
 
     /// Applies new positions. The backbone is repaired only when a
     /// logical link broke; otherwise the logical topology is kept
-    /// verbatim (the paper's maintenance policy).
+    /// verbatim (the paper's maintenance policy), and so is the unit disk
+    /// graph [`udg`](Self::udg) returns: only [`points`](Self::points)
+    /// moves.
     ///
     /// # Errors
     /// [`BackboneError::InvalidInput`] (the backbone is left unchanged)
@@ -398,6 +404,21 @@ impl MobileBackbone {
         }
         let connectors = find_connectors(&self.udg, &clustering);
         Backbone::from_graphs(assemble(&self.udg, &clustering, &connectors))
+    }
+
+    /// [`BackboneError::InvalidInput`] unless `v` is a node and is
+    /// departed exactly when `departed` says.
+    fn check_departed(&self, v: usize, departed: bool) -> Result<(), BackboneError> {
+        let reason = if v >= self.points.len() {
+            format!("node {v} out of bounds for {} nodes", self.points.len())
+        } else if self.departed.contains(&v) == departed {
+            return Ok(());
+        } else if departed {
+            format!("node {v} is not departed")
+        } else {
+            format!("node {v} already departed")
+        };
+        Err(BackboneError::InvalidInput { reason })
     }
 
     /// Stores `points` and rebuilds the unit disk graph over them,
@@ -943,23 +964,71 @@ mod tests {
         assert!(crate::verify(m.backbone(), m.udg(), 50.0).all_ok());
     }
 
-    #[test]
-    #[should_panic(expected = "not departed")]
-    fn rejoining_a_live_node_is_rejected() {
-        let mut m = start(5);
-        let p = m.points()[0];
-        let _ = m.rejoin_node(0, p);
+    /// The membership error `op` returns, with the backbone unchanged.
+    fn membership_error(
+        m: &mut MobileBackbone,
+        op: impl FnOnce(&mut MobileBackbone) -> Result<MaintenanceReport, BackboneError>,
+    ) -> String {
+        let before = (m.points().to_vec(), m.departed().clone());
+        let err = op(m).expect_err("invalid membership change");
+        assert_eq!((m.points().to_vec(), m.departed().clone()), before);
+        match err {
+            BackboneError::InvalidInput { reason } => reason,
+            other => panic!("expected InvalidInput, got {other}"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "already departed")]
+    fn rejoining_a_live_node_is_rejected() {
+        let mut m = start(5);
+        let p = m.points()[0];
+        let reason = membership_error(&mut m, |m| m.rejoin_node(0, p));
+        assert!(reason.contains("node 0 is not departed"), "{reason}");
+        let n = m.points().len();
+        let reason = membership_error(&mut m, |m| m.rejoin_node(n, p));
+        assert!(
+            reason.contains(&format!("node {n} out of bounds")),
+            "{reason}"
+        );
+    }
+
+    #[test]
     fn removing_a_departed_node_is_rejected() {
         let mut m = start(5);
         let v = (0..m.points().len())
             .find(|&v| m.backbone().roles()[v] == crate::Role::Dominatee)
             .expect("some dominatee exists");
         m.remove_node(v).unwrap();
-        let _ = m.remove_node(v);
+        let reason = membership_error(&mut m, |m| m.remove_node(v));
+        assert!(
+            reason.contains(&format!("node {v} already departed")),
+            "{reason}"
+        );
+        let reason = membership_error(&mut m, |m| m.remove_node(usize::MAX));
+        assert!(reason.contains("out of bounds"), "{reason}");
+    }
+
+    /// A kept update leaves `udg()` at the graph of the last repair,
+    /// positions included; the next repair rebuilds it over the current
+    /// positions.
+    #[test]
+    fn udg_is_the_graph_of_the_last_repair() {
+        let mut m = start(3);
+        let before = m.udg().clone();
+        let mut pts = m.points().to_vec();
+        pts[0].x += 1e-6;
+        let report = m.update_positions(pts.clone()).unwrap();
+        assert_eq!(report.action, MaintenanceAction::Kept);
+        assert_eq!(m.points(), &pts[..]);
+        assert_eq!(m.udg().points(), before.points());
+        assert_ne!(m.udg().points(), m.points());
+        assert!(m.udg().edges().eq(before.edges()));
+
+        let v = (0..pts.len())
+            .find(|&v| m.backbone().roles()[v] == crate::Role::Dominatee)
+            .expect("some dominatee exists");
+        m.remove_node(v).unwrap();
+        assert_eq!(m.udg().points(), m.points());
     }
 
     /// Regression: a full rebuild after departures used to resurrect

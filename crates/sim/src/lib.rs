@@ -317,12 +317,10 @@ struct Due<M> {
 }
 
 /// The buffers of one delivery round, reused from round to round. The
-/// due transmissions themselves are moved into a fresh vector each
-/// round, so no round holds on to the largest round's messages.
+/// due transmissions themselves move into fresh vectors each round, so
+/// no round holds on to the largest round's messages.
 #[derive(Default)]
 struct RoundBuffers {
-    /// The due acks as `(acker, to, seq, attempt)`, in send order.
-    acks: Vec<(usize, usize, u64, u32)>,
     /// `n + 1` row starts: sender `s`'s due transmissions are
     /// `by_sender[first[s]..first[s + 1]]`.
     first: Vec<usize>,
@@ -608,8 +606,7 @@ impl<'g, P: Protocol> Network<'g, P> {
     /// send order either way, so every node runs the same sequence of
     /// handlers.
     fn deliver_round(&mut self, outbox: &mut Vec<P::Message>) -> usize {
-        let mut buf = std::mem::take(&mut self.round_buffers);
-        let mut due = Vec::new();
+        let (mut acks, mut due) = (Vec::new(), Vec::new());
         for InFlight {
             sender, payload, ..
         } in self.in_flight.extract_if(.., |f| {
@@ -617,7 +614,7 @@ impl<'g, P: Protocol> Network<'g, P> {
             f.delay == 0
         }) {
             match payload {
-                Payload::Ack { to, seq, attempt } => buf.acks.push((sender, to, seq, attempt)),
+                Payload::Ack { to, seq, attempt } => acks.push((sender, to, seq, attempt)),
                 Payload::Data { seq, attempt, msg } => due.push(Due {
                     sender,
                     seq,
@@ -626,9 +623,10 @@ impl<'g, P: Protocol> Network<'g, P> {
                 }),
             }
         }
-        for (acker, to, seq, attempt) in buf.acks.drain(..) {
+        for (acker, to, seq, attempt) in acks {
             self.deliver_ack(acker, to, seq, attempt);
         }
+        let mut buf = std::mem::take(&mut self.round_buffers);
         let sent = self.deliver_data(&due, &mut buf, outbox);
         self.round_buffers = buf;
         sent
@@ -652,11 +650,8 @@ impl<'g, P: Protocol> Network<'g, P> {
         let n = self.nodes.len();
         index_by_sender(due, n, &mut buf.first, &mut buf.by_sender);
         buf.hears.resize(n.div_ceil(64), 0);
-        let mut previous = None;
-        for &i in &buf.by_sender {
-            let sender = due[i].sender;
-            if previous != Some(sender) {
-                previous = Some(sender);
+        for (sender, row) in buf.first.windows(2).enumerate() {
+            if row[0] < row[1] {
                 for &v in graph.neighbors(sender) {
                     buf.hears[v / 64] |= 1 << (v % 64);
                 }

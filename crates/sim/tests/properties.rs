@@ -102,7 +102,7 @@ struct Word(u64);
 
 impl MessageKind for Word {
     fn kind(&self) -> &'static str {
-        if self.0 % 2 == 0 {
+        if self.0.is_multiple_of(2) {
             "even"
         } else {
             "odd"
@@ -138,7 +138,7 @@ impl Protocol for Echo {
     fn on_phase(&mut self, ctx: &mut Context<'_, Word>, phase: usize) {
         self.sent = 0;
         let v = ctx.node() as u64;
-        if (v + phase as u64) % 5 == 0 {
+        if (v + phase as u64).is_multiple_of(5) {
             // Two transmissions from one sender in one round.
             ctx.broadcast(Word(mix(v, phase as u64)));
             ctx.broadcast(Word(mix(v + 1, phase as u64)));
@@ -147,10 +147,10 @@ impl Protocol for Echo {
     fn on_message(&mut self, ctx: &mut Context<'_, Word>, from: usize, msg: &Word) {
         self.log.push((ctx.round(), from, msg.0));
         self.acc = mix(self.acc ^ msg.0, from as u64);
-        if self.sent < ECHO_BUDGET && self.acc % 3 == 0 {
+        if self.sent < ECHO_BUDGET && self.acc.is_multiple_of(3) {
             self.sent += 1;
             ctx.broadcast(Word(self.acc));
-            if self.acc % 6 == 0 {
+            if self.acc.is_multiple_of(6) {
                 ctx.broadcast(Word(self.acc >> 1));
             }
         }

@@ -1,7 +1,8 @@
 //! Hostile point sets — duplicates, non-finite coordinates, exact
 //! lattices — through the builder, `MobileBackbone` maintenance and the
-//! CLI's CSV path, and out-of-range CLI parameters: an error or a valid
-//! backbone, never a panic or a hang.
+//! CLI's CSV path, bad node indices through maintenance, and
+//! out-of-range CLI parameters: an error or a valid backbone, never a
+//! panic or a hang.
 
 use std::collections::BTreeSet;
 use std::process::Command;
@@ -135,12 +136,24 @@ enum HostileUpdate {
     Move(Damage),
     /// Node `i` departs, then rejoins onto node `j`'s position.
     RejoinOntoOccupied,
+    /// Node `i` departs, then departs again.
+    RemoveDeparted,
+    /// Live node `i` rejoins at node `j`'s position.
+    RejoinLive,
+    /// Node `n + i`, past the last node, departs or rejoins.
+    OutOfBounds {
+        /// Rejoin rather than depart.
+        rejoin: bool,
+    },
 }
 
 fn hostile_update() -> impl Strategy<Value = HostileUpdate> {
     prop_oneof![
         damage().prop_map(HostileUpdate::Move),
         Just(HostileUpdate::RejoinOntoOccupied),
+        Just(HostileUpdate::RemoveDeparted),
+        Just(HostileUpdate::RejoinLive),
+        any::<bool>().prop_map(|rejoin| HostileUpdate::OutOfBounds { rejoin }),
     ]
 }
 
@@ -180,6 +193,29 @@ proptest! {
                 mobile.remove_node(i).unwrap();
                 let before = snapshot(&mobile);
                 let r = mobile.rejoin_node(i, pts[j]).map(|_| ());
+                prop_assert_eq!(snapshot(&mobile), before);
+                r
+            }
+            HostileUpdate::RemoveDeparted => {
+                mobile.remove_node(i).unwrap();
+                let before = snapshot(&mobile);
+                let r = mobile.remove_node(i).map(|_| ());
+                prop_assert_eq!(snapshot(&mobile), before);
+                r
+            }
+            HostileUpdate::RejoinLive => {
+                let before = snapshot(&mobile);
+                let r = mobile.rejoin_node(i, pts[j]).map(|_| ());
+                prop_assert_eq!(snapshot(&mobile), before);
+                r
+            }
+            HostileUpdate::OutOfBounds { rejoin } => {
+                let before = snapshot(&mobile);
+                let r = if rejoin {
+                    mobile.rejoin_node(n + i, pts[j]).map(|_| ())
+                } else {
+                    mobile.remove_node(n + i).map(|_| ())
+                };
                 prop_assert_eq!(snapshot(&mobile), before);
                 r
             }
