@@ -52,12 +52,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Euclidean norm of this point interpreted as a vector.
-    #[inline]
-    pub fn norm(self) -> f64 {
-        self.x.hypot(self.y)
-    }
-
     /// Squared Euclidean norm.
     #[inline]
     pub fn norm_sq(self) -> f64 {
@@ -84,21 +78,6 @@ impl Point {
     #[inline]
     pub fn midpoint(self, other: Point) -> Point {
         Point::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
-
-    /// Linear interpolation: `self` at `t == 0`, `other` at `t == 1`.
-    #[inline]
-    pub fn lerp(self, other: Point, t: f64) -> Point {
-        Point::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
-    }
-
-    /// Angle of the vector from `self` to `other`, in `(-π, π]`.
-    #[inline]
-    pub fn angle_to(self, other: Point) -> f64 {
-        (other.y - self.y).atan2(other.x - self.x)
     }
 
     /// True when both coordinates are finite (not NaN, not infinite).
@@ -198,26 +177,16 @@ mod tests {
         let b = Point::new(3.0, 4.0);
         assert_eq!(a.distance_sq(b), 25.0);
         assert_eq!(a.distance(b), 5.0);
-        assert_eq!(b.norm(), 5.0);
         assert_eq!(b.norm_sq(), 25.0);
         assert_eq!(Point::new(1.0, 0.0).dot(Point::new(0.0, 1.0)), 0.0);
         assert_eq!(Point::new(1.0, 0.0).cross(Point::new(0.0, 1.0)), 1.0);
     }
 
     #[test]
-    fn midpoint_and_lerp() {
+    fn midpoint_halves_the_segment() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(2.0, 4.0);
         assert_eq!(a.midpoint(b), Point::new(1.0, 2.0));
-        assert_eq!(a.lerp(b, 0.25), Point::new(0.5, 1.0));
-        assert_eq!(a.lerp(b, 1.0), b);
-    }
-
-    #[test]
-    fn angle_to_cardinal_directions() {
-        let o = Point::ORIGIN;
-        assert_eq!(o.angle_to(Point::new(1.0, 0.0)), 0.0);
-        assert!((o.angle_to(Point::new(0.0, 1.0)) - std::f64::consts::FRAC_PI_2).abs() < 1e-15);
     }
 
     #[test]

@@ -32,15 +32,6 @@ impl Triangle {
         self.0
     }
 
-    /// The vertex indices sorted ascending: a canonical key for
-    /// order-insensitive comparisons.
-    #[inline]
-    pub fn sorted(&self) -> [usize; 3] {
-        let mut s = self.0;
-        s.sort_unstable();
-        s
-    }
-
     /// True when `v` is one of the triangle's vertices.
     #[inline]
     pub fn contains(&self, v: usize) -> bool {
@@ -136,11 +127,6 @@ pub struct Triangulation {
     edges: Vec<(usize, usize)>,
     adjacency: Vec<Vec<usize>>,
     hull: Vec<usize>,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "duplicate scan and membership only: never iterated, so hash order cannot reach the output"
-    )]
-    tri_keys: std::collections::HashSet<[usize; 3]>,
 }
 
 impl Triangulation {
@@ -191,22 +177,6 @@ impl Triangulation {
     pub fn contains_edge(&self, u: usize, v: usize) -> bool {
         let (a, b) = if u < v { (u, v) } else { (v, u) };
         self.edges.binary_search(&(a, b)).is_ok()
-    }
-
-    /// True when the triangle `{a, b, c}` (any vertex order) is in the
-    /// triangulation.
-    pub fn contains_triangle(&self, a: usize, b: usize, c: usize) -> bool {
-        let mut k = [a, b, c];
-        k.sort_unstable();
-        self.tri_keys.contains(&k)
-    }
-
-    /// The triangles incident on vertex `v`.
-    pub fn triangles_of(&self, v: usize) -> impl Iterator<Item = Triangle> + '_ {
-        self.triangles
-            .iter()
-            .copied()
-            .filter(move |t| t.contains(v))
     }
 
     /// Exhaustively verifies the Delaunay empty-circumcircle property:
@@ -613,11 +583,6 @@ impl<'a> Core<'a> {
         let mut triangles = Vec::new();
         let mut edge_set: std::collections::BTreeSet<(usize, usize)> =
             std::collections::BTreeSet::new();
-        #[expect(
-            clippy::disallowed_types,
-            reason = "duplicate scan and membership only: never iterated, so hash order cannot reach the output"
-        )]
-        let mut tri_keys = std::collections::HashSet::new();
         let mut hull = Vec::new();
 
         if let Some(chain) = &self.collinear_chain {
@@ -630,7 +595,6 @@ impl<'a> Core<'a> {
                     continue;
                 }
                 triangles.push(Triangle(t.v));
-                tri_keys.insert(Triangle(t.v).sorted());
                 edge_set.insert(ordered(t.v[0], t.v[1]));
                 edge_set.insert(ordered(t.v[1], t.v[2]));
                 edge_set.insert(ordered(t.v[2], t.v[0]));
@@ -680,7 +644,6 @@ impl<'a> Core<'a> {
             edges,
             adjacency,
             hull,
-            tri_keys,
         }
     }
 }
@@ -730,7 +693,6 @@ mod tests {
         assert_eq!(t.triangles().len(), 1);
         assert_eq!(t.edges().len(), 3);
         assert_eq!(t.hull().len(), 3);
-        assert!(t.contains_triangle(2, 0, 1));
         assert!(t.is_delaunay());
     }
 
@@ -897,19 +859,5 @@ mod tests {
         rot(&mut hull);
         rot(&mut expect);
         assert_eq!(hull, expect);
-    }
-
-    #[test]
-    fn triangles_of_vertex() {
-        let t = Triangulation::build(&pts(&[
-            (0.0, 0.0),
-            (4.0, 0.0),
-            (4.0, 4.0),
-            (0.0, 4.0),
-            (2.0, 2.1),
-        ]))
-        .unwrap();
-        assert_eq!(t.triangles_of(4).count(), 4);
-        assert_eq!(t.triangles_of(0).count(), 2);
     }
 }

@@ -285,7 +285,8 @@ fn star_input(shape: u8, seed: u64) -> Vec<Point> {
 
 /// Ascending index triples, sorted.
 fn keys<'a>(tris: impl IntoIterator<Item = &'a Triangle>) -> Vec<[usize; 3]> {
-    let mut k: Vec<[usize; 3]> = tris.into_iter().map(Triangle::sorted).collect();
+    let mut k: Vec<[usize; 3]> = tris.into_iter().map(Triangle::indices).collect();
+    k.iter_mut().for_each(|t| t.sort_unstable());
     k.sort_unstable();
     k
 }

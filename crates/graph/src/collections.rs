@@ -102,30 +102,10 @@ impl VecSet {
         self.items.iter().copied()
     }
 
-    /// The keys as a sorted slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[usize] {
-        &self.items
-    }
-
     /// Smallest key, if any.
     #[inline]
     pub fn first(&self) -> Option<usize> {
         self.items.first().copied()
-    }
-
-    /// True when `self` and `other` share at least one key (linear merge
-    /// scan — both sets are sorted).
-    pub fn intersects(&self, other: &VecSet) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < self.items.len() && j < other.items.len() {
-            match self.items[i].cmp(&other.items[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
     }
 }
 
@@ -234,18 +214,6 @@ impl<V> VecMap<V> {
         }
     }
 
-    /// The value under `key`, inserting `default()` first if absent.
-    pub fn entry_or_insert_with(&mut self, key: usize, default: impl FnOnce() -> V) -> &mut V {
-        let at = match self.index_of(key) {
-            Ok(at) => at,
-            Err(at) => {
-                self.items.insert(at, (key, default()));
-                at
-            }
-        };
-        &mut self.items[at].1
-    }
-
     /// Removes all entries, keeping the allocation for reuse.
     #[inline]
     pub fn clear(&mut self) {
@@ -332,14 +300,10 @@ mod tests {
         for _ in 0..2000 {
             let key = (next() % 48) as usize;
             let val = next();
-            match next() % 4 {
+            match next() % 3 {
                 0 => assert_eq!(vm.insert(key, val), bm.insert(key, val)),
                 1 => assert_eq!(vm.remove(key), bm.remove(&key)),
-                2 => assert_eq!(vm.get(key), bm.get(&key)),
-                _ => {
-                    *vm.entry_or_insert_with(key, || 0) += 1;
-                    *bm.entry(key).or_insert(0) += 1;
-                }
+                _ => assert_eq!(vm.get(key), bm.get(&key)),
             }
             assert_eq!(vm.len(), bm.len());
         }
@@ -349,14 +313,11 @@ mod tests {
     }
 
     #[test]
-    fn vecset_bulk_and_intersection() {
+    fn vecset_bulk_loads() {
         let a: VecSet = [5, 1, 3, 1, 5].into_iter().collect();
-        assert_eq!(a.as_slice(), &[1, 3, 5]);
+        assert!(a.iter().eq([1, 3, 5]));
         let b = VecSet::from_sorted_iter([2, 4, 5]);
-        assert!(a.intersects(&b));
-        let c = VecSet::from_sorted_iter([0, 2, 4]);
-        assert!(!a.intersects(&c));
-        assert!(!VecSet::new().intersects(&a));
+        assert!(b.iter().eq([2, 4, 5]));
     }
 
     #[test]
@@ -373,7 +334,7 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         s.insert(1);
-        assert_eq!(s.as_slice(), &[1]);
+        assert!(s.iter().eq([1]));
         let mut m: VecMap<u8> = VecMap::with_capacity(8);
         m.insert(3, 1);
         m.clear();

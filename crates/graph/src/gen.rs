@@ -135,25 +135,6 @@ pub fn ring_points(n: usize, ring_radius: f64, jitter: f64, seed: u64) -> Vec<Po
     pts
 }
 
-/// A dumbbell: two dense square clusters of `n_per_side` nodes joined by
-/// a `bridge`-node chain — the worst case for backbone robustness (the
-/// bridge nodes are unavoidable cut vertices). Deterministic in `seed`.
-pub fn dumbbell_points(n_per_side: usize, bridge: usize, spacing: f64, seed: u64) -> Vec<Point> {
-    assert!(spacing > 0.0 && bridge >= 1);
-    let side = (n_per_side as f64).sqrt().ceil() * spacing * 1.2;
-    let gap = spacing * (bridge + 1) as f64;
-    let mut pts = uniform_points(n_per_side, side, seed);
-    // Bridge chain along y = side / 2.
-    for k in 1..=bridge {
-        pts.push(Point::new(side + k as f64 * spacing, side / 2.0));
-    }
-    // Right cluster, shifted past the bridge.
-    for p in uniform_points(n_per_side, side, seed.wrapping_add(1)) {
-        pts.push(Point::new(p.x + side + gap, p.y));
-    }
-    pts
-}
-
 /// Builds unit disk graphs: an edge between every pair at distance at most
 /// the transmission radius.
 ///
@@ -378,19 +359,6 @@ mod tests {
         for p in &pts {
             let d = p.distance(center);
             assert!((36.0..=44.0).contains(&d), "radius {d}");
-        }
-    }
-
-    #[test]
-    fn dumbbell_shape() {
-        let pts = dumbbell_points(30, 3, 10.0, 5);
-        assert_eq!(pts.len(), 63);
-        let g = UnitDiskBuilder::new(14.0).build(&pts);
-        // The bridge nodes (indices 30..33) are cut vertices: removing
-        // the middle one disconnects the clusters.
-        if g.is_connected() {
-            let cut = g.filter_edges(|u, v| u != 31 && v != 31);
-            assert!(!cut.is_connected());
         }
     }
 

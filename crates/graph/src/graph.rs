@@ -261,19 +261,6 @@ impl Graph {
         )
     }
 
-    /// The union of this graph's edges with `other`'s (same vertex set).
-    ///
-    /// # Panics
-    /// Panics if the two graphs have different node counts.
-    pub fn union(&self, other: &Graph) -> Graph {
-        assert_eq!(
-            self.node_count(),
-            other.node_count(),
-            "graph union requires a shared vertex set"
-        );
-        Graph::with_edges(self.points.clone(), self.edges().chain(other.edges()))
-    }
-
     /// True when every node is reachable from every other.
     ///
     /// The empty graph and the single-node graph are connected.
@@ -336,11 +323,6 @@ impl Graph {
         }
         comps.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
         comps
-    }
-
-    /// Total Euclidean length of all edges.
-    pub fn total_edge_length(&self) -> f64 {
-        self.edges().map(|(u, v)| self.edge_length(u, v)).sum()
     }
 }
 
@@ -441,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_union() {
+    fn filter_keeps_the_vertex_set() {
         let mut g = square();
         g.add_edge(0, 1);
         g.add_edge(1, 2);
@@ -449,8 +431,6 @@ mod tests {
         let sub = g.filter_edges(|u, v| u != 0 && v != 0);
         assert_eq!(sub.edge_count(), 2);
         assert_eq!(sub.node_count(), 4);
-        let back = sub.union(&g);
-        assert_eq!(back.edge_count(), 3);
     }
 
     #[test]
@@ -471,6 +451,6 @@ mod tests {
         g.add_edge(0, 1);
         g.add_edge(0, 2);
         assert_eq!(g.edge_length(0, 1), 1.0);
-        assert!((g.total_edge_length() - (1.0 + 2f64.sqrt())).abs() < 1e-12);
+        assert_eq!(g.edge_length(0, 2), 2f64.sqrt());
     }
 }

@@ -55,7 +55,7 @@ impl EventKind {
 ///     .with_crash(3, 5)          // node 3 dies at round 5
 ///     .with_partition(2..6, [0, 1, 2]); // rounds 2..6: {0,1,2} vs rest
 /// assert!(!plan.is_zero());
-/// assert_eq!(plan.crash_round(3), Some(5));
+/// assert!(!plan.crashed(3, 4) && plan.crashed(3, 5));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -193,7 +193,7 @@ impl FaultPlan {
     }
 
     /// The round `node` crashes at, if any.
-    pub fn crash_round(&self, node: usize) -> Option<usize> {
+    fn crash_round(&self, node: usize) -> Option<usize> {
         self.crashes.get(&node).copied()
     }
 

@@ -500,11 +500,6 @@ impl<'g, P: Protocol> Network<'g, P> {
         &self.stats
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// What the injected faults did to this run so far.
     pub fn fault_report(&self) -> FaultReport {
         let crashed = self
@@ -1481,7 +1476,7 @@ mod tests {
             ..Radio::default()
         };
         let mut net = Network::new(&g, relay()).with_radio(&radio);
-        assert!(net.fault_plan().is_none());
+        assert!(net.faults.is_none());
         assert_eq!(net.round_budget(), 5 + 16, "no reliability attached");
         net.run_phase(0, 100).unwrap();
         let mut plain = Network::new(&g, relay());
@@ -1504,7 +1499,7 @@ mod tests {
             jitter: Some((3, 7)),
         };
         let mut net = Network::new(&g, relay()).with_radio(&radio);
-        assert_eq!(net.fault_plan(), Some(&radio.faults));
+        assert_eq!(net.faults.as_ref(), Some(&radio.faults));
         // (n + 16) rounds × max delay × (retries + 2)(ack timeout + 1).
         assert_eq!(net.round_budget(), 21 * 3 * 16);
         net.run_phase(0, net.round_budget()).unwrap();

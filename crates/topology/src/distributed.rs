@@ -449,11 +449,15 @@ pub fn run_ldel(g: &Graph, radius: f64) -> Result<DistributedOutcome, Quiescence
 /// the synchronous result.
 ///
 /// Under a non-zero fault plan the link-layer ack/retransmit scheme runs.
-/// The handshake degrades gracefully: a corner that missed a message
-/// simply withholds its vote, so affected triangles drop out instead of
-/// corrupting the structure. Crashed nodes contribute nothing — their
-/// partial state and any edge or triangle touching them are filtered
-/// from the assembly. A zero plan's report is [`FaultReport::default`].
+/// The output is plane only when that scheme gave up on no broadcast
+/// ([`FaultReport::gave_up`] is 0). A node that lost a neighbour's `Hello`
+/// decides its Gabriel edges without that witness, and such an edge can
+/// cross a kept one: at n = 2 000, 10 % loss and 3 retries, 2 runs of 8
+/// did. Check a faulty run's output with
+/// [`is_plane_embedding`](geospan_graph::planarity::is_plane_embedding)
+/// when `gave_up > 0`. Crashed nodes contribute nothing — their partial
+/// state and any edge or triangle touching them are filtered from the
+/// assembly. A zero plan's report is [`FaultReport::default`].
 ///
 /// # Errors
 /// Returns [`QuiescenceTimeout`] if a phase fails to converge within

@@ -8,18 +8,14 @@
 //! * [`relative_neighborhood`] — the RNG (Toussaint); planar, sparse, but
 //!   length stretch Θ(n),
 //! * [`gabriel`] — the Gabriel graph; planar, length stretch Θ(√n),
-//! * [`yao`] / [`yao_yao`] — cone-based structures; constant length
-//!   stretch, unbounded (resp. bounded) degree, not planar,
-//! * [`delaunay`] / [`unit_delaunay`] — the global Delaunay triangulation
-//!   and its unit-disk restriction `UDel = Del ∩ UDG` (not locally
-//!   computable; the quality yardstick),
+//! * [`unit_delaunay`] — the unit-disk restriction `UDel = Del ∩ UDG` of
+//!   the global Delaunay triangulation (not locally computable; the
+//!   quality yardstick),
 //! * [`ldel`] — the **1-localized Delaunay graph** `LDel¹` and its
 //!   planarization `PLDel` (Li, Calinescu & Wan), the planar spanner the
 //!   paper erects on top of the CDS backbone,
 //! * [`restricted_delaunay`] — Gao et al.'s Restricted Delaunay Graph,
 //!   the construction the paper positions itself against,
-//! * [`theta`] / [`yao_sink`] — further cone-based variants from the
-//!   paper's related-work discussion,
 //! * [`distributed`] / [`distributed2`] — Algorithms 2 & 3 of the paper
 //!   (and the 2-hop `LDel²` variant) as real message-passing protocols
 //!   over [`geospan_sim`], with measured communication costs.
@@ -50,29 +46,13 @@ mod gabriel;
 pub mod ldel;
 pub mod rdg;
 mod rng;
-mod yao;
 
 pub use gabriel::gabriel;
 pub use rdg::restricted_delaunay;
 pub use rng::relative_neighborhood;
-pub use yao::{theta, yao, yao_directed, yao_sink, yao_yao};
 
 use geospan_geometry::Triangulation;
 use geospan_graph::Graph;
-
-/// The (global) Delaunay triangulation of the node positions, as a graph
-/// over the same vertex set.
-///
-/// Not restricted to the unit disk: edges may be arbitrarily long. This is
-/// the centralized yardstick the localized structures approximate.
-///
-/// # Panics
-/// Panics if two nodes share a position (the deployment generators never
-/// produce this).
-pub fn delaunay(g: &Graph) -> Graph {
-    let tri = Triangulation::build(g.points()).expect("distinct node positions");
-    Graph::with_edges(g.points().to_vec(), tri.edges().iter().copied())
-}
 
 /// The unit Delaunay graph `UDel = Del(V) ∩ UDG`: Delaunay edges no longer
 /// than the transmission radius.
@@ -99,14 +79,14 @@ mod tests {
     fn udel_is_subgraph_of_both() {
         let pts = uniform_points(80, 100.0, 5);
         let udg = UnitDiskBuilder::new(30.0).build(&pts);
-        let del = delaunay(&udg);
+        let del = Triangulation::build(&pts).unwrap();
         let udel = unit_delaunay(&udg);
         for (u, v) in udel.edges() {
-            assert!(del.has_edge(u, v));
+            assert!(del.contains_edge(u, v));
             assert!(udg.has_edge(u, v));
         }
         // Every short Delaunay edge is in UDel.
-        for (u, v) in del.edges() {
+        for &(u, v) in del.edges() {
             if udg.has_edge(u, v) {
                 assert!(udel.has_edge(u, v));
             }
@@ -120,7 +100,6 @@ mod tests {
             geospan_graph::Point::new(1.0, 0.0),
             geospan_graph::Point::new(0.0, 1.0),
         ]);
-        assert_eq!(delaunay(&g).edge_count(), 3);
         assert_eq!(unit_delaunay(&g).edge_count(), 3);
     }
 }

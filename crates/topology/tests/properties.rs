@@ -12,7 +12,7 @@ use geospan_graph::Point;
 use geospan_sim::{FaultPlan, FaultReport, MessageStats, Radio};
 use geospan_topology::ldel::LocalDelaunay;
 use geospan_topology::{
-    distributed, distributed2, gabriel, ldel, relative_neighborhood, unit_delaunay, yao, yao_yao,
+    distributed, distributed2, gabriel, ldel, relative_neighborhood, unit_delaunay,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -63,22 +63,6 @@ proptest! {
         // Thickness 2 for raw LDel¹; planar bound for PLDel.
         prop_assert!(ldel::ldel1(&udg).graph.edge_count() <= 6 * n);
         prop_assert!(ldel::planarized(&udg).graph.edge_count() <= 3 * n);
-    }
-
-    #[test]
-    fn yao_bounds((udg, _r) in deployment(), k in 4usize..10) {
-        let y = yao(&udg, k);
-        prop_assert_eq!(y.components().len(), udg.components().len());
-        let yy = yao_yao(&udg, k);
-        for v in 0..yy.node_count() {
-            prop_assert!(yy.degree(v) <= 2 * k);
-        }
-        for (u, v) in yy.edges() {
-            prop_assert!(y.has_edge(u, v), "YY ⊄ Yao");
-        }
-        for (u, v) in y.edges() {
-            prop_assert!(udg.has_edge(u, v), "Yao ⊄ UDG");
-        }
     }
 
     #[test]

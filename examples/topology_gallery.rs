@@ -1,5 +1,5 @@
 //! Renders the Figure 6/7-style topology gallery for one deployment:
-//! the UDG and all nine derived structures as SVG files.
+//! the UDG and every structure derived from it, as SVG files.
 //!
 //! ```text
 //! cargo run --release --example topology_gallery -- [output-dir]
@@ -12,9 +12,7 @@ use geospan::core::{BackboneBuilder, BackboneConfig};
 use geospan::graph::gen::connected_unit_disk;
 use geospan::graph::svg::{render_svg, NodeRole, SvgOptions};
 use geospan::graph::Graph;
-use geospan::topology::{
-    gabriel, ldel, relative_neighborhood, restricted_delaunay, theta, unit_delaunay, yao, yao_sink,
-};
+use geospan::topology::{gabriel, ldel, relative_neighborhood, restricted_delaunay, unit_delaunay};
 
 fn main() {
     let out_dir = std::env::args()
@@ -43,9 +41,6 @@ fn main() {
         ("udg", udg.clone()),
         ("rng", relative_neighborhood(&udg)),
         ("gabriel", gabriel(&udg)),
-        ("yao6", yao(&udg, 6)),
-        ("theta6", theta(&udg, 6)),
-        ("yao_sink6", yao_sink(&udg, 6)),
         ("rdg", restricted_delaunay(&udg)),
         ("udel", unit_delaunay(&udg)),
         ("ldel", ldel::planarized(&udg).graph),

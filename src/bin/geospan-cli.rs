@@ -14,14 +14,12 @@ use std::process::ExitCode;
 
 use geospan::cds::Role;
 use geospan::core::routing::backbone_route;
-use geospan::core::{validate_positions, verify, BackboneBuilder, BackboneConfig};
+use geospan::core::{validate_positions, verify, Backbone, BackboneBuilder, BackboneConfig};
 use geospan::graph::gen::{try_connected_unit_disk, UnitDiskBuilder};
 use geospan::graph::svg::{render_svg, NodeRole, SvgOptions};
 use geospan::graph::{Graph, Point};
 use geospan::sim::{ChurnMix, ChurnPlan, FaultPlan, OverloadConfig, ReliabilityConfig};
-use geospan::topology::{
-    gabriel, ldel, relative_neighborhood, restricted_delaunay, theta, yao, yao_sink,
-};
+use geospan::topology::{gabriel, ldel, relative_neighborhood, restricted_delaunay};
 use geospan::traffic::{
     run, AdmissionPolicy, ChurnEngine, Discipline, Forwarding, RepairStrategy, TrafficConfig,
     Workload,
@@ -63,8 +61,7 @@ usage:
                        [--churn-rate P [--churn-seed K]]
                        [--out FILE.csv]
 
-topologies:  udg, rng, gabriel, yao, theta, yao-sink, rdg, ldel, cds, ldel-icds,
-             ldel-icds-prime
+topologies:  udg, rng, gabriel, rdg, ldel, cds, ldel-icds, ldel-icds-prime
 policies:    backbone (dominating-set routing over LDel(ICDS)),
              gpsr (over LDel(ICDS')), greedy (over the UDG)
 disciplines: fifo, priority (by remaining distance), drr (per-destination
@@ -102,6 +99,23 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
         "retries", "ack-timeout", "high-watermark", "low-watermark", "backoff-factor",
         "admit-ticks", "admit-burst", "shards", "churn-rate", "churn-seed", "out",
     ], cmd_traffic),
+];
+
+/// Builds one topology from the UDG and its backbone.
+type Topology = fn(&Graph, &Backbone) -> Graph;
+
+/// Every topology `render` draws, by name; an unknown name is an error
+/// that lists these.
+#[rustfmt::skip]
+const TOPOLOGIES: &[(&str, Topology)] = &[
+    ("udg", |udg, _| udg.clone()),
+    ("rng", |udg, _| relative_neighborhood(udg)),
+    ("gabriel", |udg, _| gabriel(udg)),
+    ("rdg", |udg, _| restricted_delaunay(udg)),
+    ("ldel", |udg, _| ldel::planarized(udg).graph),
+    ("cds", |_, b| b.cds_graphs().cds.clone()),
+    ("ldel-icds", |_, b| b.ldel_icds().clone()),
+    ("ldel-icds-prime", |_, b| b.ldel_icds_prime().clone()),
 ];
 
 /// Minimal flag map: `--key value` pairs plus boolean `--distributed`.
@@ -253,26 +267,20 @@ fn cmd_build(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_render(flags: &Flags) -> Result<(), String> {
+    let topology: String = flags.get_or("topology", "ldel-icds".to_string())?;
+    let Some((_, build)) = TOPOLOGIES.iter().find(|(name, _)| *name == topology) else {
+        let names: Vec<&str> = TOPOLOGIES.iter().map(|(name, _)| *name).collect();
+        return Err(format!(
+            "unknown topology `{topology}` (valid topologies: {})",
+            names.join(", ")
+        ));
+    };
     let pts = load_nodes(flags)?;
     let (udg, radius) = udg_of(flags, &pts)?;
-    let topology: String = flags.get_or("topology", "ldel-icds".to_string())?;
     let backbone = BackboneBuilder::new(BackboneConfig::new(radius))
         .build(&udg)
         .map_err(|e| e.to_string())?;
-    let graph = match topology.as_str() {
-        "udg" => udg.clone(),
-        "rng" => relative_neighborhood(&udg),
-        "gabriel" => gabriel(&udg),
-        "yao" => yao(&udg, 6),
-        "theta" => theta(&udg, 6),
-        "yao-sink" => yao_sink(&udg, 6),
-        "rdg" => restricted_delaunay(&udg),
-        "ldel" => ldel::planarized(&udg).graph,
-        "cds" => backbone.cds_graphs().cds.clone(),
-        "ldel-icds" => backbone.ldel_icds().clone(),
-        "ldel-icds-prime" => backbone.ldel_icds_prime().clone(),
-        other => return Err(format!("unknown topology `{other}`")),
-    };
+    let graph = build(&udg, &backbone);
     let roles: Vec<NodeRole> = backbone
         .roles()
         .iter()

@@ -11,7 +11,7 @@
 //! * [`geometry`] — robust predicates and Delaunay triangulations,
 //! * [`graph`] — unit disk graphs, shortest paths, stretch factors,
 //! * [`sim`] — the deterministic message-passing simulator,
-//! * [`topology`] — RNG / Gabriel / Yao / localized-Delaunay baselines,
+//! * [`topology`] — RNG / Gabriel / localized-Delaunay baselines,
 //! * [`cds`] — clustering and connector election (the CDS backbone),
 //! * [`core`] — the full `LDel(ICDS)` pipeline and routing,
 //! * [`traffic`] — the discrete-event packet traffic engine.

@@ -12,6 +12,21 @@ fn tempdir(test: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The topology names `render` lists when it is given an unknown one.
+fn valid_topologies() -> Vec<String> {
+    let out = cli()
+        .args(["render", "--topology", "none"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    let (_, list) = err
+        .split_once("(valid topologies: ")
+        .unwrap_or_else(|| panic!("no topology list in {err}"));
+    let (list, _) = list.split_once(')').unwrap();
+    list.split(", ").map(str::to_string).collect()
+}
+
 #[test]
 fn generate_build_route_render_pipeline() {
     let dir = tempdir("pipeline");
@@ -74,19 +89,26 @@ fn generate_build_route_render_pipeline() {
     assert!(text.contains("delivered in"), "{text}");
     assert!(text.contains("path: [0,"));
 
-    // render
+    // render every topology the unknown-name error lists, so that list
+    // and what `render` draws cannot drift apart
     let svg = dir.join("topo.svg");
-    let out = cli()
-        .args(["render", "--nodes"])
-        .arg(&nodes)
-        .args(["--radius", "50", "--topology", "gabriel", "--out"])
-        .arg(&svg)
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let content = std::fs::read_to_string(&svg).unwrap();
-    assert!(content.starts_with("<svg"));
-    assert!(content.contains("gabriel"));
+    for topology in valid_topologies() {
+        let out = cli()
+            .args(["render", "--nodes"])
+            .arg(&nodes)
+            .args(["--radius", "50", "--topology", &topology, "--out"])
+            .arg(&svg)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{topology}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let content = std::fs::read_to_string(&svg).unwrap();
+        assert!(content.starts_with("<svg"), "{topology}");
+        assert!(content.contains(&format!("{topology} — ")), "{topology}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -563,25 +585,35 @@ fn bad_usage_fails_cleanly() {
         assert!(err.contains("shards must be in 1..=1024"), "{err}");
     }
 
-    // Unknown topology.
+    // Unknown topology, including the removed cone graphs: the error
+    // lists the valid names.
     let dir = tempdir("usage");
     let nodes = dir.join("n.csv");
     std::fs::write(&nodes, "0,0\n1,0\n").unwrap();
-    let out = cli()
-        .args(["render", "--nodes"])
-        .arg(&nodes)
-        .args([
-            "--radius",
-            "5",
-            "--topology",
-            "zelda",
-            "--out",
-            "/tmp/x.svg",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown topology"));
+    for topology in ["zelda", "yao"] {
+        let out = cli()
+            .args(["render", "--nodes"])
+            .arg(&nodes)
+            .args([
+                "--radius",
+                "5",
+                "--topology",
+                topology,
+                "--out",
+                "/tmp/x.svg",
+            ])
+            .output()
+            .unwrap();
+        assert!(!out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown topology `{topology}`")));
+        assert!(
+            err.contains(
+                "(valid topologies: udg, rng, gabriel, rdg, ldel, cds, ldel-icds, ldel-icds-prime)"
+            ),
+            "{err}"
+        );
+    }
 
     // Inverted watermarks leave no congested band to enter; equal ones
     // are legal.
